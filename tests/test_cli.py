@@ -66,6 +66,52 @@ def test_sample_crp_deterministic(capsys):
         assert sorted(e for b in rec["blocks"] for e in b) == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize(
+    ("args", "stdout"),
+    [
+        (("sample", "--model", "crp", "--alpha", "0", "--theta", "1", "--n", "5",
+          "--count", "2", "--seed", "7"),
+         '{"blocks":[[1],[2,5],[3],[4]],"n":5}\n'
+         '{"blocks":[[1,2,4],[3],[5]],"n":5}\n'),
+        (("sample", "--model", "gem", "--alpha", "1/4", "--theta", "1/2", "--eps", "0.01",
+          "--count", "2", "--seed", "11"),
+         '{"dust":0.0,"entries":[0.09395664738982426,0.019400934502954766,'
+         '0.011492989005204969,0.13048634360807537,0.6539115473909521,'
+         '0.019633753951113494,0.009431148478020214,0.04710199898229197,'
+         '0.009608613070473745],"residual":0.0049760236210890174}\n'
+         '{"dust":0.0,"entries":[0.8361819349185331,0.07473461051192616,'
+         '0.07349978785221427,0.002225653096960574,0.0010241977046984052,'
+         '0.002783246926122671],"residual":0.009550568989544837}\n'),
+        (("sample", "--model", "gem", "--alpha", "-1", "--m", "3", "--seed", "1"),
+         '{"dust":0.0,"entries":[0.8307256831328045,0.057660742126816225,'
+         '0.11161357474037929],"residual":0.0}\n'),
+        (("regen-set", "--model", "crossbreed", "--alpha", "1/4", "--theta", "1",
+          "--eps", "0.2", "--seed", "3", "--format", "csv"),
+         "left,right\n"
+         "0.0,0.17806025719493\n"
+         "0.17806025719493,0.24386660971961563\n"
+         "0.24386660971961563,0.25362432874861757\n"
+         "0.25589926451213096,0.8230743323818798\n"
+         "0.8247786464205031,0.8257930576170767\n"
+         "0.8257930576170767,0.8260356705002173\n"
+         "0.8260356705002173,0.8310504161247041\n"
+         "0.8310504161247041,0.8321091495336638\n"
+         "0.8321091495336638,0.8779593154638236\n"
+         "0.8779593154638236,0.879342840113477\n"
+         "0.8848288829974034,0.8950874421433039\n"
+         "0.8950874421433039,0.9602420228386362\n"
+         "# residual,0.049223269847426865\n"),
+        (("order", "--x", "1/2,1/3,1/6", "--tau", "1/4", "--count", "2", "--seed", "1"),
+         '{"perm":[2,3,1]}\n{"perm":[3,1,2]}\n'),
+    ],
+    ids=["sample-crp", "sample-gem", "sample-gem-terminated", "regen-set-crossbreed", "order-tau"],
+)
+def test_seeded_stdout_frozen(capsys, args, stdout):
+    rc, out, err = run(capsys, *args)
+    assert rc == 0 and err == ""
+    assert out == stdout
+
+
 def test_decrement_csv(capsys):
     rc, out, _ = run(capsys, "decrement", "--alpha", "1/2", "--theta", "1/2",
                      "--n-max", "3", "--format", "csv")

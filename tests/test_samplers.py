@@ -50,6 +50,27 @@ def test_rng_streams_are_reproducible():
     assert RngHandle(42).spawn(1).random() == 0.5860378445322234
 
 
+@pytest.mark.parametrize(
+    ("method", "args", "scalar", "vector"),
+    [
+        ("normal", (), [-1.5989268385861057, -0.6422446965832835],
+         [1.0875171856576933, -0.34905600789477786]),
+        ("gamma", (0.5,), [0.10539870491647062, 1.136325951461815],
+         [0.15859105217320818, 0.03793283270263909]),
+        ("gamma", (2.5,), [0.5624439671109495, 4.657610351397535],
+         [4.194042814917378, 1.6924133975451119]),
+        ("beta", (2.0, 3.0), [0.059226498617508484, 0.577264205098416],
+         [0.40817406008528584, 0.6221439774409914]),
+    ],
+    ids=["normal", "gamma_small_shape", "gamma_large_shape", "beta"],
+)
+def test_variate_streams_frozen(method, args, scalar, vector):
+    # scalar and vector paths consume the stream differently, so pin both
+    r = RngHandle(42)
+    assert [getattr(r, method)(*args) for _ in range(2)] == scalar
+    assert getattr(RngHandle(42), method)(*args, size=2).tolist() == vector
+
+
 def test_rng_rejects_bad_seed():
     with pytest.raises(ParameterError):
         RngHandle(1.5)
