@@ -12,47 +12,12 @@ floats with a '.' decimal point.
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core, deletion, oracle, regen, samplers
 from .core import Composition, ExtParams, ParameterError, dumps, parse_scalar, scalar_to_json
 from .eppf import addition_residual, eppf
-
-THREADS_ENV = "PARTITION_LAB_THREADS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Frozen record of one CLI invocation; equal configs give equal bytes."""
-
-    command: str
-    options: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_args(cls, command: str, ns: argparse.Namespace) -> "RunConfig":
-        pairs = tuple(
-            sorted((k, repr(v)) for k, v in vars(ns).items() if k != "func" and v is not None)
-        )
-        return cls(command, pairs)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ParameterError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
-
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=str, default=None, help="alpha in [0,1) or < 0 with --m")
@@ -83,6 +48,11 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         raise ParameterError(f"cannot parse parts {text!r}")
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ParameterError(f"need --count >= 0, got {count}")
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     payload = "".join(line + "\n" for line in lines)
     if out is None:
@@ -110,6 +80,7 @@ def _cmd_eppf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sample(ns: argparse.Namespace) -> int:
+    _check_count(ns.count)
     params = _params_from_args(ns)
     rng = samplers.RngHandle(ns.seed)
     lines = []
@@ -212,6 +183,7 @@ def _cmd_regen_set(ns: argparse.Namespace) -> int:
 
 
 def _cmd_order(ns: argparse.Namespace) -> int:
+    _check_count(ns.count)
     rng = samplers.RngHandle(ns.seed)
     lines = []
     if ns.x is not None:
@@ -353,12 +325,10 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     tasks = _verify_tasks(ns.suite, ns.n, grid)
     if not tasks:
         raise ParameterError("no checks match the requested suite and parameters")
-    workers = _thread_count()
     lines = []
     failures = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda t: t[3](), tasks))
-    for (name, label, n_used, _), dev in zip(tasks, results):
+    for name, label, n_used, check in tasks:
+        dev = check()
         ok = dev == 0 if ns.exact else float(abs(dev)) <= ns.tol
         failures += 0 if ok else 1
         lines.append(

@@ -510,6 +510,32 @@ class RankedFrequencies:
         return cls(tuple(scalar_from_json(p) for p in d["entries"]), scalar_from_json(d["deficit"]))
 
 
+def check_eps(eps: float) -> None:
+    """Reject a truncation level outside (0, 1)."""
+    if not (0 < eps < 1):
+        raise ParameterError(f"need 0 < eps < 1, got {eps}")
+
+
+def break_sticks(
+    fractions: Iterable[Scalar], eps: float | None = None
+) -> tuple[list[Scalar], Scalar]:
+    """Lengths P_i = W_i * prod_{j<i} (1 - W_j) and the leftover prod (1 - W_j).
+
+    Consumes fractions until one equals 1, or, when eps is given, until
+    the leftover drops to eps or below.  Without eps only the fractions
+    running out ends the loop; a float leftover that underflows to 0
+    does not.
+    """
+    lengths = []
+    remaining: Scalar = 1
+    for w in fractions:
+        lengths.append(w * remaining)
+        remaining = remaining * (1 - w)
+        if w == 1 or (eps is not None and remaining <= eps):
+            break
+    return lengths, remaining
+
+
 def stick_breaking(fractions: "ResidualFractions | Iterable[Scalar]") -> FrequencyVector:
     """Map residual fractions to frequencies P_i = W_i * prod_{j<i} (1 - W_j).
 
@@ -518,11 +544,7 @@ def stick_breaking(fractions: "ResidualFractions | Iterable[Scalar]") -> Frequen
     """
     if not isinstance(fractions, ResidualFractions):
         fractions = ResidualFractions.from_raw(fractions)
-    entries = []
-    remaining: Scalar = 1
-    for w in fractions.fractions:
-        entries.append(w * remaining)
-        remaining = remaining * (1 - w)
+    entries, remaining = break_sticks(fractions.fractions)
     if fractions.terminated:
         remaining = 0
     return FrequencyVector(tuple(entries), dust=0, residual=remaining)

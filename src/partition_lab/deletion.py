@@ -15,7 +15,7 @@ a partition of [n] has size m:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     TWO_PARAM,
@@ -33,7 +33,7 @@ from .core import (
     scalar_from_json,
 )
 from .eppf import rising_factorial
-from .samplers import RngHandle, tau_pick_law
+from .samplers import RngHandle, _pick, tau_pick_law
 import math
 
 
@@ -201,14 +201,8 @@ def tau_delete(
         float(deletion_kernel(sizes, j, params=params, tau=tau))
         for j in range(1, pi.k + 1)
     ]
-    u = rng.random()
-    acc = 0.0
-    pick = pi.k
-    for j, p in enumerate(law, start=1):
-        acc += p
-        if u < acc:
-            pick = j
-            break
+    j = _pick(law, rng.random())
+    pick = pi.k if j is None else j + 1
     return pick, sizes.parts[pick - 1], delete_block(pi, pick)
 
 

@@ -18,19 +18,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     TWO_PARAM,
+    ConvergenceError,
     ExtParams,
     FrequencyVector,
     IntervalSet,
     ParameterError,
     Scalar,
     SetPartition,
+    break_sticks,
     canonicalize,
+    check_eps,
     delete_block,
     exact_div,
     is_exact,
@@ -38,7 +41,7 @@ from .core import (
     scalar_from_json,
 )
 from .deletion import DecrementMatrix
-from .eppf import BetaParams, rising_factorial, stick_fraction_law
+from .eppf import rising_factorial
 from .samplers import RngHandle, xi_order
 
 ALPHA_THETA = "alpha_theta"
@@ -263,11 +266,6 @@ class SubordinatorPath:
         return {"times": list(self.times), "jumps": list(self.jumps), "killed": self.killed}
 
 
-def _check_eps(eps: float) -> None:
-    if not (0 < eps < 1):
-        raise ParameterError(f"need 0 < eps < 1, got {eps}")
-
-
 def compound_poisson_set(
     theta: float, eps: float, rng: RngHandle, max_jumps: int = 10_000_000
 ) -> tuple[SubordinatorPath, IntervalSet]:
@@ -280,13 +278,13 @@ def compound_poisson_set(
     """
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
-    _check_eps(eps)
+    check_eps(eps)
     times, jumps, lengths = [], [], []
     t = 0.0
     remaining = 1.0
     while remaining > eps:
         if len(jumps) >= max_jumps:
-            raise ParameterError(f"jump budget {max_jumps} exhausted above eps={eps}")
+            raise ConvergenceError(f"jump budget {max_jumps} exhausted above eps={eps}")
         t += rng.exponential(1.0)
         j = rng.exponential(theta)
         times.append(t)
@@ -295,6 +293,12 @@ def compound_poisson_set(
         remaining *= math.exp(-j)
     path = SubordinatorPath(tuple(times), tuple(jumps))
     return path, IntervalSet.from_lengths(lengths, residual=remaining)
+
+
+def _beta_fractions(theta: float, rng: RngHandle) -> Iterator[float]:
+    """Endless i.i.d. beta(1, theta) stick fractions."""
+    while True:
+        yield rng.beta(1.0, float(theta))
 
 
 def stick_breaking_set(theta: float, eps: float, rng: RngHandle) -> IntervalSet:
@@ -306,13 +310,8 @@ def stick_breaking_set(theta: float, eps: float, rng: RngHandle) -> IntervalSet:
     """
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
-    _check_eps(eps)
-    lengths = []
-    remaining = 1.0
-    while remaining > eps:
-        v = rng.beta(1.0, float(theta))
-        lengths.append(remaining * v)
-        remaining *= 1.0 - v
+    check_eps(eps)
+    lengths, remaining = break_sticks(_beta_fractions(theta, rng), eps)
     return IntervalSet.from_lengths(lengths, residual=remaining)
 
 
@@ -343,28 +342,16 @@ def _alpha_zero_lengths(
     stick after the first in uniform random order, the first stick
     rightmost.
     """
-    ws: list[float] = []
-    remaining = 1.0
-    k = 1
-    chunk = 64
-    while remaining > eps:
-        if k > max_sticks:
-            raise ParameterError(f"stick budget {max_sticks} exhausted above eps={eps}")
-        shapes_b = alpha * np.arange(k, k + chunk, dtype=float)
-        x = rng.gamma(1.0 - alpha, size=chunk)
-        y = rng.gamma(shapes_b, size=chunk)
-        w = x / (x + y)
-        for wi in w:
-            ws.append(float(wi))
-            remaining *= 1.0 - float(wi)
-            if remaining <= eps:
-                break
-        k += chunk
-    lengths = []
-    rem = 1.0
-    for wi in ws:
-        lengths.append(rem * wi)
-        rem *= 1.0 - wi
+
+    def draws() -> Iterator[float]:
+        chunk = 64
+        for k in range(1, max_sticks + 1, chunk):
+            x = rng.gamma(1.0 - alpha, size=chunk)
+            y = rng.gamma(alpha * np.arange(k, k + chunk, dtype=float), size=chunk)
+            yield from (x / (x + y)).tolist()
+        raise ConvergenceError(f"stick budget {max_sticks} exhausted above eps={eps}")
+
+    lengths, rem = break_sticks(draws(), eps)
     # xi = 0 arrangement: uniform order on sticks 2..K, stick 1 rightmost
     rest = np.argsort(rng.random(len(lengths) - 1)) + 1 if len(lengths) > 1 else []
     arranged = [lengths[i] for i in rest] + [lengths[0]]
@@ -382,13 +369,8 @@ def crossbreed_set(alpha: float, theta: float, eps: float, rng: RngHandle) -> In
         raise ParameterError(f"need 0 < alpha < 1, got {alpha}")
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
-    _check_eps(eps)
-    sticks = []
-    remaining = 1.0
-    while remaining > eps / 2:
-        v = rng.beta(1.0, float(theta))
-        sticks.append(remaining * v)
-        remaining *= 1.0 - v
+    check_eps(eps)
+    sticks, _ = break_sticks(_beta_fractions(theta, rng), eps / 2)
     intervals = []
     pos = 0.0
     for L in sticks:
@@ -521,7 +503,7 @@ def leftmost_deletion_counts(
     xi = params.xi()
     if not (math.isinf(xi) or xi == 0 or xi == 1):
         raise ParameterError(f"bulk harness supports xi in {{0, 1, inf}}, got {xi}")
-    _check_eps(eps)
+    check_eps(eps)
     counts = np.zeros(n + 1, dtype=np.int64)
     remaining = count
     while remaining > 0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .core import (
     ResidualFractions,
     Scalar,
     SetPartition,
+    all_exact,
+    break_sticks,
+    check_eps,
     exact_div,
     is_exact,
     partition_from_assignment,
@@ -149,6 +152,16 @@ class RngHandle:
         return out
 
 
+def _pick(weights: Iterable[float], u: float) -> int | None:
+    """First 0-based j with u < w_0 + ... + w_j; None when u passes the total."""
+    acc = 0.0
+    for j, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return j
+    return None
+
+
 # ---------------------------------------------------------------------------
 # sequential partition sampling
 
@@ -173,15 +186,9 @@ def crp_sample(params: ExtParams, n: int, rng: RngHandle) -> SetPartition:
             alpha, theta = float(params.alpha), float(params.theta)
             weights = [s - alpha for s in sizes] + [theta + k * alpha]
             total = i + theta
-        u = rng.random() * total
-        acc = 0.0
-        pick = k
-        for j, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                pick = j
-                break
-        if pick == k:
+        pick = _pick(weights, rng.random() * total)
+        if pick is None or pick == k:
+            pick = k
             sizes.append(1)
         else:
             sizes[pick] += 1
@@ -226,43 +233,29 @@ def gem_sample(
     rng: RngHandle,
     eps: float = 1e-9,
     max_sticks: int = 1_000_000,
-    min_sticks: int = 0,
 ) -> tuple[ResidualFractions, FrequencyVector]:
     """Draw stick fractions W_k ~ beta(1 - alpha, theta + k alpha) and break sticks.
 
-    Stops once the unbroken mass falls to eps or below (but not before
-    min_sticks fractions are stored), or when a deterministic fraction 1
-    terminates the stick (bounded ranges).  Raises if max_sticks is hit
-    first.
+    Stops once the unbroken mass falls to eps or below, or when a
+    deterministic fraction 1 terminates the stick (bounded ranges).
+    Raises ConvergenceError if max_sticks fractions do not get there.
     """
+    check_eps(eps)
     ws: list[float] = []
-    remaining = 1.0
-    k = 1
-    while True:
-        law = stick_fraction_law(params, k)
-        if isinstance(law, BetaParams):
-            w = rng.beta(float(law.a), float(law.b))
-        else:
-            w = float(law)
-        ws.append(w)
-        remaining *= 1.0 - w
-        if w == 1.0:
-            break
-        if remaining <= eps and len(ws) >= min_sticks:
-            break
-        if k >= max_sticks:
-            raise ConvergenceError(f"stick budget {max_sticks} exhausted above eps={eps}")
-        k += 1
-    fractions = ResidualFractions.from_raw(ws)
-    entries = []
-    rem = 1.0
-    for w in fractions.fractions:
-        entries.append(w * rem)
-        rem *= 1.0 - w
-    if fractions.terminated:
-        rem = 0.0
-    freq = FrequencyVector(tuple(entries), dust=0.0, residual=rem)
-    return fractions, freq
+
+    def draws() -> Iterator[float]:
+        for k in range(1, max_sticks + 1):
+            law = stick_fraction_law(params, k)
+            if isinstance(law, BetaParams):
+                ws.append(rng.beta(float(law.a), float(law.b)))
+            else:
+                ws.append(float(law))
+            yield ws[-1]
+        raise ConvergenceError(f"stick budget {max_sticks} exhausted above eps={eps}")
+
+    entries, residual = break_sticks(draws(), eps)
+    freq = FrequencyVector(tuple(entries), dust=0.0, residual=residual)
+    return ResidualFractions.from_raw(ws), freq
 
 
 def stick_fraction_matrix(params: ExtParams, k: int, count: int, rng: RngHandle) -> np.ndarray:
@@ -330,13 +323,8 @@ def size_biased_pick(x: Sequence[Scalar], rng: RngHandle) -> int | None:
     total = sum(float(v) for v in x)
     if total > 1.0 + 1e-9:
         raise ParameterError(f"weights sum to {total} > 1")
-    u = rng.random()
-    acc = 0.0
-    for j, v in enumerate(x, start=1):
-        acc += float(v)
-        if u < acc:
-            return j
-    return None
+    j = _pick(map(float, x), rng.random())
+    return None if j is None else j + 1
 
 
 def tau_pick_law(x: Sequence[Scalar], tau: Scalar) -> list[Scalar]:
@@ -353,27 +341,17 @@ def tau_pick_law(x: Sequence[Scalar], tau: Scalar) -> list[Scalar]:
         raise ParameterError(f"need 0 <= tau <= 1, got {tau}")
     k = len(x)
     if k == 1:
-        return [1 if is_exact(tau) and all_exact_seq(x) else 1.0]
+        return [1 if all_exact(tau, *x) else 1.0]
     s = sum(x)
     weights = [(1 - tau) * v + tau * (s - v) for v in x]
     total = s * (1 - tau + tau * (k - 1))
     return [exact_div(w, total) for w in weights]
 
 
-def all_exact_seq(x: Iterable[Scalar]) -> bool:
-    return all(is_exact(v) for v in x)
-
-
 def tau_biased_pick(x: Sequence[Scalar], tau: Scalar, rng: RngHandle) -> int:
     """Sample the tau-biased pick; returns a 1-based index."""
-    law = tau_pick_law(x, tau)
-    u = rng.random()
-    acc = 0.0
-    for j, p in enumerate(law, start=1):
-        acc += float(p)
-        if u < acc:
-            return j
-    return len(x)
+    j = _pick(map(float, tau_pick_law(x, tau)), rng.random())
+    return len(x) if j is None else j + 1
 
 
 def tau_biased_perm(x: Sequence[Scalar], tau: Scalar, rng: RngHandle) -> tuple[int, ...]:

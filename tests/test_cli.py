@@ -196,8 +196,7 @@ def test_verify_float_params_fail_exact(capsys):
     assert summary["failures"] > 0
 
 
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("PARTITION_LAB_THREADS", "1")
+def test_verify_leem_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "leem", "--n", "4")
     assert rc == 0
     assert json.loads(out.splitlines()[-1])["failures"] == 0
@@ -219,6 +218,9 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("eppf", "--alpha", "0", "--theta", "1", "--lambda", "0,1"),
         ("eppf", "--alpha", "1/0", "--theta", "1", "--lambda", "2"),
         ("decrement", "--coupon", "4", "--n-max", "3"),
+        ("sample", "--model", "gem", "--alpha", "1/2", "--theta", "1/2", "--eps", "0", "--seed", "1"),
+        ("sample", "--model", "crp", "--alpha", "0", "--theta", "1", "--count", "-1", "--seed", "1"),
+        ("order", "--k", "3", "--count", "-1", "--seed", "1"),
     ],
 )
 def test_domain_errors_exit_2(capsys, args):

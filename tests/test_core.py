@@ -15,6 +15,7 @@ from partition_lab.core import (
     ParameterError,
     ResidualFractions,
     SetPartition,
+    break_sticks,
     canonicalize,
     delete_block,
     dumps,
@@ -202,6 +203,14 @@ def test_stick_breaking_exact():
     done = stick_breaking(ResidualFractions((Fraction(1, 2), 1), terminated=True))
     assert done.entries == (Fraction(1, 2), Fraction(1, 2))
     assert done.residual == 0
+
+
+def test_break_sticks_stopping_rules():
+    assert break_sticks([Fraction(1, 2), 1, Fraction(1, 3)]) == ([Fraction(1, 2), Fraction(1, 2)], 0)
+    assert break_sticks(iter([0.5, 0.5, 0.5]), eps=0.25) == ([0.5, 0.25], 0.25)
+    # without eps a leftover that underflows to 0.0 does not end the loop
+    lengths, leftover = break_sticks([1 - 2.0 ** -53] * 40 + [0.5])
+    assert len(lengths) == 41 and leftover == 0.0
 
 
 def test_rank_pools_dust_and_residual():

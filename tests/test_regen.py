@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from partition_lab.core import (
+    ConvergenceError,
     ExtParams,
     FrequencyVector,
     IntervalSet,
@@ -20,6 +21,7 @@ from partition_lab.regen import (
     LevyImageMeasure,
     ScaledBeta,
     SubordinatorPath,
+    _alpha_zero_lengths,
     _gem_lengths_matrix,
     compound_poisson_set,
     crossbreed_set,
@@ -165,6 +167,15 @@ def test_compound_poisson_set_structure():
         compound_poisson_set(0.0, 1e-6, rng)
     with pytest.raises(ParameterError):
         compound_poisson_set(1.0, 2.0, rng)
+
+
+def test_exhausted_budgets_raise_convergence_error():
+    rng = RngHandle(12)
+    with pytest.raises(ConvergenceError):
+        compound_poisson_set(1.0, 1e-6, rng, max_jumps=3)
+    with pytest.raises(ConvergenceError):
+        # the (alpha, 0) leftover decays like k**-((1 - alpha)/alpha): ~0.6 after 64 sticks
+        _alpha_zero_lengths(0.9, 1e-3, rng, max_sticks=64)
 
 
 def test_stick_breaking_set_structure():

@@ -155,6 +155,9 @@ def test_gem_sample_truncation_contract():
     with pytest.raises(ConvergenceError):
         # residual decays like k**-1 here; 30 sticks cannot reach 1e-6
         gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=1e-6, max_sticks=30)
+    for eps in (0.0, 1.0):
+        with pytest.raises(ParameterError):
+            gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=eps)
 
 
 def test_stick_fraction_matrix_moments():
