@@ -2,16 +2,18 @@
 
 Subcommands: sample, eppf, decrement, phi, regen-set, order, verify.
 Exit codes: 0 on success, 1 when a verification suite reports a
-failure, 2 on usage errors.  All randomized commands take --seed and
-produce byte-identical output for identical arguments.  Rational
-arguments ("1/2", "2") select exact arithmetic; decimals float.  JSON
-encodes exact values as {"num": ..., "den": ...}; CSV always prints
-floats with a '.' decimal point.
+failure or stdout is closed before the output is written, 2 on usage
+errors.  All randomized commands take --seed and produce byte-identical
+output for identical arguments.  Rational arguments ("1/2", "2") select
+exact arithmetic; decimals float.  JSON encodes exact values as
+{"num": ..., "den": ...}; CSV always prints floats with a '.' decimal
+point.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -423,7 +425,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        rc = ns.func(ns)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`).  Point stdout at
+        # devnull so the interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (
         ParameterError,
         core.ConvergenceError,

@@ -10,6 +10,21 @@ a partition of [n] has size m:
 
     q(n, m) = C(n, m) (1 - alpha)_{m-1} / (theta + n - m)_m
               * ((n - m) alpha + m theta) / n.
+
+decrement_entry evaluates this closed form and is the reference;
+decrement_matrix builds each row from its neighbours in O(n) steps,
+
+    q(n, 1)     = ((n - 1) alpha + theta) / (theta + n - 1),
+    q(n, m + 1) = q(n, m) (n - m) (m - alpha) ((n - m - 1) alpha + (m + 1) theta)
+                  / ((m + 1) ((n - m) alpha + m theta) (theta + n - m - 1))
+                  for m <= n - 2,
+    q(n, n)     = q(n - 1, n - 1) (n - 1 - alpha) / (theta + n - 1),
+
+so every factor is O(1): the matrix costs O(n_max^2), and float rows
+stay finite where the closed form's rising factorials overflow (from
+n = 172).  The last entry
+has its own rule because theta + n - m - 1 vanishes at m = n - 1 when
+theta = 0.
 """
 
 from __future__ import annotations
@@ -129,14 +144,30 @@ def decrement_entry(params: ExtParams, n: int, m: int) -> Scalar:
 
 
 def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
-    """All rows q(n, .) for n up to n_max, exact when the parameters are."""
+    """All rows q(n, .) for n up to n_max, exact when the parameters are.
+
+    Uses the row recurrence of the module docstring; the entries are
+    equal to decrement_entry's, including their types.
+    """
     if not (isinstance(n_max, int) and n_max >= 1):
         raise ParameterError(f"need n_max >= 1, got {n_max}")
-    rows = tuple(
-        tuple(decrement_entry(params, n, m) for m in range(1, n + 1))
-        for n in range(1, n_max + 1)
-    )
-    return DecrementMatrix(n_max, rows)
+    _require_kernel_params(params)
+    alpha, theta = params.alpha, params.theta
+    last = exact_div(1, 1)
+    rows = [(last,)]
+    for n in range(2, n_max + 1):
+        q = exact_div((n - 1) * alpha + theta, theta + n - 1)
+        row = [q]
+        for m in range(1, n - 1):
+            q = q * exact_div(
+                (n - m) * (m - alpha) * ((n - m - 1) * alpha + (m + 1) * theta),
+                (m + 1) * ((n - m) * alpha + m * theta) * (theta + n - m - 1),
+            )
+            row.append(q)
+        last = last * exact_div(n - 1 - alpha, theta + n - 1)
+        row.append(last)
+        rows.append(tuple(row))
+    return DecrementMatrix(n_max, tuple(rows))
 
 
 def f1_consistency(params: ExtParams, n: int, lam1: int) -> Scalar:

@@ -31,6 +31,7 @@ from .core import (
     ParameterError,
     Scalar,
     SetPartition,
+    all_exact,
     break_sticks,
     canonicalize,
     check_eps,
@@ -229,14 +230,56 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
     This is the subordinator route to the decrement matrix; for the
     alpha_theta measure with exact parameters the entries are exact
     rationals and must agree with deletion.decrement_matrix.
+
+    For the alpha_theta measure the matrix is built along the diagonals
+    j = n - m in O(n_max^2) steps.  Dividing phi_nm by
+    phi(n) = n B(1 - alpha, n + theta) gives, for j >= 1,
+
+        q(n, m) = C(n, m) (m theta + j alpha) / ((j + theta) n)
+                  * B(m - alpha, j + theta + 1) / B(1 - alpha, n + theta),
+
+    and B(x + 1, y)/B(x, y) = x/(x + y), applied to B(m - alpha, j + theta + 1)
+    and (mirrored) to B(1 - alpha, n + theta), turns the step from (n, m)
+    to (n + 1, m + 1), which keeps j, into
+
+        q(n + 1, m + 1) = q(n, m) n (m - alpha) ((m + 1) theta + j alpha)
+                          / ((m + 1) (m theta + j alpha) (theta + n)),
+
+    starting from q(j + 1, 1) = (theta + j alpha)/(j + theta).  On the
+    main diagonal q(n, n) = B(n - alpha, theta + 1)/B(1 - alpha, n + theta),
+    so q(1, 1) = 1 and q(n + 1, n + 1) = q(n, n) (n - alpha)/(theta + n).
+    The kernel route steps along rows instead, a different identity,
+    which keeps the comparison of the two routes a real cross-check.
+    Atomic measures divide phi_nm by laplace_exponent entry by entry.
     """
     if not (isinstance(n_max, int) and n_max >= 1):
         raise ParameterError(f"need n_max >= 1, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        phin = laplace_exponent(measure, n)
-        rows.append(tuple(exact_div(phi_nm(measure, n, m), phin) for m in range(1, n + 1)))
-    return DecrementMatrix(n_max, tuple(rows))
+    if measure.kind != ALPHA_THETA:
+        rows = []
+        for n in range(1, n_max + 1):
+            phin = laplace_exponent(measure, n)
+            rows.append(tuple(exact_div(phi_nm(measure, n, m), phin) for m in range(1, n + 1)))
+        return DecrementMatrix(n_max, tuple(rows))
+    alpha, theta = measure.alpha, measure.theta
+    rows = [[None] * n for n in range(1, n_max + 1)]
+    for j in range(n_max):
+        if j == 0:
+            # the ScaledBeta ratio gives 1 as a Fraction only in exact mode
+            q = exact_div(1, 1) if all_exact(alpha, theta) else 1.0
+        else:
+            q = exact_div(theta + j * alpha, j + theta)
+        rows[j][0] = q
+        for n in range(j + 1, n_max):
+            m = n - j
+            if j == 0:
+                q = q * exact_div(n - alpha, theta + n)
+            else:
+                q = q * exact_div(
+                    n * (m - alpha) * ((m + 1) * theta + j * alpha),
+                    (m + 1) * (m * theta + j * alpha) * (theta + n),
+                )
+            rows[n][m] = q
+    return DecrementMatrix(n_max, tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,13 @@ def test_decrement_csv(capsys):
     ]
 
 
+def test_float_decrement_csv_is_finite(capsys):
+    rc, out, _ = run(capsys, "decrement", "--alpha", "0.3", "--theta", "0.5", "--n-max", "200")
+    assert rc == 0
+    assert len(out.splitlines()) == 1 + 200 * 201 // 2
+    assert "nan" not in out and "inf" not in out
+
+
 def test_phi_csv_atoms(capsys):
     rc, out, _ = run(capsys, "phi", "--atoms", "1/2:1", "--n-max", "2", "--format", "csv")
     assert rc == 0
@@ -247,3 +254,17 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/6\n"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader is gone before the first write, as with `| head` on a
+    # slow command
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "partition_lab.cli",
+         "decrement", "--alpha", "1/2", "--theta", "1/2", "--n-max", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -1,9 +1,12 @@
 """Deletion kernel, decrement matrix, and block-removal samplers."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_lab.core import (
     ExtParams,
@@ -12,6 +15,7 @@ from partition_lab.core import (
     ResidualPickError,
     UnsupportedKernelError,
     canonicalize,
+    exact_div,
 )
 from partition_lab.deletion import (
     bulk_delete,
@@ -22,6 +26,7 @@ from partition_lab.deletion import (
     tau_delete,
 )
 from partition_lab.oracle import chi_square
+from partition_lab.regen import LevyImageMeasure, decrement_from_phi, laplace_exponent, phi_nm
 from partition_lab.samplers import RngHandle
 
 TWO_PARAM_GRID = (
@@ -135,6 +140,70 @@ def test_decrement_json_round_trip():
     dm = decrement_matrix(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 5)
     again = DecrementMatrix.from_json(json.loads(dumps(dm.to_json())))
     assert again == dm
+
+
+def _both_routes(params, n_max):
+    measure = LevyImageMeasure.alpha_theta(params.alpha, params.theta)
+    return decrement_matrix(params, n_max), decrement_from_phi(measure, n_max)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ExtParams.two_param(0.3, 0.5),
+        ExtParams.two_param(Fraction(1, 3), Fraction(1, 7)).as_float(),
+    ],
+    ids=str,
+)
+def test_float_decrement_rows_stay_finite(params):
+    # the closed form's rising factorials overflow from n = 172 in floats
+    twin = ExtParams.two_param(
+        Fraction(params.alpha).limit_denominator(10), Fraction(params.theta).limit_denominator(10)
+    )
+    for dm in _both_routes(params, 2000):
+        for row in dm.rows:
+            assert all(math.isfinite(v) for v in row)
+            assert abs(math.fsum(row) - 1) <= 1e-12
+        for n in (171, 172, 300, 2000):
+            ms = range(1, n + 1) if n <= 300 else (1, 2, 3, 17, 1000, 1998, 1999, 2000)
+            for m in ms:
+                exact = float(decrement_entry(twin, n, m))
+                assert dm.value(n, m) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+_exact_alpha = st.one_of(st.just(0), st.fractions(0, 1, max_denominator=12).filter(lambda a: a < 1))
+_exact_theta = st.one_of(st.integers(0, 5), st.fractions(0, 5, max_denominator=12))
+
+
+@settings(deadline=None)
+@given(
+    alpha=_exact_alpha,
+    theta=_exact_theta,
+    n_max=st.integers(1, 20),
+    as_float=st.sampled_from([(False, False), (True, True), (True, False), (False, True)]),
+)
+def test_decrement_routes_match_closed_forms(alpha, theta, n_max, as_float):
+    if alpha == 0 and theta == 0:
+        theta = 1
+    alpha = float(alpha) if as_float[0] else alpha
+    theta = float(theta) if as_float[1] else theta
+    params = ExtParams.two_param(alpha, theta)
+    measure = LevyImageMeasure.alpha_theta(alpha, theta)
+    kernel, phi = _both_routes(params, n_max)
+    for n in range(1, n_max + 1):
+        phin = laplace_exponent(measure, n)
+        for m in range(1, n + 1):
+            for got, want in (
+                (kernel.value(n, m), decrement_entry(params, n, m)),
+                (phi.value(n, m), exact_div(phi_nm(measure, n, m), phin)),
+            ):
+                # exact entries are Fractions, float entries floats, and
+                # the kernel route's q(1, 1) is Fraction(1) in both modes
+                assert type(got) is type(want)
+                if isinstance(want, float):
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+                else:
+                    assert got == want
 
 
 # ---------------------------------------------------------------------------
