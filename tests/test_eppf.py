@@ -68,6 +68,29 @@ def test_eppf_frozen_values(params, parts, value):
     assert got == value
 
 
+FROZEN_COMPOSITIONS = ((1, 1), (2, 1), (3, 1, 2), (7, 7), (25, 1, 12), (60, 60), (40, 30, 20, 10), (120,))
+
+
+@pytest.mark.parametrize(
+    ("alpha", "theta", "reprs"),
+    [
+        (0.5, 0.5, ("0.6666666666666666", "0.13333333333333333", "0.0017316017316017316",
+                    "1.0124333721049296e-06", "7.501539201900303e-15", "1.5010640024492782e-40",
+                    "5.087546709390461e-61", "0.0041841004184100415")),
+        (0.3, 0.5, ("0.5333333333333333", "0.14933333333333335", "0.002256592592592593",
+                    "3.114137083149312e-06", "2.5096167335076347e-14", "1.1446946159493265e-39",
+                    "8.325521550656081e-60", "0.0148616293902936")),
+        (1 / 3, 1 / 7, ("0.4166666666666667", "0.12962962962962968", "0.0017412548454126446",
+                        "4.067822626328743e-06", "3.2380586058126116e-14", "2.7817033852841804e-39",
+                        "9.141418200524814e-60", "0.07084348529313694")),
+    ],
+)
+def test_float_eppf_frozen_reprs(alpha, theta, reprs):
+    # in range, float eppf is the plain product, so its bytes are pinned
+    params = ExtParams.two_param(alpha, theta)
+    assert tuple(repr(eppf(params, c)) for c in FROZEN_COMPOSITIONS) == reprs
+
+
 def test_eppf_is_symmetric_in_parts():
     params = ExtParams.two_param(Fraction(1, 3), Fraction(2, 3))
     assert eppf(params, (3, 1, 2)) == eppf(params, (1, 2, 3))
