@@ -5,6 +5,13 @@ function in the package preserves the arithmetic mode of its inputs:
 exact in, exact out, unless a routine is documented as float-only
 (numerical series, gamma-function evaluations).  Mixing an exact scalar
 with a float falls through to float, matching Python semantics.
+
+Ratios of rising factorials (partition probabilities, beta moments,
+ratios of beta functions) go through rising_ratio, which forms the
+plain product in every mode.  Only when a float partial product
+overflows or underflows does it recompute the ratio from log-gamma, so
+float values stay finite past n = 171 and in-range values keep the
+bytes of the plain product.
 """
 
 from __future__ import annotations
@@ -52,15 +59,75 @@ def all_exact(*xs: Scalar) -> bool:
     return all(is_exact(x) for x in xs)
 
 
-def as_float(x: Scalar) -> float:
-    return float(x)
-
-
 def exact_div(num: Scalar, den: Scalar) -> Scalar:
     """Division that keeps int/int exact instead of floating it."""
     if isinstance(num, int) and isinstance(den, int):
         return Fraction(num, den)
     return num / den
+
+
+def rising_factorial(x: Scalar, n: int) -> Scalar:
+    """(x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
+    if not (isinstance(n, int) and n >= 0):
+        raise ParameterError(f"rising factorial needs integer n >= 0, got {n}")
+    out: Scalar = 1
+    for i in range(n):
+        out = out * (x + i)
+    return out
+
+
+def rising_ratio(
+    num: Iterable[tuple[Scalar, int]],
+    den: Iterable[tuple[Scalar, int]],
+    factors: Iterable[Scalar] = (),
+) -> Scalar:
+    """prod(factors) * prod (x)_n over num / prod (y)_m over den.
+
+    The plain product runs in this order: the factors, divided by the
+    denominator, times each numerator term; exact operands give an
+    exact value.  A float denominator is checked once before the
+    numerator is formed; when it or the result leaves the float range
+    (inf, nan or an underflow to 0), the ratio is recomputed from
+    log-gamma; so does an exact operand too large to meet a float.  The
+    rising factorials need positive arguments there, and num, den and
+    factors must be iterable twice.
+    """
+    try:
+        out: Scalar = 1
+        for f in factors:
+            out = out * f
+        d: Scalar = 1
+        for (y, m) in den:
+            d = d * rising_factorial(y, m)
+        if isinstance(d, float) and not d < math.inf:
+            return _log_rising_ratio(num, den, factors)
+        out = exact_div(out, d)
+        for (x, n) in num:
+            if n:  # (x)_0 = 1 leaves value and type alone
+                out = out * rising_factorial(x, n)
+    except OverflowError:  # an exact operand too large to meet a float
+        return _log_rising_ratio(num, den, factors)
+    if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
+        return _log_rising_ratio(num, den, factors)
+    return out
+
+
+def _log_rising_ratio(num, den, factors) -> float:
+    sign, log_abs = 1.0, 0.0
+    for f in factors:
+        if f == 0:
+            return 0.0
+        if f < 0:
+            sign = -sign
+        log_abs += math.log(abs(f))
+    for (x, n) in num:
+        log_abs += math.lgamma(x + n) - math.lgamma(x)
+    for (y, m) in den:
+        log_abs -= math.lgamma(y + m) - math.lgamma(y)
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:  # beyond the float range, like the plain product
+        return sign * math.inf
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -107,7 +174,7 @@ def scalar_from_json(v) -> Scalar:
 def _mass_ok(total: Scalar, target: Scalar = 1) -> bool:
     if is_exact(total) and is_exact(target):
         return total == target
-    return abs(as_float(total) - as_float(target)) <= MASS_TOL
+    return abs(float(total) - float(target)) <= MASS_TOL
 
 
 def dumps(obj) -> str:

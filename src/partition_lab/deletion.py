@@ -41,13 +41,13 @@ from .core import (
     ResidualPickError,
     Scalar,
     exact_div,
+    rising_factorial,
     SetPartition,
     UnsupportedKernelError,
     delete_block,
     scalar_to_json,
     scalar_from_json,
 )
-from .eppf import rising_factorial
 from .samplers import RngHandle, _pick, tau_pick_law
 import math
 

@@ -36,17 +36,9 @@ from .core import (
     Scalar,
     exact_div,
     is_exact,
+    rising_factorial,  # noqa: F401  (re-exported: eppf.rising_factorial)
+    rising_ratio,
 )
-
-
-def rising_factorial(x: Scalar, n: int) -> Scalar:
-    """(x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ParameterError(f"rising factorial needs integer n >= 0, got {n}")
-    out: Scalar = 1
-    for i in range(n):
-        out = out * (x + i)
-    return out
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,7 @@ class BetaParams:
 
     def moment(self, i: int, j: int) -> Scalar:
         """E[W^i (1-W)^j] = (a)_i (b)_j / (a+b)_{i+j} for W ~ beta(a, b)."""
-        num = rising_factorial(self.a, i) * rising_factorial(self.b, j)
-        return exact_div(num, rising_factorial(self.a + self.b, i + j))
+        return rising_ratio(((self.a, i), (self.b, j)), ((self.a + self.b, i + j),))
 
     def mean(self) -> Scalar:
         return exact_div(self.a, self.a + self.b)
@@ -94,12 +85,17 @@ def residual_moment_family(params: ExtParams) -> Callable[[int, int, int], Scala
     """Moment oracle (i, r, s) -> E[W_i^r (1 - W_i)^s] for the stick fractions."""
 
     def moment(i: int, r: int, s: int) -> Scalar:
-        law = stick_fraction_law(params, i)
-        if isinstance(law, BetaParams):
-            return law.moment(r, s)
-        return law ** r * (1 - law) ** s
+        return _stick_moment(stick_fraction_law(params, i), r, s)
 
     return moment
+
+
+def _stick_moment(law: BetaParams | Scalar, i: int, j: int) -> Scalar:
+    """E[W^i (1 - W)^j] for W with a law from stick_fraction_law."""
+    if isinstance(law, BetaParams):
+        return law.moment(i, j)
+    # deterministic W; 0**0 == 1 keeps the degenerate W = 1 case right
+    return law ** i * (1 - law) ** j
 
 
 def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
@@ -110,9 +106,9 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
     allow get probability 0.
     """
     lam = Composition.of(parts)
-    if lam.k == 0:
-        raise ParameterError("eppf needs at least one part")
     n, k = lam.n, lam.k
+    if k == 0:
+        raise ParameterError("eppf needs at least one part")
     if params.max_blocks is not None and k > params.max_blocks:
         return 0
     if params.kind == COUPON:
@@ -122,13 +118,12 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
             num *= m - i
         return Fraction(num, m ** n)
     alpha, theta = params.alpha, params.theta
-    out: Scalar = 1
-    for i in range(1, k):
-        out = out * (theta + i * alpha)
-    out = exact_div(out, rising_factorial(theta + 1, n - 1))
-    for p in lam.parts:
-        out = out * rising_factorial(1 - alpha, p - 1)
-    return out
+    shape = 1 - alpha
+    return rising_ratio(
+        [(shape, p - 1) for p in lam.parts],
+        ((theta + 1, n - 1),),
+        [theta + i * alpha for i in range(1, k)],
+    )
 
 
 def addition_residual(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
@@ -177,10 +172,7 @@ def q_first_block(params: ExtParams, n: int, m: int) -> Scalar:
     """
     if not (isinstance(n, int) and isinstance(m, int) and 1 <= m <= n):
         raise ParameterError(f"need integers 1 <= m <= n, got m={m}, n={n}")
-    law = stick_fraction_law(params, 1)
-    if isinstance(law, BetaParams):
-        return law.moment(m - 1, n - m)
-    return law ** (m - 1) * (1 - law) ** (n - m)
+    return _stick_moment(stick_fraction_law(params, 1), m - 1, n - m)
 
 
 def first_color_count_law(params: ExtParams, n: int, m: int) -> Scalar:
@@ -226,16 +218,9 @@ def first_color_tail(params: ExtParams, n: int, m_cap: int) -> Scalar:
             total += math.exp(math.lgamma(horizon + 1) - math.lgamma(r + 1)
                               - math.lgamma(horizon - r + 1) + lmom)
         return total
-    if isinstance(law, BetaParams):
-        moment = law.moment
-    else:
-        # deterministic W; 0**0 == 1 keeps the degenerate W = 1 case right
-        def moment(i, j, _w=law):
-            return _w ** i * (1 - _w) ** j
-
     total = 0
     for r in range(n):
-        total = total + math.comb(horizon, r) * moment(horizon - r, r)
+        total = total + math.comb(horizon, r) * _stick_moment(law, horizon - r, r)
     return total
 
 

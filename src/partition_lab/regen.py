@@ -38,12 +38,12 @@ from .core import (
     delete_block,
     exact_div,
     is_exact,
+    rising_ratio,
     scalar_to_json,
     scalar_from_json,
 )
 from .deletion import DecrementMatrix
-from .eppf import rising_factorial
-from .samplers import RngHandle, xi_order
+from .samplers import RngHandle, _paint, xi_order
 
 ALPHA_THETA = "alpha_theta"
 FINITE_ATOMS = "finite_atoms"
@@ -114,22 +114,6 @@ class LevyImageMeasure:
         )
 
 
-def _gamma_ratio(p: Scalar, q: Scalar) -> Scalar:
-    """Gamma(p)/Gamma(q) for p, q > 0; exact when p - q is an integer."""
-    d = p - q
-    if is_exact(p) and is_exact(q) and Fraction(d).denominator == 1:
-        d = int(d)
-        if d >= 0:
-            return rising_factorial(q, d)
-        return exact_div(1, rising_factorial(p, -d))
-    if isinstance(d, float) and d.is_integer():
-        d = int(d)
-        if d >= 0:
-            return float(rising_factorial(q, d))
-        return 1.0 / float(rising_factorial(p, -d))
-    return math.exp(math.lgamma(float(p)) - math.lgamma(float(q)))
-
-
 @dataclass(frozen=True)
 class ScaledBeta:
     """The number c * B(x, y), kept in factored form.
@@ -137,7 +121,8 @@ class ScaledBeta:
     Values of the binomial integrals for the alpha_theta measure are
     transcendental, but their pairwise ratios at integer offsets are
     rational; ScaledBeta division produces those ratios exactly when
-    the fields are exact.
+    the fields are exact, through rising_ratio.  Other offsets divide
+    the float values.
     """
 
     c: Scalar
@@ -170,12 +155,20 @@ class ScaledBeta:
             raise ZeroDivisionError("division by a zero ScaledBeta")
         if self.c == 0:
             return 0 if is_exact(self.c) and is_exact(other.c) else 0.0
-        return (
-            exact_div(self.c, other.c)
-            * _gamma_ratio(self.x, other.x)
-            * _gamma_ratio(self.y, other.y)
-            * _gamma_ratio(other.x + other.y, self.x + self.y)
-        )
+        c = exact_div(self.c, other.c)
+        if not all_exact(self.x, self.y, other.x, other.y):
+            c = float(c)  # float fields give a float ratio, also at zero offsets
+        num, den = [], []
+        for p, q in ((self.x, other.x), (self.y, other.y), (other.x + other.y, self.x + self.y)):
+            # Gamma(p)/Gamma(q) is (q)_d for an integer d = p - q >= 0, 1/(p)_{-d} below
+            d = p - q
+            if d != int(d):
+                return float(self) / float(other)
+            if d >= 0:
+                num.append((q, int(d)))
+            else:
+                den.append((p, int(-d)))
+        return rising_ratio(num, den, (c,))
 
 
 def laplace_exponent(measure: LevyImageMeasure, a: Scalar):
@@ -441,14 +434,7 @@ def leftmost_delete(iv: IntervalSet, n: int, rng: RngHandle) -> tuple[int, SetPa
     """
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"need n >= 1, got {n}")
-    groups: dict[object, list[int]] = {}
-    location: dict[object, float] = {}
-    for e in range(1, n + 1):
-        u = rng.random()
-        idx = iv.locate(u)
-        key = ("gap", e) if idx is None else ("atom", idx)
-        groups.setdefault(key, []).append(e)
-        location.setdefault(key, float(iv.intervals[idx][0]) if idx is not None else u)
+    groups, location = _paint(iv, n, rng)
     pi = canonicalize(groups.values(), n=n)
     leftmost_key = min(groups, key=lambda kk: location[kk])
     j = pi.block_of(groups[leftmost_key][0])

@@ -46,8 +46,9 @@ from .core import (
     is_exact,
     partition_from_assignment,
     canonicalize,
+    rising_factorial,
 )
-from .eppf import BetaParams, rising_factorial, stick_fraction_law
+from .eppf import BetaParams, stick_fraction_law
 
 _MASK64 = (1 << 64) - 1
 
@@ -293,13 +294,28 @@ def paintbox_sample(
         )
     else:
         iv = freqs
-    blocks: dict[object, list[int]] = {}
+    groups, _ = _paint(iv, n, rng)
+    return canonicalize(groups.values(), n=n)
+
+
+def _paint(
+    iv: IntervalSet, n: int, rng: RngHandle
+) -> tuple[dict[object, list[int]], dict[object, float]]:
+    """Drop elements 1..n at uniform points of [0, 1], one draw each.
+
+    Elements in the same stored interval form a group located at the
+    interval's left end; the others are singletons at their own point.
+    Returns the groups and their locations, both keyed alike.
+    """
+    groups: dict[object, list[int]] = {}
+    location: dict[object, float] = {}
     for e in range(1, n + 1):
         u = rng.random()
         idx = iv.locate(u)
         key = ("gap", e) if idx is None else ("atom", idx)
-        blocks.setdefault(key, []).append(e)
-    return canonicalize(blocks.values(), n=n)
+        groups.setdefault(key, []).append(e)
+        location.setdefault(key, float(iv.intervals[idx][0]) if idx is not None else u)
+    return groups, location
 
 
 # ---------------------------------------------------------------------------

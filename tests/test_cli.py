@@ -34,6 +34,12 @@ def test_eppf_text(capsys, args, line):
     assert out == line + "\n"
 
 
+def test_float_eppf_text_is_finite_past_171(capsys):
+    rc, out, err = run(capsys, "eppf", "--alpha", "0.5", "--theta", "0.5", "--lambda", "300")
+    assert rc == 0 and err == ""
+    assert float(out) == pytest.approx(0.0016694490818030050, rel=1e-12, abs=0)
+
+
 def test_eppf_json(capsys):
     rc, out, _ = run(capsys, "eppf", "--alpha", "0", "--theta", "1", "--lambda", "2,1", "--format", "json")
     assert rc == 0

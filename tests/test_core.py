@@ -23,6 +23,7 @@ from partition_lab.core import (
     parse_scalar,
     partition_from_assignment,
     rank,
+    rising_ratio,
     scalar_from_json,
     scalar_to_json,
     stick_breaking,
@@ -68,6 +69,24 @@ def test_exact_div_keeps_rationals():
     assert exact_div(Fraction(1, 2), 3) == Fraction(1, 6)
     assert exact_div(1.0, 4) == 0.25
     assert isinstance(exact_div(1.0, 4), float)
+
+
+def test_rising_ratio_plain_product_and_log_fallback():
+    # exact: 3 * (1/2)_3 / (2)_2 = 3 * (15/8) / 6
+    got = rising_ratio([(Fraction(1, 2), 3)], [(2, 2)], [3])
+    assert got == Fraction(15, 16) and isinstance(got, Fraction)
+    # in range a float is the plain product: factors, / denominator, * numerator
+    assert rising_ratio([(0.5, 3), (0.25, 0)], [(1.5, 2)], [0.3]) == 0.3 / (1.5 * 2.5) * (0.5 * 1.5 * 2.5)
+    # 300!/301! overflows in both terms, 1e-200/170! underflows to 0
+    assert rising_ratio([(1.0, 300)], [(1.0, 301)]) == pytest.approx(1 / 301, rel=1e-12)
+    assert rising_ratio([(1.0, 169)], [(1.0, 170)], [1e-200]) == pytest.approx(1e-200 / 170, rel=1e-12)
+    # an exact 299! cannot meet a float
+    assert rising_ratio([(1, 300)], [(1, 299)], [0.5]) == pytest.approx(150.0, rel=1e-12)
+    # signs and zeros of the factors survive the fallback
+    assert rising_ratio([(1.0, 200)], [(1.0, 199)], [-2.0]) == pytest.approx(-400.0, rel=1e-12)
+    assert rising_ratio([(1.0, 200)], [(1.0, 199)], [0.0]) == 0.0
+    # a ratio beyond the float range is inf, as the plain product
+    assert rising_ratio([(1.0, 400)], []) == math.inf
 
 
 def test_dumps_is_key_sorted_and_compact():

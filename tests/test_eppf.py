@@ -1,8 +1,12 @@
 """Partition probabilities, moments, and the first-block laws."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partition_lab.core import Composition, ConvergenceError, ExtParams, ParameterError
 from partition_lab.eppf import (
@@ -46,6 +50,13 @@ def test_beta_moments_exact():
     assert w.moment(2, 0) == Fraction(3, 8)
     assert w.moment(1, 1) == Fraction(1, 8)
     assert w.moment(0, 0) == 1
+
+
+def test_float_beta_moment_stays_finite():
+    got = BetaParams(0.5, 1.5).moment(400, 400)
+    want = float(BetaParams(Fraction(1, 2), Fraction(3, 2)).moment(400, 400))
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -94,6 +105,31 @@ def test_float_eppf_frozen_reprs(alpha, theta, reprs):
 def test_eppf_is_symmetric_in_parts():
     params = ExtParams.two_param(Fraction(1, 3), Fraction(2, 3))
     assert eppf(params, (3, 1, 2)) == eppf(params, (1, 2, 3))
+
+
+@pytest.mark.parametrize(("alpha", "theta"), [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 7))])
+@pytest.mark.parametrize("parts", [(171,), (172,), (300,), (100, 100, 100)])
+def test_float_eppf_stays_finite_past_171(alpha, theta, parts):
+    # (theta + 1)_{n-1} leaves the float range at n = 172
+    want = float(eppf(ExtParams.two_param(alpha, theta), parts))
+    got = eppf(ExtParams.two_param(float(alpha), float(theta)), parts)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@given(
+    alpha=st.fractions(0, 1, max_denominator=12).filter(lambda a: a < 1),
+    theta=st.fractions(0, 5, max_denominator=12),
+    parts=st.lists(st.integers(1, 100), min_size=1, max_size=4),
+)
+def test_eppf_symmetric_and_float_twin_close(alpha, theta, parts):
+    if alpha == 0 and theta == 0:
+        theta = Fraction(1)
+    params = ExtParams.two_param(alpha, theta)
+    want = eppf(params, parts)
+    for perm in set(itertools.permutations(parts)):
+        assert eppf(params, perm) == want
+    got = eppf(ExtParams.two_param(float(alpha), float(theta)), parts)
+    assert got == pytest.approx(float(want), rel=1e-11, abs=0)
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)

@@ -78,6 +78,23 @@ def test_scaled_beta_arithmetic():
         ScaledBeta(1, 0, 1)
 
 
+@pytest.mark.parametrize(("alpha", "theta"), [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 7))])
+def test_float_scaled_beta_ratio_past_171(alpha, theta):
+    # offsets of 200 and 299 overflow the plain float products
+    pairs = [
+        (ScaledBeta(3, 200 + alpha, theta), ScaledBeta(2, alpha, theta)),
+        (phi_nm(LevyImageMeasure.alpha_theta(alpha, theta), 300, 200), laplace_exponent(
+            LevyImageMeasure.alpha_theta(alpha, theta), 300)),
+    ]
+    for num, den in pairs:
+        want = float(num / den)
+        fnum = ScaledBeta(float(num.c), float(num.x), float(num.y))
+        fden = ScaledBeta(float(den.c), float(den.x), float(den.y))
+        got = fnum / fden
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_laplace_exponent_values():
     m = LevyImageMeasure.alpha_theta(0, 1)
     assert float(laplace_exponent(m, 0)) == 0.0
