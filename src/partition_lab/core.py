@@ -5,13 +5,8 @@ function in the package preserves the arithmetic mode of its inputs:
 exact in, exact out, unless a routine is documented as float-only
 (numerical series, gamma-function evaluations).  Mixing an exact scalar
 with a float falls through to float, matching Python semantics.
-
-Ratios of rising factorials (partition probabilities, beta moments,
-ratios of beta functions) go through rising_ratio, which forms the
-plain product in every mode.  Only when a float partial product
-overflows or underflows does it recompute the ratio from log-gamma, so
-float values stay finite past n = 171 and in-range values keep the
-bytes of the plain product.
+Ratios of rising factorials go through rising_ratio: the plain product
+in every mode, and log-gamma only when a float product leaves its range.
 """
 
 from __future__ import annotations
@@ -76,21 +71,14 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
     return out
 
 
-def rising_ratio(
-    num: Iterable[tuple[Scalar, int]],
-    den: Iterable[tuple[Scalar, int]],
-    factors: Iterable[Scalar] = (),
-) -> Scalar:
-    """prod(factors) * prod (x)_n over num / prod (y)_m over den.
+def rising_ratio(num: Sequence[tuple[Scalar, int]], den: Sequence[tuple[Scalar, int]],
+                 factors: Sequence[Scalar] = ()) -> Scalar:
+    """prod(factors) * prod (x)_n over num / prod (y)_m over den, x, y > 0.
 
-    The plain product runs in this order: the factors, divided by the
-    denominator, times each numerator term; exact operands give an
-    exact value.  A float denominator is checked once before the
-    numerator is formed; when it or the result leaves the float range
-    (inf, nan or an underflow to 0), the ratio is recomputed from
-    log-gamma; so does an exact operand too large to meet a float.  The
-    rising factorials need positive arguments there, and num, den and
-    factors must be iterable twice.
+    The plain product goes factors, / denominator, * numerator terms, so
+    exact operands stay exact.  If a float denominator or result is out
+    of range (inf, nan, 0), or an exact operand too large for a float
+    meets one, the ratio is recomputed from log-gamma.
     """
     try:
         out: Scalar = 1
@@ -100,34 +88,22 @@ def rising_ratio(
         for (y, m) in den:
             d = d * rising_factorial(y, m)
         if isinstance(d, float) and not d < math.inf:
-            return _log_rising_ratio(num, den, factors)
+            raise OverflowError  # skip the numerator
         out = exact_div(out, d)
         for (x, n) in num:
             if n:  # (x)_0 = 1 leaves value and type alone
                 out = out * rising_factorial(x, n)
-    except OverflowError:  # an exact operand too large to meet a float
-        return _log_rising_ratio(num, den, factors)
-    if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
-        return _log_rising_ratio(num, den, factors)
-    return out
-
-
-def _log_rising_ratio(num, den, factors) -> float:
-    sign, log_abs = 1.0, 0.0
-    for f in factors:
-        if f == 0:
+        if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
+            raise OverflowError  # or underflow
+        return out
+    except OverflowError:
+        if 0 in factors:
             return 0.0
-        if f < 0:
-            sign = -sign
-        log_abs += math.log(abs(f))
-    for (x, n) in num:
-        log_abs += math.lgamma(x + n) - math.lgamma(x)
-    for (y, m) in den:
-        log_abs -= math.lgamma(y + m) - math.lgamma(y)
-    try:
-        return sign * math.exp(log_abs)
-    except OverflowError:  # beyond the float range, like the plain product
-        return sign * math.inf
+        log_abs = (sum(math.log(abs(f)) for f in factors)
+                   + sum(math.lgamma(x + n) - math.lgamma(x) for (x, n) in num)
+                   - sum(math.lgamma(y + m) - math.lgamma(y) for (y, m) in den))
+        # raises OverflowError when the ratio itself is beyond the float range
+        return math.prod(math.copysign(1.0, f) for f in factors) * math.exp(log_abs)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -252,9 +228,7 @@ class ExtParams:
             raise ParameterError("tau is defined on the two_param range only")
         if self.alpha == 0 and self.theta == 0:
             raise ParameterError("tau undefined at alpha = theta = 0")
-        if is_exact(self.alpha) and is_exact(self.theta):
-            return Fraction(self.alpha) / (self.alpha + self.theta)
-        return self.alpha / (self.alpha + self.theta)
+        return exact_div(self.alpha, self.alpha + self.theta)
 
     def xi(self) -> Scalar:
         """Order-bias parameter xi = theta / alpha, +inf when alpha = 0."""
@@ -262,9 +236,7 @@ class ExtParams:
             raise ParameterError("xi is defined on the two_param range only")
         if self.alpha == 0:
             return math.inf
-        if is_exact(self.alpha) and is_exact(self.theta):
-            return Fraction(self.theta) / Fraction(self.alpha)
-        return self.theta / self.alpha
+        return exact_div(self.theta, self.alpha)
 
     def shifted(self) -> "ExtParams":
         """Parameters after removing the block containing element 1.

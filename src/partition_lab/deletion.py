@@ -42,6 +42,7 @@ from .core import (
     Scalar,
     exact_div,
     rising_factorial,
+    rising_ratio,
     SetPartition,
     UnsupportedKernelError,
     delete_block,
@@ -191,13 +192,12 @@ def f1_consistency(params: ExtParams, n: int, lam1: int) -> Scalar:
     for rest in _compositions(n - lam1):
         lam = Composition((lam1,) + rest)
         d = deletion_kernel(lam, 1, params=params)
-        k = lam.k
         if lam1 == n:
             # (theta + (k-1) alpha) / (theta)_n reduces at k = 1
-            tail_factor = exact_div(1, rising_factorial(theta + 1, n - 1))
+            top, den = 1, (theta + 1, n - 1)
         else:
-            tail_factor = exact_div(theta + (k - 1) * alpha, rising_factorial(theta + n - lam1, lam1))
-        val = d * math.comb(n, lam1) * rising_factorial(1 - alpha, lam1 - 1) * tail_factor
+            top, den = theta + (lam.k - 1) * alpha, (theta + n - lam1, lam1)
+        val = rising_ratio([(1 - alpha, lam1 - 1)], [den], [d * math.comb(n, lam1), top])
         dev = abs(val - target)
         if dev > worst:
             worst = dev

@@ -84,10 +84,7 @@ def stick_fraction_law(params: ExtParams, i: int) -> BetaParams | Scalar:
 def residual_moment_family(params: ExtParams) -> Callable[[int, int, int], Scalar]:
     """Moment oracle (i, r, s) -> E[W_i^r (1 - W_i)^s] for the stick fractions."""
 
-    def moment(i: int, r: int, s: int) -> Scalar:
-        return _stick_moment(stick_fraction_law(params, i), r, s)
-
-    return moment
+    return lambda i, r, s: _stick_moment(stick_fraction_law(params, i), r, s)
 
 
 def _stick_moment(law: BetaParams | Scalar, i: int, j: int) -> Scalar:
@@ -119,11 +116,8 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
         return Fraction(num, m ** n)
     alpha, theta = params.alpha, params.theta
     shape = 1 - alpha
-    return rising_ratio(
-        [(shape, p - 1) for p in lam.parts],
-        ((theta + 1, n - 1),),
-        [theta + i * alpha for i in range(1, k)],
-    )
+    return rising_ratio([(shape, p - 1) for p in lam.parts], ((theta + 1, n - 1),),
+                        [theta + i * alpha for i in range(1, k)])
 
 
 def addition_residual(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:

@@ -181,12 +181,7 @@ def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
     if not (0 <= tau <= 1):
         raise ParameterError(f"need 0 <= tau <= 1, got {tau}")
     perms = list(itertools.permutations(range(1, k + 1)))
-    if tau == 0:
-        xi: Scalar = math.inf
-    elif is_exact(tau):
-        xi = (1 - Fraction(tau)) / Fraction(tau)
-    else:
-        xi = (1.0 - tau) / tau
+    xi = math.inf if tau == 0 else exact_div(1 - tau, tau)
     worst: Scalar = 0
     sb = {sigma: tau_perm_probability(x, 0, sigma) for sigma in perms}
     for pi in perms:

@@ -121,8 +121,7 @@ class ScaledBeta:
     Values of the binomial integrals for the alpha_theta measure are
     transcendental, but their pairwise ratios at integer offsets are
     rational; ScaledBeta division produces those ratios exactly when
-    the fields are exact, through rising_ratio.  Other offsets divide
-    the float values.
+    the fields are exact.
     """
 
     c: Scalar
@@ -162,12 +161,10 @@ class ScaledBeta:
         for p, q in ((self.x, other.x), (self.y, other.y), (other.x + other.y, self.x + self.y)):
             # Gamma(p)/Gamma(q) is (q)_d for an integer d = p - q >= 0, 1/(p)_{-d} below
             d = p - q
-            if d != int(d):
+            if d != int(d):  # other offsets divide the float values
                 return float(self) / float(other)
-            if d >= 0:
-                num.append((q, int(d)))
-            else:
-                den.append((p, int(-d)))
+            num.append((q, max(int(d), 0)))
+            den.append((p, max(-int(d), 0)))
         return rising_ratio(num, den, (c,))
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ from .core import (
     break_sticks,
     check_eps,
     exact_div,
-    is_exact,
     partition_from_assignment,
     canonicalize,
     rising_factorial,
@@ -298,15 +296,8 @@ def paintbox_sample(
     return canonicalize(groups.values(), n=n)
 
 
-def _paint(
-    iv: IntervalSet, n: int, rng: RngHandle
-) -> tuple[dict[object, list[int]], dict[object, float]]:
-    """Drop elements 1..n at uniform points of [0, 1], one draw each.
-
-    Elements in the same stored interval form a group located at the
-    interval's left end; the others are singletons at their own point.
-    Returns the groups and their locations, both keyed alike.
-    """
+def _paint(iv: IntervalSet, n: int, rng: RngHandle) -> tuple[dict, dict]:
+    """Groups of 1..n by a uniform point each (gap points alone) and where each group sits."""
     groups: dict[object, list[int]] = {}
     location: dict[object, float] = {}
     for e in range(1, n + 1):
@@ -523,10 +514,7 @@ def order_probability(xi: Scalar, arrangement: Sequence[int]) -> Scalar:
         return 1.0 if tuple(arrangement) == tuple(range(1, k + 1)) else 0.0
     if not (xi >= 0):
         raise ParameterError(f"need xi >= 0, got {xi}")
-    if is_exact(xi):
-        xi = Fraction(xi)
     if xi == 0:
-        if r == 1:
-            return Fraction(1, math.factorial(k - 1)) if is_exact(xi) else 1.0 / math.factorial(k - 1)
-        return Fraction(0) if is_exact(xi) else 0.0
-    return xi ** r / rising_factorial(xi, k)
+        # element 1 rightmost (r = 1), the rest uniform; xi ** 0 is 1 in the mode of xi
+        return exact_div(xi ** 0 if r == 1 else xi, math.factorial(k - 1))
+    return exact_div(xi ** r, rising_factorial(xi, k))

@@ -85,8 +85,9 @@ def test_rising_ratio_plain_product_and_log_fallback():
     # signs and zeros of the factors survive the fallback
     assert rising_ratio([(1.0, 200)], [(1.0, 199)], [-2.0]) == pytest.approx(-400.0, rel=1e-12)
     assert rising_ratio([(1.0, 200)], [(1.0, 199)], [0.0]) == 0.0
-    # a ratio beyond the float range is inf, as the plain product
-    assert rising_ratio([(1.0, 400)], []) == math.inf
+    # a ratio beyond the float range has no float value
+    with pytest.raises(OverflowError):
+        rising_ratio([(1.0, 400)], [])
 
 
 def test_dumps_is_key_sorted_and_compact():
