@@ -71,39 +71,41 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
     return out
 
 
-def rising_ratio(num: Sequence[tuple[Scalar, int]], den: Sequence[tuple[Scalar, int]],
-                 factors: Sequence[Scalar] = ()) -> Scalar:
-    """prod(factors) * prod (x)_n over num / prod (y)_m over den, x, y > 0.
+def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence = ()) -> Scalar:
+    """prod(factors) * prod (x)_n over (x, n) in num / prod (y)_m over (y, m) in den.
 
     The plain product goes factors, / denominator, * numerator terms, so
-    exact operands stay exact.  If a float denominator or result is out
-    of range (inf, nan, 0), or an exact operand too large for a float
-    meets one, the ratio is recomputed from log-gamma.
+    exact operands stay exact.  A float denominator or result out of range
+    (inf, nan, 0) sends the ratio to log-gamma, which needs x, y > 0 and
+    nonzero factors.
     """
-    try:
-        out: Scalar = 1
-        for f in factors:
-            out = out * f
-        d: Scalar = 1
-        for (y, m) in den:
-            d = d * rising_factorial(y, m)
-        if isinstance(d, float) and not d < math.inf:
-            raise OverflowError  # skip the numerator
-        out = exact_div(out, d)
-        for (x, n) in num:
-            if n:  # (x)_0 = 1 leaves value and type alone
-                out = out * rising_factorial(x, n)
-        if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
-            raise OverflowError  # or underflow
-        return out
-    except OverflowError:
-        if 0 in factors:
-            return 0.0
-        log_abs = (sum(math.log(abs(f)) for f in factors)
-                   + sum(math.lgamma(x + n) - math.lgamma(x) for (x, n) in num)
-                   - sum(math.lgamma(y + m) - math.lgamma(y) for (y, m) in den))
-        # raises OverflowError when the ratio itself is beyond the float range
-        return math.prod(math.copysign(1.0, f) for f in factors) * math.exp(log_abs)
+    out: Scalar = 1
+    for f in factors:
+        out = out * f
+    d: Scalar = 1
+    for (y, m) in den:
+        d = d * rising_factorial(y, m)
+    if isinstance(d, float) and not d < math.inf:
+        return _log_rising_ratio(num, den, factors)  # skips the numerator
+    out = exact_div(out, d)
+    for (x, n) in num:
+        if n:  # (x)_0 = 1 leaves value and type alone
+            out = out * rising_factorial(x, n)
+    if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
+        return _log_rising_ratio(num, den, factors)
+    return out
+
+
+def _log_rising_ratio(num, den, factors) -> float:
+    sign, log_abs = 1.0, 0.0
+    for f in factors:
+        sign = sign if f > 0 else -sign
+        log_abs += math.log(abs(f))
+    for (x, n) in num:
+        log_abs += math.lgamma(x + n) - math.lgamma(x)
+    for (y, m) in den:
+        log_abs -= math.lgamma(y + m) - math.lgamma(y)
+    return sign * math.exp(log_abs)  # OverflowError beyond the float range
 
 
 def parse_scalar(text: str) -> Scalar:

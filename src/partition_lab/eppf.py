@@ -109,11 +109,7 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
     if params.max_blocks is not None and k > params.max_blocks:
         return 0
     if params.kind == COUPON:
-        m = params.m
-        num = 1
-        for i in range(k):
-            num *= m - i
-        return Fraction(num, m ** n)
+        return Fraction(math.perm(params.m, k), params.m ** n)
     alpha, theta = params.alpha, params.theta
     shape = 1 - alpha
     return rising_ratio([(shape, p - 1) for p in lam.parts], ((theta + 1, n - 1),),
