@@ -5,6 +5,7 @@ function in the package preserves the arithmetic mode of its inputs:
 exact in, exact out, unless a routine is documented as float-only
 (numerical series, gamma-function evaluations).  Mixing an exact scalar
 with a float falls through to float, matching Python semantics.
+
 Ratios of rising factorials go through rising_ratio: the plain product
 in every mode, and log-gamma only when a float product leaves its range.
 """

@@ -80,7 +80,8 @@ def test_scaled_beta_arithmetic():
 
 @pytest.mark.parametrize(("alpha", "theta"), [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 7))])
 def test_float_scaled_beta_ratio_past_171(alpha, theta):
-    # offsets of 200 and 299 overflow the plain float products
+    # offsets near 200 overflow the plain float products; at (1/3, 1/7) the
+    # phi_nm pair meets a float offset of -199.00000000000003, not an integer
     pairs = [
         (ScaledBeta(3, 200 + alpha, theta), ScaledBeta(2, alpha, theta)),
         (phi_nm(LevyImageMeasure.alpha_theta(alpha, theta), 300, 200), laplace_exponent(
