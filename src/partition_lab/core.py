@@ -21,6 +21,7 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction, float]
 
 MASS_TOL = 1e-9
+STICK_BUDGET = 1_000_000  # fractions break_sticks consumes before giving up
 
 
 class ParameterError(ValueError):
@@ -566,11 +567,14 @@ def break_sticks(
     Consumes fractions until one equals 1, or, when eps is given, until
     the leftover drops to eps or below.  Without eps only the fractions
     running out ends the loop; a float leftover that underflows to 0
-    does not.
+    does not.  Raises ConvergenceError when STICK_BUDGET fractions have
+    not stopped it and more follow.
     """
     lengths = []
     remaining: Scalar = 1
-    for w in fractions:
+    for k, w in enumerate(fractions):
+        if k == STICK_BUDGET:
+            raise ConvergenceError(f"stick budget {STICK_BUDGET} exhausted above eps={eps}")
         lengths.append(w * remaining)
         remaining = remaining * (1 - w)
         if w == 1 or (eps is not None and remaining <= eps):

@@ -240,26 +240,18 @@ def tau_delete(
 def bulk_delete(freq: FrequencyVector, rng: RngHandle) -> tuple[int, FrequencyVector]:
     """Size-biased deletion of one frequency, remainder renormalized.
 
-    Walks the stick order with Bernoulli trials on the residual
-    fractions, so index j is removed with probability exactly
-    freq.entries[j-1].  Raises ResidualPickError when the walk runs past
-    the stored prefix (probability = residual mass).
+    One uniform picks index j with probability exactly freq.entries[j-1].
+    Raises ResidualPickError when it lands past the stored prefix
+    (probability = residual mass).
     """
     if freq.dust != 0:
         raise ParameterError("bulk_delete needs proper frequencies (no dust)")
-    remaining = 1.0
-    pick = None
-    for j, p in enumerate(freq.entries, start=1):
-        w = float(p) / remaining if remaining > 0 else 1.0
-        if rng.random() < w:
-            pick = j
-            break
-        remaining -= float(p)
-    if pick is None:
+    j = _pick(map(float, freq.entries), rng.random())
+    if j is None:
         raise ResidualPickError("size-biased pick fell into the residual mass")
-    kept = freq.entries[: pick - 1] + freq.entries[pick:]
-    scale = 1 - freq.entries[pick - 1]
+    kept = freq.entries[:j] + freq.entries[j + 1 :]
+    scale = 1 - freq.entries[j]
     if scale <= 0:
         raise ParameterError("deleted the whole mass, nothing to renormalize")
     entries = tuple(p / scale for p in kept)
-    return pick, FrequencyVector(entries, dust=0, residual=freq.residual / scale)
+    return j + 1, FrequencyVector(entries, dust=0, residual=freq.residual / scale)

@@ -28,7 +28,6 @@ import numpy as np
 from .core import (
     COUPON,
     NEG_ALPHA,
-    TWO_PARAM,
     Composition,
     ConvergenceError,
     ExtParams,
@@ -39,6 +38,8 @@ from .core import (
     rising_factorial,  # noqa: F401  (re-exported: eppf.rising_factorial)
     rising_ratio,
 )
+
+TERM_BUDGET = 50_000_000  # derived_eppf series terms before giving up
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,6 @@ def derived_eppf(
     params: ExtParams,
     parts: Composition | Iterable[int],
     tol: float = 1e-9,
-    max_terms: int = 50_000_000,
 ) -> float:
     """Partition probability after deleting the block containing 1.
 
@@ -232,7 +232,7 @@ def derived_eppf(
 
     and stops once the tail bound P(T_{n_mu} > m) drops below tol
     (the tail decays like m^-(alpha+theta), so tol must be chosen with
-    the parameters in mind); ConvergenceError is raised at max_terms.
+    the parameters in mind); ConvergenceError is raised at TERM_BUDGET.
 
     The closed-form counterpart is eppf at the shifted parameters
     (alpha, theta + alpha) (bounded ranges: m - 1), which the test
@@ -255,7 +255,7 @@ def derived_eppf(
     total = 0.0
     m = 1
     block = 1024
-    while m <= max_terms:
+    while m <= TERM_BUDGET:
         j = np.arange(m, m + block, dtype=float)
         if inv_m is not None:
             ratios = (n_mu + j - 1.0) / j * inv_m
@@ -272,7 +272,7 @@ def derived_eppf(
             return total
         block = min(2 * block, 1 << 18)
     raise ConvergenceError(
-        f"first-block sum did not reach tolerance {tol} within {max_terms} terms"
+        f"first-block sum did not reach tolerance {tol} within {TERM_BUDGET} terms"
     )
 
 

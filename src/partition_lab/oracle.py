@@ -20,7 +20,6 @@ from scipy.stats import chi2 as _chi2
 from scipy.stats import ks_2samp as _ks_2samp
 
 from .core import (
-    Composition,
     ExtParams,
     ParameterError,
     Scalar,
@@ -35,6 +34,7 @@ from .eppf import eppf, q_first_block
 from .samplers import order_probability, tau_perm_probability
 
 MAX_ENUM_N = 12
+MIN_EXPECTED = 5.0  # chi_square pools cells expected below this count
 
 
 def iter_partitions(n: int) -> Iterator[SetPartition]:
@@ -267,14 +267,10 @@ def xi_order_enumeration_residual(k: int, xi: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 # sampling statistics
 
-def chi_square(
-    observed: Sequence[int],
-    probs: Sequence[Scalar],
-    min_expected: float = 5.0,
-) -> tuple[float, int, float]:
+def chi_square(observed: Sequence[int], probs: Sequence[Scalar]) -> tuple[float, int, float]:
     """Pearson chi-square of observed counts against cell probabilities.
 
-    Cells with expected count below min_expected are pooled into one
+    Cells with expected count below MIN_EXPECTED are pooled into one
     bin.  Returns (statistic, degrees of freedom, p-value); requires at
     least two bins after pooling.
     """
@@ -287,7 +283,7 @@ def chi_square(
     total = obs.sum()
     exp = p * total
     leftover = max(0.0, 1.0 - p.sum()) * total
-    keep = exp >= min_expected
+    keep = exp >= MIN_EXPECTED
     o_bins = list(obs[keep])
     e_bins = list(exp[keep])
     pooled_o = obs[~keep].sum()

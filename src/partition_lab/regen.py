@@ -15,6 +15,7 @@ whose ratios phi(n, m)/phi(n) give the deleted-size law q(n, m).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,11 @@ from .samplers import RngHandle, _paint, xi_order
 
 ALPHA_THETA = "alpha_theta"
 FINITE_ATOMS = "finite_atoms"
+
+JUMP_BUDGET = 10_000_000  # compound_poisson_set jumps before giving up
+BULK_BATCH = 1024  # leftmost_deletion_counts replicates per stick matrix
+BULK_STICKS = 16384  # _gem_lengths_matrix columns at most
+BULK_TAIL_FRAC = 0.01  # share of rows a stick matrix may leave above eps
 
 
 @dataclass(frozen=True)
@@ -133,14 +139,19 @@ class ScaledBeta:
             raise ParameterError(f"beta arguments must be positive, got ({self.x}, {self.y})")
 
     def __float__(self) -> float:
-        if self.c == 0:
-            return 0.0
         lb = (
             math.lgamma(float(self.x))
             + math.lgamma(float(self.y))
             - math.lgamma(float(self.x + self.y))
         )
-        return float(self.c) * math.exp(lb)
+        try:
+            value = float(self.c) * math.exp(lb)
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an exact c past the float range
+            pass
+        c = Fraction(abs(self.c))  # exact, so log|c| needs no float of c
+        return math.exp(math.log(c.numerator) - math.log(c.denominator) + lb)
 
     def __mul__(self, s: Scalar) -> "ScaledBeta":
         return ScaledBeta(self.c * s, self.x, self.y)
@@ -206,7 +217,13 @@ def phi_nm(measure: LevyImageMeasure, n: int, m: int):
         alpha, theta = measure.alpha, measure.theta
         if m == n:
             return ScaledBeta(n, n - alpha, theta + 1)
-        coeff = exact_div(math.comb(n, m) * (m * theta + (n - m) * alpha), n - m + theta)
+        w = m * theta + (n - m) * alpha
+        try:
+            coeff = exact_div(math.comb(n, m) * w, n - m + theta)
+        except OverflowError:
+            coeff = math.inf
+        if coeff == math.inf:  # a float coefficient cannot hold C(n, m): keep it exact
+            coeff = math.comb(n, m) * Fraction(exact_div(w, n - m + theta))
         return ScaledBeta(coeff, m - alpha, n - m + theta + 1)
     total: Scalar = 0
     for (u, w) in measure.atoms:
@@ -300,14 +317,14 @@ class SubordinatorPath:
 
 
 def compound_poisson_set(
-    theta: float, eps: float, rng: RngHandle, max_jumps: int = 10_000_000
+    theta: float, eps: float, rng: RngHandle
 ) -> tuple[SubordinatorPath, IntervalSet]:
     """Gap intervals of {1 - exp(-S_t)} for a compound Poisson S.
 
     S has unit jump rate and exponential(theta) jump sizes; each jump J
     from level s opens the gap (1 - e^-s, 1 - e^-(s+J)).  Jumps are
     drawn (waiting time first, then size) until the uncovered terminal
-    mass e^-S drops to eps.
+    mass e^-S drops to eps, or ConvergenceError after JUMP_BUDGET jumps.
     """
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
@@ -316,8 +333,8 @@ def compound_poisson_set(
     t = 0.0
     remaining = 1.0
     while remaining > eps:
-        if len(jumps) >= max_jumps:
-            raise ConvergenceError(f"jump budget {max_jumps} exhausted above eps={eps}")
+        if len(jumps) >= JUMP_BUDGET:
+            raise ConvergenceError(f"jump budget {JUMP_BUDGET} exhausted above eps={eps}")
         t += rng.exponential(1.0)
         j = rng.exponential(theta)
         times.append(t)
@@ -365,9 +382,7 @@ def ordered_arrangement(freq: FrequencyVector, xi: Scalar, rng: RngHandle) -> In
     return IntervalSet.from_lengths(lengths, residual=float(freq.residual))
 
 
-def _alpha_zero_lengths(
-    alpha: float, eps: float, rng: RngHandle, max_sticks: int = 1_000_000
-) -> tuple[list[float], float]:
+def _alpha_zero_lengths(alpha: float, eps: float, rng: RngHandle) -> tuple[list[float], float]:
     """Relative gap lengths of an (alpha, 0) set on (0, 1), residual last.
 
     Breaks sticks with beta(1 - alpha, k alpha) fractions (drawn in
@@ -378,11 +393,10 @@ def _alpha_zero_lengths(
 
     def draws() -> Iterator[float]:
         chunk = 64
-        for k in range(1, max_sticks + 1, chunk):
+        for k in itertools.count(1, chunk):
             x = rng.gamma(1.0 - alpha, size=chunk)
             y = rng.gamma(alpha * np.arange(k, k + chunk, dtype=float), size=chunk)
             yield from (x / (x + y)).tolist()
-        raise ConvergenceError(f"stick budget {max_sticks} exhausted above eps={eps}")
 
     lengths, rem = break_sticks(draws(), eps)
     # xi = 0 arrangement: uniform order on sticks 2..K, stick 1 rightmost
@@ -443,8 +457,6 @@ def _gem_lengths_matrix(
     count: int,
     eps: float,
     rng: RngHandle,
-    max_sticks: int,
-    tail_frac: float = 0.01,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(count, K) stick lengths per row, zero-padded, plus counts and residuals.
 
@@ -452,8 +464,9 @@ def _gem_lengths_matrix(
     residual only decays polynomially and its row-to-row spread is wide,
     so insisting on eps everywhere would let a few stragglers blow up
     the matrix width; the loop therefore also stops once at most a
-    tail_frac fraction of rows remains above eps, and those rows keep
-    their larger residual (the caller's pseudo-tail absorbs it).
+    BULK_TAIL_FRAC share of rows remains above eps, or at BULK_STICKS
+    columns, and those rows keep their larger residual (the caller's
+    pseudo-tail absorbs it).
 
     Fractions are drawn in column blocks, W_j ~ beta(1 - alpha,
     theta + j alpha) broadcast over the rows still running, so the
@@ -468,8 +481,8 @@ def _gem_lengths_matrix(
     chunks = []
     j = 1
     width = 64
-    while live.size > tail_frac * count and j <= max_sticks:
-        width = min(width, max_sticks - j + 1)
+    while live.size > BULK_TAIL_FRAC * count and j <= BULK_STICKS:
+        width = min(width, BULK_STICKS - j + 1)
         b_cols = theta + alpha * np.arange(j, j + width, dtype=float)
         flat_b = np.broadcast_to(b_cols, (live.size, width)).ravel()
         w = rng.beta(1.0 - alpha, flat_b, size=flat_b.size).reshape(live.size, width)
@@ -498,8 +511,6 @@ def leftmost_deletion_counts(
     count: int,
     eps: float,
     rng: RngHandle,
-    batch: int = 1024,
-    max_sticks: int = 16384,
 ) -> np.ndarray:
     """Monte Carlo law of the leftmost-deleted block size, vectorized.
 
@@ -531,11 +542,9 @@ def leftmost_deletion_counts(
         raise ParameterError(f"bulk harness supports xi in {{0, 1, inf}}, got {xi}")
     check_eps(eps)
     counts = np.zeros(n + 1, dtype=np.int64)
-    remaining = count
-    while remaining > 0:
-        b = min(batch, remaining)
-        remaining -= b
-        lengths, ks, rem = _gem_lengths_matrix(params, b, eps, rng, max_sticks)
+    for start in range(0, count, BULK_BATCH):
+        b = min(BULK_BATCH, count - start)
+        lengths, ks, rem = _gem_lengths_matrix(params, b, eps, rng)
         kc = lengths.shape[1]
         bounds = np.cumsum(lengths, axis=1)
         pts = rng.random(b * n).reshape(b, n)

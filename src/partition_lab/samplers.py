@@ -21,6 +21,7 @@ uniform stream in different orders, so they are reproducible separately.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -29,7 +30,6 @@ import numpy as np
 
 from .core import (
     COUPON,
-    ConvergenceError,
     ExtParams,
     FrequencyVector,
     IntervalSet,
@@ -231,26 +231,24 @@ def gem_sample(
     params: ExtParams,
     rng: RngHandle,
     eps: float = 1e-9,
-    max_sticks: int = 1_000_000,
 ) -> tuple[ResidualFractions, FrequencyVector]:
     """Draw stick fractions W_k ~ beta(1 - alpha, theta + k alpha) and break sticks.
 
     Stops once the unbroken mass falls to eps or below, or when a
     deterministic fraction 1 terminates the stick (bounded ranges).
-    Raises ConvergenceError if max_sticks fractions do not get there.
+    Raises ConvergenceError if core.STICK_BUDGET fractions do not get there.
     """
     check_eps(eps)
     ws: list[float] = []
 
     def draws() -> Iterator[float]:
-        for k in range(1, max_sticks + 1):
+        for k in itertools.count(1):
             law = stick_fraction_law(params, k)
             if isinstance(law, BetaParams):
                 ws.append(rng.beta(float(law.a), float(law.b)))
             else:
                 ws.append(float(law))
             yield ws[-1]
-        raise ConvergenceError(f"stick budget {max_sticks} exhausted above eps={eps}")
 
     entries, residual = break_sticks(draws(), eps)
     freq = FrequencyVector(tuple(entries), dust=0.0, residual=residual)

@@ -1,5 +1,6 @@
 """Partition probabilities, moments, and the first-block laws."""
 
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -24,6 +25,8 @@ from partition_lab.eppf import (
     stick_fraction_law,
 )
 from partition_lab.oracle import enumerate_partitions
+
+eppf_module = importlib.import_module("partition_lab.eppf")  # the package's eppf is the function
 
 GRID = (
     ExtParams.two_param(0, 1),
@@ -234,12 +237,11 @@ def test_derived_eppf_respects_block_bound():
     assert derived_eppf(ExtParams.coupon(2), (1, 1)) == 0.0
 
 
-def test_derived_eppf_raises_when_tolerance_unreachable():
+def test_derived_eppf_raises_when_tolerance_unreachable(monkeypatch):
     # alpha + theta = 1 decays like 1/m; 1e-9 is past the term budget
+    monkeypatch.setattr(eppf_module, "TERM_BUDGET", 100_000)
     with pytest.raises(ConvergenceError):
-        derived_eppf(
-            ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), (2,), max_terms=100_000
-        )
+        derived_eppf(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), (2,))
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)

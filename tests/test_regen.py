@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from partition_lab import cli, core, regen
 from partition_lab.core import (
     ConvergenceError,
     ExtParams,
@@ -15,7 +16,7 @@ from partition_lab.core import (
     ParameterError,
     dumps,
 )
-from partition_lab.deletion import decrement_matrix
+from partition_lab.deletion import decrement_entry, decrement_matrix
 from partition_lab.oracle import chi_square, ks_two_sample
 from partition_lab.regen import (
     LevyImageMeasure,
@@ -127,6 +128,20 @@ def test_phi_nm_values():
         phi_nm(atoms, 3, 0)
 
 
+def test_phi_nm_past_the_float_binomial():
+    # C(n, m) times the float coefficient overflows from n = 1021 at (0.3, 0.5)
+    measure = LevyImageMeasure.alpha_theta(0.3, 0.5)
+    for n in (1021, 1030, 1100):
+        assert all(math.isfinite(float(phi_nm(measure, n, m))) for m in range(1, n + 1))
+    alpha, theta = Fraction(3, 10), Fraction(1, 2)
+    exact = LevyImageMeasure.alpha_theta(alpha, theta)
+    want = float(decrement_entry(ExtParams.two_param(alpha, theta), 1100, 550)) * float(
+        laplace_exponent(exact, 1100)
+    )
+    for mode in (measure, exact):
+        assert float(phi_nm(mode, 1100, 550)) == pytest.approx(want, rel=1e-11)
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -187,13 +202,31 @@ def test_compound_poisson_set_structure():
         compound_poisson_set(1.0, 2.0, rng)
 
 
-def test_exhausted_budgets_raise_convergence_error():
+def test_exhausted_budgets_raise_convergence_error(monkeypatch):
     rng = RngHandle(12)
+    monkeypatch.setattr(regen, "JUMP_BUDGET", 3)
     with pytest.raises(ConvergenceError):
-        compound_poisson_set(1.0, 1e-6, rng, max_jumps=3)
+        compound_poisson_set(1.0, 1e-6, rng)
+    monkeypatch.setattr(core, "STICK_BUDGET", 64)
     with pytest.raises(ConvergenceError):
         # the (alpha, 0) leftover decays like k**-((1 - alpha)/alpha): ~0.6 after 64 sticks
-        _alpha_zero_lengths(0.9, 1e-3, rng, max_sticks=64)
+        _alpha_zero_lengths(0.9, 1e-3, rng)
+
+
+def test_every_stick_loop_has_the_budget(monkeypatch, capsys):
+    # at theta = 1 about ln(1/eps) ~ 21 sticks reach 1e-9; seed 1 needs more than 10
+    monkeypatch.setattr(core, "STICK_BUDGET", 10)
+    assert len(core.break_sticks([0.5] * 10, 1e-9)[0]) == 10  # the budget itself is allowed
+    with pytest.raises(ConvergenceError, match="stick budget 10 exhausted"):
+        core.break_sticks([0.5] * 11, 1e-9)
+    with pytest.raises(ConvergenceError, match="stick budget 10 exhausted"):
+        stick_breaking_set(1.0, 1e-9, RngHandle(1))
+    with pytest.raises(ConvergenceError, match="stick budget 10 exhausted"):
+        crossbreed_set(0.5, 0.5, 1e-9, RngHandle(1))
+    argv = ["regen-set", "--model", "stick", "--theta", "1", "--eps", "1e-9", "--seed", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "stick budget 10 exhausted above eps=1e-09" in err
 
 
 def test_stick_breaking_set_structure():
@@ -273,9 +306,10 @@ def test_leftmost_delete_law_matches_decrement_row():
 # ---------------------------------------------------------------------------
 # leftmost deletion, bulk harness
 
-def test_gem_lengths_matrix_invariants():
+def test_gem_lengths_matrix_invariants(monkeypatch):
+    monkeypatch.setattr(regen, "BULK_STICKS", 16384)
     lengths, ks, rem = _gem_lengths_matrix(
-        ExtParams.two_param(Fraction(1, 3), 0), 500, 1e-4, RngHandle(12), 16384
+        ExtParams.two_param(Fraction(1, 3), 0), 500, 1e-4, RngHandle(12)
     )
     np.testing.assert_allclose(lengths.sum(axis=1) + rem, 1.0, atol=1e-12)
     assert (lengths >= 0).all()
@@ -285,7 +319,7 @@ def test_gem_lengths_matrix_invariants():
     # straggler cap: at most 1% of rows may stop above eps
     assert (rem > 1e-4).mean() <= 0.01
     with pytest.raises(ParameterError):
-        _gem_lengths_matrix(ExtParams.coupon(3), 10, 1e-4, RngHandle(0), 100)
+        _gem_lengths_matrix(ExtParams.coupon(3), 10, 1e-4, RngHandle(0))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from partition_lab import core
 from partition_lab.core import (
     ConvergenceError,
     ExtParams,
@@ -148,13 +149,14 @@ def test_gem_sample_terminating_ranges_are_exact():
     assert sum(fv.entries) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gem_sample_truncation_contract():
+def test_gem_sample_truncation_contract(monkeypatch):
     rf, fv = gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=1e-3)
     assert 0 <= fv.residual <= 1e-3
     assert fv == stick_breaking(rf)
+    monkeypatch.setattr(core, "STICK_BUDGET", 30)
     with pytest.raises(ConvergenceError):
         # residual decays like k**-1 here; 30 sticks cannot reach 1e-6
-        gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=1e-6, max_sticks=30)
+        gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=1e-6)
     for eps in (0.0, 1.0):
         with pytest.raises(ParameterError):
             gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=eps)
