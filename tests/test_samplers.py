@@ -1,6 +1,8 @@
 """Random sources, partition samplers, biased picks and orders."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +72,85 @@ def test_variate_streams_frozen(method, args, scalar, vector):
     r = RngHandle(42)
     assert [getattr(r, method)(*args) for _ in range(2)] == scalar
     assert getattr(RngHandle(42), method)(*args, size=2).tolist() == vector
+
+
+MIXED_STREAM_SHA256 = {
+    1: "dc8cb479b8a7d0fbf375c6b435158eaed849e876586bccc22138dbc43f7e4de8",
+    2: "2a825f26f8b56b2612e1d3fed70a2bd35d8ecea123a7a1f0c3dc47612ec26331",
+    3: "9f36d72b7d7dcd5938a651eae5348458074bde1fd310b258bad550f4939f8990",
+}
+
+
+def _mixed_stream_digest(seed: int, calls: int = 6000) -> str:
+    """sha256 of the outputs of a scripted interleaving of scalar and vector draws.
+
+    A separate Python script RNG picks each call, so single uniforms and
+    odd vector sizes shift where the next normal's pair starts.
+    """
+    r = RngHandle(seed)
+    script = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(calls):
+        p = script.random()
+        if p < 0.2:
+            out = r.random()
+        elif p < 0.45:
+            out = r.normal()
+        elif p < 0.57:
+            out = r.exponential(2.5 if script.random() < 0.5 else 0.75)
+        elif p < 0.67:
+            out = r.gamma(0.5)
+        elif p < 0.77:
+            out = r.gamma(2.5)
+        elif p < 0.88:
+            out = r.beta(0.5, 1.5) if script.random() < 0.5 else r.beta(1.0, 3.0)
+        else:
+            size = script.randint(1, 300)
+            q = script.random()
+            if q < 0.3:
+                out = r.random(size)
+            elif q < 0.6:
+                out = r.normal(size)
+            elif q < 0.8:
+                out = r.gamma(0.5 if q < 0.7 else 2.5, size)
+            else:
+                out = r.exponential(1.5, size)
+        h.update(np.asarray(out, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(MIXED_STREAM_SHA256))
+def test_mixed_variate_stream_frozen(seed):
+    # pins every algorithm and the order in which scalar and vector calls
+    # consume the uniform stream, across many refills of any internal buffer
+    assert _mixed_stream_digest(seed) == MIXED_STREAM_SHA256[seed]
+
+
+def test_vector_draw_continues_scalar_stream():
+    # random, normal and exponential use a known number of uniforms, so a
+    # vector draw after them must read the next uniforms of the raw stream
+    for seed in (1, 2, 3):
+        ref = RngHandle(seed).random(20000)
+        r = RngHandle(seed)
+        used = 0
+        for size in (3, 1, 100, 257, 2, 500, 64, 1000):
+            for j in range(size % 7 + 5):
+                if j % 3 == 0:
+                    assert r.random() == ref[used]
+                    used += 1
+                elif j % 3 == 1:
+                    r.normal()
+                    used += 2
+                else:
+                    r.exponential(3.0)
+                    used += 1
+            assert r.random(size).tolist() == ref[used:used + size].tolist()
+            used += size
+            u1, u2 = ref[used:used + size], ref[used + size:used + 2 * size]
+            z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
+            assert r.normal(size).tolist() == z.tolist()
+            used += 2 * size
+        assert r.random() == ref[used]
 
 
 def test_rng_rejects_bad_seed():
