@@ -17,6 +17,15 @@ is identical across runs and platforms (IEEE doubles):
 
 Scalar and vectorized paths follow the same algorithms but consume the
 uniform stream in different orders, so they are reproducible separately.
+
+From its first scalar normal or exponential on, a handle draws uniforms
+in blocks (Generator.random(k) gives the same doubles as k scalar calls)
+and computes every exponential term and the normal of every adjacent
+pair of the block in one array pass; scalar variates then read the block
+in stream order.  A vector call uses up the unread block first and draws
+fresh uniforms after it.  Uniforms are therefore consumed exactly as if
+each were drawn on its own, and every seeded output is the same as with
+no block.
 """
 
 from __future__ import annotations
@@ -49,6 +58,10 @@ from .core import (
 from .eppf import BetaParams, stick_fraction_law
 
 _MASK64 = (1 << 64) - 1
+# scalar variates read uniforms from blocks of BLOCK_START doubles,
+# doubling per refill up to BLOCK_CAP (each handle keeps its leftover block)
+BLOCK_START = 16
+BLOCK_CAP = 256
 
 
 def _splitmix64(z: int) -> int:
@@ -67,31 +80,82 @@ class RngHandle:
             raise ParameterError(f"seed must be an integer, got {seed!r}")
         self.seed = seed & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        # the uniform block, its exponential terms -log(1 - u_i) and its
+        # Box-Muller normals over (u_i, u_{i+1}); _i is the next unread
+        # uniform and _k the next block size, 0 until a scalar needs a block
+        self._u: list[float] = []
+        self._e: list[float] = []
+        self._z: list[float] = []
+        self._i = 0
+        self._k = 0
 
     def spawn(self, index: int) -> "RngHandle":
         """Independent child handle number `index`, derived by SplitMix64."""
         return RngHandle(_splitmix64(self.seed ^ _splitmix64(index & _MASK64)))
 
+    # -- the uniform stream ------------------------------------------------
+    def _refill(self) -> int:
+        """Draw the next block behind the unread uniforms; returns the new read position 0."""
+        k = self._k or BLOCK_START
+        u = self._gen.random(k)
+        if self._i < len(self._u):
+            u = np.concatenate((self._u[self._i:], u))
+        e, z = _block_terms(u)
+        self._u, self._e, self._z = u.tolist(), e.tolist(), z.tolist()
+        self._i = 0
+        self._k = min(2 * k, BLOCK_CAP)
+        return 0
+
+    def _uniform(self) -> float:
+        """The next uniform: from the block once there is one, else straight from the stream."""
+        i = self._i
+        if i >= len(self._u):
+            if not self._k:
+                return float(self._gen.random())
+            i = self._refill()
+        self._i = i + 1
+        return self._u[i]
+
+    def _uniforms(self, size: int) -> np.ndarray:
+        """The next `size` uniforms: the unread block first, then fresh draws."""
+        i = self._i
+        if i >= len(self._u):
+            return self._gen.random(size)
+        head = np.array(self._u[i:i + size])
+        self._i = i + len(head)
+        if len(head) == size:
+            return head
+        return np.concatenate((head, self._gen.random(size - len(head))))
+
     # -- uniforms ----------------------------------------------------------
     def random(self, size: int | None = None):
         """Uniform on [0, 1); a float for size None, else a 1-d array."""
         if size is None:
-            return float(self._gen.random())
-        return self._gen.random(size)
+            return self._uniform()
+        return self._uniforms(size)
 
     # -- derived variates --------------------------------------------------
     def normal(self, size: int | None = None):
-        u1 = self._gen.random(size if size is not None else 1)
-        u2 = self._gen.random(size if size is not None else 1)
-        z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
-        return float(z[0]) if size is None else z
+        if size is None:
+            i = self._i
+            if i + 1 >= len(self._u):
+                i = self._refill()
+            self._i = i + 2
+            return self._z[i]
+        u1 = self._uniforms(size)
+        u2 = self._uniforms(size)
+        return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
 
     def exponential(self, rate: float = 1.0, size: int | None = None):
         if not rate > 0:
             raise ParameterError(f"rate must be positive, got {rate}")
-        u = self._gen.random(size if size is not None else 1)
-        out = -np.log1p(-u) / rate
-        return float(out[0]) if size is None else out
+        if size is None:
+            i = self._i
+            if i >= len(self._u):
+                i = self._refill()
+            self._i = i + 1
+            return self._e[i] / rate
+        return -np.log1p(-self._uniforms(size)) / rate
 
     def gamma(self, shape, size: int | None = None):
         if size is None:
@@ -110,7 +174,7 @@ class RngHandle:
             raise ParameterError(f"gamma shape must be positive, got {a}")
         boost = 1.0
         if a < 1.0:
-            u = self._gen.random()
+            u = self._uniform()
             boost = (1.0 - u) ** (1.0 / a)
             a = a + 1.0
         d = a - 1.0 / 3.0
@@ -120,7 +184,7 @@ class RngHandle:
             v = (1.0 + c * x) ** 3
             if v <= 0.0:
                 continue
-            u = self._gen.random()
+            u = self._uniform()
             if u < 1.0 - 0.0331 * x ** 4:
                 return boost * d * v
             if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
@@ -138,7 +202,7 @@ class RngHandle:
         while pending.size:
             x = self.normal(pending.size)
             v = (1.0 + c[pending] * x) ** 3
-            u = self._gen.random(pending.size)
+            u = self._uniforms(pending.size)
             with np.errstate(divide="ignore", invalid="ignore"):
                 slow = np.log(u) < 0.5 * x * x + d[pending] * (1.0 - v + np.log(v))
             ok = (v > 0.0) & ((u < 1.0 - 0.0331 * x ** 4) | slow)
@@ -146,9 +210,19 @@ class RngHandle:
             out[hit] = d[hit] * v[ok]
             pending = pending[~ok]
         if small.any():
-            u = self._gen.random(int(small.sum()))
+            u = self._uniforms(int(small.sum()))
             out[small] *= (1.0 - u) ** (1.0 / a[small])
         return out
+
+
+def _block_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-log(1 - u_i), the Box-Muller normal of each adjacent pair (u_i, u_{i+1})).
+
+    Elementwise the same numpy expressions as the vector paths, so each
+    term equals the size-1 result for its uniforms.
+    """
+    log1m = np.log1p(-u)
+    return -log1m, np.sqrt(-2.0 * log1m[:-1]) * np.cos(2.0 * math.pi * u[1:])
 
 
 def _pick(weights: Iterable[float], u: float) -> int | None:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partition_lab import core
+from partition_lab import core, samplers
 from partition_lab.core import (
     ConvergenceError,
     ExtParams,
@@ -151,6 +151,39 @@ def test_vector_draw_continues_scalar_stream():
             assert r.normal(size).tolist() == z.tolist()
             used += 2 * size
         assert r.random() == ref[used]
+
+
+def test_block_terms_equal_size_one_results():
+    # scalar normals and exponentials are read from terms computed over a
+    # whole block; the seeded streams stay byte-identical only if numpy gives
+    # the same doubles there as on size-1 arrays, so any mismatch must fail
+    u = RngHandle(11).random(4096)
+    expo, normals = samplers._block_terms(u)
+    assert len(expo) == 4096 and len(normals) == 4095
+    bad = []
+    for i in range(4096):
+        one = u[i:i + 1]
+        if expo[i] != (-np.log1p(-one))[0]:
+            bad.append(("exponential", i))
+        if i < 4095 and normals[i] != (np.sqrt(-2.0 * np.log1p(-one))
+                                       * np.cos(2.0 * math.pi * u[i + 1:i + 2]))[0]:
+            bad.append(("normal", i))
+    assert bad == [], f"{len(bad)} block terms differ from size-1 results: {bad[:5]}"
+
+
+def test_scalar_block_starts_lazily_and_stays_small():
+    # uniform-only and vector callers never pay for a block; once scalar
+    # normals start, blocks double from BLOCK_START but never pass BLOCK_CAP
+    r = RngHandle(4)
+    r.random()
+    r.random(7)
+    r.gamma(0.5, size=20)
+    assert r._u == []
+    r.normal()
+    assert len(r._u) == samplers.BLOCK_START
+    for _ in range(5000):
+        r.normal()
+        assert len(r._u) <= samplers.BLOCK_CAP + 1
 
 
 def test_rng_rejects_bad_seed():
