@@ -18,11 +18,11 @@ is identical across runs and platforms (IEEE doubles):
 Scalar and vectorized paths follow the same algorithms but consume the
 uniform stream in different orders, so they are reproducible separately.
 
-From its first scalar normal or exponential on, a handle draws uniforms
-in blocks (Generator.random(k) gives the same doubles as k scalar calls)
-and computes every exponential term and the normal of every adjacent
-pair of the block in one array pass; scalar variates then read the block
-in stream order.  A vector call uses up the unread block first and draws
+From its first scalar normal, exponential or gamma on, a handle draws
+uniforms in blocks (Generator.random(k) gives the same doubles as k
+scalar calls) and computes every exponential term and the normal of
+every adjacent pair of the block in one array pass; scalar variates then
+read the block in stream order.  A vector call uses up the unread block first and draws
 fresh uniforms after it.  Uniforms are therefore consumed exactly as if
 each were drawn on its own, and every seeded output is the same as with
 no block.
@@ -107,11 +107,9 @@ class RngHandle:
         return 0
 
     def _uniform(self) -> float:
-        """The next uniform: from the block once there is one, else straight from the stream."""
+        """The next uniform of the block, refilling it when it runs out."""
         i = self._i
         if i >= len(self._u):
-            if not self._k:
-                return float(self._gen.random())
             i = self._refill()
         self._i = i + 1
         return self._u[i]
@@ -131,6 +129,8 @@ class RngHandle:
     def random(self, size: int | None = None):
         """Uniform on [0, 1); a float for size None, else a 1-d array."""
         if size is None:
+            if not self._k:  # no block until a scalar variate needs one
+                return float(self._gen.random())
             return self._uniform()
         return self._uniforms(size)
 
