@@ -18,14 +18,15 @@ is identical across runs and platforms (IEEE doubles):
 Scalar and vectorized paths follow the same algorithms but consume the
 uniform stream in different orders, so they are reproducible separately.
 
-From its first scalar normal, exponential or gamma on, a handle draws
-uniforms in blocks (Generator.random(k) gives the same doubles as k
-scalar calls) and computes every exponential term and the normal of
-every adjacent pair of the block in one array pass; scalar variates then
-read the block in stream order.  A vector call uses up the unread block first and draws
-fresh uniforms after it.  Uniforms are therefore consumed exactly as if
-each were drawn on its own, and every seeded output is the same as with
-no block.
+Scalar normals, exponentials and gammas draw uniforms in blocks
+(Generator.random(k) gives the same doubles as k scalar calls) and
+compute every exponential term and the normal of every adjacent pair of
+the block in one array pass; they then read the block in stream order.
+A scalar random() reads what is left of the block, then draws directly,
+and never refills it; a vector call uses up the unread block first and
+draws fresh uniforms after it.  Uniforms are therefore consumed exactly
+as if each were drawn on its own, and every seeded output is the same as
+with no block.
 """
 
 from __future__ import annotations
@@ -82,12 +83,12 @@ class RngHandle:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
         # the uniform block, its exponential terms -log(1 - u_i) and its
         # Box-Muller normals over (u_i, u_{i+1}); _i is the next unread
-        # uniform and _k the next block size, 0 until a scalar needs a block
+        # uniform and _k the size of the next block
         self._u: list[float] = []
         self._e: list[float] = []
         self._z: list[float] = []
         self._i = 0
-        self._k = 0
+        self._k = BLOCK_START
 
     def spawn(self, index: int) -> "RngHandle":
         """Independent child handle number `index`, derived by SplitMix64."""
@@ -96,7 +97,7 @@ class RngHandle:
     # -- the uniform stream ------------------------------------------------
     def _refill(self) -> int:
         """Draw the next block behind the unread uniforms; returns the new read position 0."""
-        k = self._k or BLOCK_START
+        k = self._k
         u = self._gen.random(k)
         if self._i < len(self._u):
             u = np.concatenate((self._u[self._i:], u))
@@ -128,11 +129,13 @@ class RngHandle:
     # -- uniforms ----------------------------------------------------------
     def random(self, size: int | None = None):
         """Uniform on [0, 1); a float for size None, else a 1-d array."""
-        if size is None:
-            if not self._k:  # no block until a scalar variate needs one
-                return float(self._gen.random())
-            return self._uniform()
-        return self._uniforms(size)
+        if size is not None:
+            return self._uniforms(size)
+        i = self._i
+        if i >= len(self._u):  # uniforms alone never pay for a block's terms
+            return float(self._gen.random())
+        self._i = i + 1
+        return self._u[i]
 
     # -- derived variates --------------------------------------------------
     def normal(self, size: int | None = None):

@@ -172,8 +172,8 @@ def test_block_terms_equal_size_one_results():
 
 
 def test_scalar_block_starts_lazily_and_stays_small():
-    # uniform-only and vector callers never pay for a block; once scalar
-    # normals start, blocks double from BLOCK_START but never pass BLOCK_CAP
+    # uniform-only and vector callers never pay for a block's terms; once
+    # scalar normals start, blocks double from BLOCK_START up to BLOCK_CAP
     r = RngHandle(4)
     r.random()
     r.random(7)
@@ -184,6 +184,11 @@ def test_scalar_block_starts_lazily_and_stays_small():
     for _ in range(5000):
         r.normal()
         assert len(r._u) <= samplers.BLOCK_CAP + 1
+    # a scalar uniform after the block is used up draws directly
+    block = r._u
+    r.random(len(block) - r._i)
+    r.random()
+    assert r._u is block and r._i == len(block)
 
 
 def test_rng_rejects_bad_seed():
