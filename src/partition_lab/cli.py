@@ -5,9 +5,10 @@ Exit codes: 0 on success, 1 when a verification suite reports a
 failure or stdout is closed before the output is written, 2 on usage
 errors.  _emit writes the whole output in one write, so under `| head`
 the code depends on timing: 0 if the write began before the reader
-closed the pipe, 1 if the reader was already gone.  All randomized commands take --seed and produce byte-identical
-output for identical arguments.  Rational arguments ("1/2", "2") select
-exact arithmetic; decimals float.  JSON encodes exact values as
+closed the pipe, 1 if the reader was already gone.  All randomized
+commands take --seed and produce byte-identical output for identical
+arguments.  Rational arguments ("1/2", "2") select exact arithmetic;
+decimals float.  JSON encodes exact values as
 {"num": ..., "den": ...}; CSV always prints floats with a '.' decimal
 point.
 """

@@ -59,8 +59,9 @@ from .core import (
 from .eppf import BetaParams, stick_fraction_law
 
 _MASK64 = (1 << 64) - 1
-# scalar variates read uniforms from blocks of BLOCK_START doubles,
-# doubling per refill up to BLOCK_CAP (each handle keeps its leftover block)
+# scalar variates read uniforms from blocks that start at BLOCK_START
+# doubles and double per refill up to BLOCK_CAP; the cap stays small
+# because every live handle keeps its leftover block
 BLOCK_START = 16
 BLOCK_CAP = 256
 
@@ -97,14 +98,13 @@ class RngHandle:
     # -- the uniform stream ------------------------------------------------
     def _refill(self) -> int:
         """Draw the next block behind the unread uniforms; returns the new read position 0."""
-        k = self._k
-        u = self._gen.random(k)
+        u = self._gen.random(self._k)
         if self._i < len(self._u):
             u = np.concatenate((self._u[self._i:], u))
         e, z = _block_terms(u)
         self._u, self._e, self._z = u.tolist(), e.tolist(), z.tolist()
         self._i = 0
-        self._k = min(2 * k, BLOCK_CAP)
+        self._k = min(2 * self._k, BLOCK_CAP)
         return 0
 
     def _uniform(self) -> float:
