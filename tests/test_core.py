@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,39 @@ def test_interval_set_layout_and_locate():
     assert iv.locate(Fraction(1, 2)) == 1
     assert iv.locate(Fraction(7, 8)) is None
     assert iv.locate(Fraction(1, 4)) is None  # endpoints belong to no open interval
+
+
+def _random_interval_sets(rng, exact):
+    """Sets with gaps from sorted cut points, float or Fraction endpoints."""
+    yield IntervalSet((), residual=1)
+    for size in (1, 2, 5, 18, 60):
+        if exact:
+            cuts = sorted(set(Fraction(rng.randrange(1, 10_000), 10_000) for _ in range(2 * size)))
+        else:
+            cuts = sorted(set(rng.random() for _ in range(2 * size)))
+        cuts = [0] + cuts if rng.random() < 0.5 else cuts
+        cuts = cuts + [1] if rng.random() < 0.5 else cuts
+        # adjacent intervals too: split some of them at an interior point
+        split = []
+        for l, r in zip(cuts[::2], cuts[1::2]):
+            if rng.random() < 0.3:
+                mid = l + (r - l) / 2
+                split += [(l, mid), (mid, r)]
+            else:
+                split.append((l, r))
+        total = sum((r - l for l, r in split), 0)
+        yield IntervalSet(tuple(split), residual=1 - total)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_locate_matches_linear_scan(exact):
+    rng = random.Random(20090921)
+    for iv in _random_interval_sets(rng, exact):
+        points = [p for interval in iv.intervals for p in interval]
+        queries = points + [0, 1, Fraction(1, 2), 0.5] + [rng.random() for _ in range(200)]
+        for u in queries:
+            want = next((i for i, (l, r) in enumerate(iv.intervals) if l < u < r), None)
+            assert iv.locate(u) == want, (iv, u)
 
 
 def test_interval_set_validation():

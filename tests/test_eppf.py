@@ -210,6 +210,17 @@ def test_first_color_tail_monotone():
     assert all(a > b for a, b in zip(tails, tails[1:]))
 
 
+@pytest.mark.parametrize("params", GRID[:6], ids=str)
+def test_float_first_color_tail_matches_exact(params):
+    fparams = params.as_float()
+    for n in range(1, 7):
+        for cap in (0, 1, 5, 50, 400):
+            exact = first_color_tail(params, n, cap)
+            got = first_color_tail(fparams, n, cap)
+            assert isinstance(got, float)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, (n, cap)
+
+
 # series tolerance must respect the m**-(alpha+theta) tail, hence per-point tol
 DERIVED_TOL = {
     (0, 1): 1e-6,
