@@ -8,10 +8,14 @@ with a float falls through to float, matching Python semantics.
 
 Ratios of rising factorials go through rising_ratio: the plain product
 in every mode, and log-gamma only when a float product leaves its range.
+_log_rising_ratio is the one route past the float range: float eppf,
+decrement_entry, ScaledBeta and first_color_tail take it, so
+decrement_entry and ScaledBeta ratios stay finite past n = 1020.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -81,32 +85,41 @@ def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence =
     (inf, nan, 0) sends the ratio to log-gamma, which needs x, y > 0 and
     nonzero factors.
     """
-    out: Scalar = 1
-    for f in factors:
-        out = out * f
-    d: Scalar = 1
-    for (y, m) in den:
-        d = d * rising_factorial(y, m)
-    if isinstance(d, float) and not d < math.inf:
-        return _log_rising_ratio(num, den, factors)  # skips the numerator
-    out = exact_div(out, d)
-    for (x, n) in num:
-        if n:  # (x)_0 = 1 leaves value and type alone
-            out = out * rising_factorial(x, n)
+    try:
+        out: Scalar = 1
+        for f in factors:
+            out = out * f
+        d: Scalar = 1
+        for (y, m) in den:
+            d = d * rising_factorial(y, m)
+        if isinstance(d, float) and not d < math.inf:
+            raise OverflowError  # skips the numerator
+        out = exact_div(out, d)
+        for (x, n) in num:
+            if n:  # (x)_0 = 1 leaves value and type alone
+                out = out * rising_factorial(x, n)
+    except OverflowError:  # also an exact factor past the float range meeting a float
+        return _log_rising_ratio(num, den, factors)
     if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
         return _log_rising_ratio(num, den, factors)
     return out
 
 
 def _log_rising_ratio(num, den, factors) -> float:
+    """rising_ratio by log-gamma, for real n, m with x, y, x + n, y + m > 0."""
     sign, log_abs = 1.0, 0.0
     for f in factors:
         sign = sign if f > 0 else -sign
-        log_abs += math.log(abs(f))
+        if is_exact(f):  # an exact f may not fit a float
+            log_abs += math.log(abs(f.numerator)) - math.log(f.denominator)
+        else:
+            log_abs += math.log(abs(f))
     for (x, n) in num:
-        log_abs += math.lgamma(x + n) - math.lgamma(x)
+        if n:
+            log_abs += math.lgamma(x + n) - math.lgamma(x)
     for (y, m) in den:
-        log_abs -= math.lgamma(y + m) - math.lgamma(y)
+        if m:
+            log_abs -= math.lgamma(y + m) - math.lgamma(y)
     return sign * math.exp(log_abs)  # OverflowError beyond the float range
 
 
@@ -650,16 +663,10 @@ class IntervalSet:
 
     def locate(self, u: Scalar) -> int | None:
         """Index of the interval containing u, None when u falls in a gap."""
-        lo, hi = 0, len(self.intervals) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            l, r = self.intervals[mid]
-            if u <= l:
-                hi = mid - 1
-            elif u >= r:
-                lo = mid + 1
-            else:
-                return mid
+        # the last interval with l <= u is the only one that can hold u
+        i = bisect.bisect_right(self.intervals, (u, math.inf)) - 1
+        if i >= 0 and self.intervals[i][0] < u < self.intervals[i][1]:
+            return i
         return None
 
     def to_json(self) -> dict:

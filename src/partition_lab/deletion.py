@@ -22,9 +22,10 @@ decrement_matrix builds each row from its neighbours in O(n) steps,
 
 so every factor is O(1): the matrix costs O(n_max^2), and float rows
 stay finite where the closed form's rising factorials overflow (from
-n = 172).  The last entry
-has its own rule because theta + n - m - 1 vanishes at m = n - 1 when
-theta = 0.
+n = 172).  The last entry has its own rule because theta + n - m - 1
+vanishes at m = n - 1 when theta = 0.  Float decrement_entry, past that
+range, takes core's one log-gamma route, with C(n, m) as an exact factor,
+and stays finite past n = 1020.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .core import (
     ResidualPickError,
     Scalar,
     exact_div,
-    rising_factorial,
     rising_ratio,
     SetPartition,
     UnsupportedKernelError,
@@ -139,9 +139,9 @@ def decrement_entry(params: ExtParams, n: int, m: int) -> Scalar:
     if m == n:
         # the (theta + n - m)_m denominator degenerates at theta = 0;
         # q(n, n) reduces to the single-block probability
-        return exact_div(rising_factorial(1 - alpha, n - 1), rising_factorial(theta + 1, n - 1))
-    num = math.comb(n, m) * rising_factorial(1 - alpha, m - 1) * ((n - m) * alpha + m * theta)
-    return exact_div(num, rising_factorial(theta + n - m, m) * n)
+        return rising_ratio([(1 - alpha, n - 1)], [(theta + 1, n - 1)])
+    return rising_ratio([(1 - alpha, m - 1)], [(theta + n - m, m)],
+                        [math.comb(n, m), exact_div((n - m) * alpha + m * theta, n)])
 
 
 def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:

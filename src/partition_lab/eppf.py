@@ -37,6 +37,7 @@ from .core import (
     is_exact,
     rising_factorial,  # noqa: F401  (re-exported: eppf.rising_factorial)
     rising_ratio,
+    _log_rising_ratio,
 )
 
 TERM_BUDGET = 50_000_000  # derived_eppf series terms before giving up
@@ -196,23 +197,11 @@ def first_color_tail(params: ExtParams, n: int, m_cap: int) -> Scalar:
     horizon = m_cap + n - 1
     law = stick_fraction_law(params, 1)
     if isinstance(law, BetaParams) and not (is_exact(law.a) and is_exact(law.b)):
-        a, b = float(law.a), float(law.b)
-        lden = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        total = 0.0
-        for r in range(n):
-            lmom = (
-                math.lgamma(a + horizon - r)
-                + math.lgamma(b + r)
-                - math.lgamma(a + b + horizon)
-                - lden
-            )
-            total += math.exp(math.lgamma(horizon + 1) - math.lgamma(r + 1)
-                              - math.lgamma(horizon - r + 1) + lmom)
-        return total
-    total = 0
-    for r in range(n):
-        total = total + math.comb(horizon, r) * _stick_moment(law, horizon - r, r)
-    return total
+        a, b = float(law.a), float(law.b)  # C(h, r) = (h - r + 1)_r / (1)_r
+        return sum(_log_rising_ratio([(horizon - r + 1, r), (a, horizon - r), (b, r)],
+                                     [(1, r), (a + b, horizon)], ())
+                   for r in range(n))
+    return sum(math.comb(horizon, r) * _stick_moment(law, horizon - r, r) for r in range(n))
 
 
 def derived_eppf(

@@ -40,6 +40,7 @@ from .core import (
     exact_div,
     is_exact,
     rising_ratio,
+    _log_rising_ratio,
     scalar_to_json,
     scalar_from_json,
 )
@@ -150,8 +151,8 @@ class ScaledBeta:
                 return value
         except OverflowError:  # an exact c past the float range
             pass
-        c = Fraction(abs(self.c))  # exact, so log|c| needs no float of c
-        return math.exp(math.log(c.numerator) - math.log(c.denominator) + lb)
+        # B(x, y) = Gamma(y) Gamma(x) / Gamma(x + y) = (1)_{y-1} / (x)_y
+        return _log_rising_ratio([(1, self.y - 1)], [(self.x, self.y)], [self.c])
 
     def __mul__(self, s: Scalar) -> "ScaledBeta":
         return ScaledBeta(self.c * s, self.x, self.y)
@@ -165,9 +166,9 @@ class ScaledBeta:
             raise ZeroDivisionError("division by a zero ScaledBeta")
         if self.c == 0:
             return 0 if is_exact(self.c) and is_exact(other.c) else 0.0
-        c = exact_div(self.c, other.c)
+        factors = [exact_div(self.c, other.c)]
         if not all_exact(self.x, self.y, other.x, other.y):
-            c = float(c)  # float fields give a float ratio, also at zero offsets
+            factors.append(1.0)  # float fields give a float ratio, also at zero offsets
         num, den = [], []
         for p, q in ((self.x, other.x), (self.y, other.y), (other.x + other.y, self.x + self.y)):
             # Gamma(p)/Gamma(q) is (q)_d for an integer d = p - q >= 0, 1/(p)_{-d} below
@@ -176,7 +177,7 @@ class ScaledBeta:
                 return float(self) / float(other)
             num.append((q, max(int(d), 0)))
             den.append((p, max(-int(d), 0)))
-        return rising_ratio(num, den, (c,))
+        return rising_ratio(num, den, factors)
 
 
 def laplace_exponent(measure: LevyImageMeasure, a: Scalar):

@@ -171,6 +171,17 @@ def test_float_decrement_rows_stay_finite(params):
                 assert dm.value(n, m) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+def test_float_decrement_entry_past_the_float_binomial():
+    # C(n, m) and the rising factorials leave the float range from n = 1020
+    params = ExtParams.two_param(0.3, 0.5)
+    for n in (1020, 1030, 1100):
+        assert all(math.isfinite(decrement_entry(params, n, m)) for m in range(1, n + 1))
+    twin = ExtParams.two_param(Fraction(3, 10), Fraction(1, 2))
+    for n, m in ((1020, 510), (1030, 515), (1100, 550), (2000, 1000), (2000, 2000)):
+        exact = decrement_entry(twin, n, m)
+        assert abs(Fraction(decrement_entry(params, n, m)) - exact) <= Fraction(1e-11) * exact
+
+
 _exact_alpha = st.one_of(st.just(0), st.fractions(0, 1, max_denominator=12).filter(lambda a: a < 1))
 _exact_theta = st.one_of(st.integers(0, 5), st.fractions(0, 5, max_denominator=12))
 

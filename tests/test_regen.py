@@ -142,6 +142,17 @@ def test_phi_nm_past_the_float_binomial():
         assert float(phi_nm(mode, 1100, 550)) == pytest.approx(want, rel=1e-11)
 
 
+def test_float_scaled_beta_ratio_past_the_float_binomial():
+    # phi_nm keeps C(1100, 550) exact; the coefficient ratio must not meet a float
+    ratios = []
+    for alpha, theta in ((0.3, 0.5), (Fraction(3, 10), Fraction(1, 2))):
+        measure = LevyImageMeasure.alpha_theta(alpha, theta)
+        ratios.append(phi_nm(measure, 1100, 550) / laplace_exponent(measure, 1100))
+    got, exact = ratios
+    assert isinstance(got, float)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-11) * exact
+
+
 @pytest.mark.parametrize(
     "params",
     [
