@@ -93,7 +93,7 @@ def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence =
         for (y, m) in den:
             d = d * rising_factorial(y, m)
         if isinstance(d, float) and not d < math.inf:
-            raise OverflowError  # skips the numerator
+            raise OverflowError  # to the log route without the numerator product
         out = exact_div(out, d)
         for (x, n) in num:
             if n:  # (x)_0 = 1 leaves value and type alone

@@ -23,9 +23,9 @@ decrement_matrix builds each row from its neighbours in O(n) steps,
 so every factor is O(1): the matrix costs O(n_max^2), and float rows
 stay finite where the closed form's rising factorials overflow (from
 n = 172).  The last entry has its own rule because theta + n - m - 1
-vanishes at m = n - 1 when theta = 0.  Float decrement_entry, past that
-range, takes core's one log-gamma route, with C(n, m) as an exact factor,
-and stays finite past n = 1020.
+vanishes at m = n - 1 when theta = 0.  Where its float products leave
+the range, decrement_entry takes core's one log-gamma route, with C(n, m)
+as an exact factor, and stays finite past n = 1020.
 """
 
 from __future__ import annotations
