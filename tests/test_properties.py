@@ -23,6 +23,7 @@ from partition_lab.core import (
     delete_block,
     dumps,
     parse_scalar,
+    partition_from_assignment,
 )
 from partition_lab.deletion import decrement_matrix
 from partition_lab.regen import LevyImageMeasure
@@ -166,6 +167,36 @@ def test_delete_block_drops_one_block_and_its_elements(pi, data):
     # the relabelling is increasing, so the other blocks keep their order
     sizes = pi.block_sizes().parts
     assert rest.block_sizes().parts == sizes[:j - 1] + sizes[j:]
+
+
+@st.composite
+def restricted_growth_words(draw):
+    """Words whose labels first appear in the order 1, 2, 3, ..."""
+    word: list[int] = []
+    for c in draw(st.lists(st.integers(1, 6), max_size=12)):
+        word.append(min(c, max(word, default=0) + 1))
+    return word
+
+
+def _blocks_of(word):
+    """The blocks of a word, in no particular order."""
+    return [[i for i, c in enumerate(word, start=1) if c == lab] for lab in set(word)]
+
+
+@given(restricted_growth_words(), st.data())
+def test_partition_from_assignment_and_delete_block_are_canonical(word, data):
+    pi = partition_from_assignment(word)
+    assert pi == canonicalize(_blocks_of(word), n=len(word))
+    # any relabelling of the word names the same partition
+    perm = data.draw(st.permutations(range(1, 13)))
+    assert partition_from_assignment([perm[c - 1] for c in word]) == pi
+    if pi.k == 0:
+        return
+    j = data.draw(st.integers(1, pi.k))
+    removed = pi.blocks[j - 1]
+    relabelled = [[e - sum(r < e for r in removed) for e in b]
+                  for i, b in enumerate(pi.blocks, start=1) if i != j]
+    assert delete_block(pi, j) == canonicalize(relabelled[::-1], n=pi.n - len(removed))
 
 
 @given(st.one_of(
