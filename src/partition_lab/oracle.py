@@ -83,10 +83,23 @@ class ExactLaw:
 
 
 def exact_law(params: ExtParams, n: int) -> ExactLaw:
-    """Exact partition law on [n] by direct enumeration, n <= 10."""
+    """Exact partition law on [n] by direct enumeration, n <= 10.
+
+    The probability of a set partition depends only on its block sizes,
+    so `eppf` is evaluated once per block-size vector (in order of
+    appearance) and every partition with that vector shares the value.
+    """
     if not (isinstance(n, int) and 1 <= n <= 10):
         raise ParameterError(f"need 1 <= n <= 10, got {n}")
-    return ExactLaw(n, {pi: eppf(params, pi.block_sizes()) for pi in iter_partitions(n)})
+    by_sizes: dict[tuple[int, ...], Scalar] = {}
+    probs: dict[SetPartition, Scalar] = {}
+    for pi in iter_partitions(n):
+        sizes = tuple(len(b) for b in pi.blocks)
+        p = by_sizes.get(sizes)
+        if p is None:
+            p = by_sizes[sizes] = eppf(params, sizes)
+        probs[pi] = p
+    return ExactLaw(n, probs)
 
 
 def _law_distance(law: dict[SetPartition, Scalar], target: dict[SetPartition, Scalar]) -> Scalar:
@@ -112,21 +125,23 @@ def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -
     if law is None:
         law = exact_law(params, n)
     worst: Scalar = 0
+    joint: dict[int, dict[SetPartition, Scalar]] = {m: {} for m in range(1, n)}
+    size_mass: dict[int, Scalar] = {m: 0 for m in range(1, n)}
+    for pi, p in law.probs.items():
+        m = len(pi.blocks[0])
+        if m == n:
+            continue
+        rem = delete_block(pi, 1)
+        joint[m][rem] = joint[m].get(rem, 0) + p
+        size_mass[m] = size_mass[m] + p
     for m in range(1, n):
-        joint: dict[SetPartition, Scalar] = {}
-        mass: Scalar = 0
-        for pi, p in law.probs.items():
-            if len(pi.blocks[0]) != m:
-                continue
-            rem = delete_block(pi, 1)
-            joint[rem] = joint.get(rem, 0) + p
-            mass = mass + p
+        mass = size_mass[m]
         size_target = math.comb(n - 1, m - 1) * q_first_block(params, n, m)
         dev = abs(mass - size_target)
         worst = dev if dev > worst else worst
         if mass == 0:
             continue
-        cond = {k: exact_div(v, mass) for k, v in joint.items()}
+        cond = {k: exact_div(v, mass) for k, v in joint[m].items()}
         target = exact_law(params.shifted(), n - m).probs
         dev = _law_distance(cond, target)
         worst = dev if dev > worst else worst
@@ -146,11 +161,16 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
     worst: Scalar = 0
     joint: dict[int, dict[SetPartition, Scalar]] = {m: {} for m in range(1, n + 1)}
     size_mass: dict[int, Scalar] = {m: 0 for m in range(1, n + 1)}
+    # the kernel depends only on the block sizes; p stays per partition,
+    # since a passed-in law need not be a function of the sizes
+    rows: dict[tuple[int, ...], list[Scalar]] = {}
     for pi, p in law.probs.items():
-        sizes = pi.block_sizes()
-        for j in range(1, pi.k + 1):
-            d = deletion_kernel(sizes, j, params=params)
-            m = sizes.parts[j - 1]
+        sizes = tuple(len(b) for b in pi.blocks)
+        row = rows.get(sizes)
+        if row is None:
+            row = rows[sizes] = [deletion_kernel(sizes, j, params=params)
+                                 for j in range(1, len(sizes) + 1)]
+        for j, (m, d) in enumerate(zip(sizes, row), start=1):
             w = p * d
             size_mass[m] = size_mass[m] + w
             rem = delete_block(pi, j)

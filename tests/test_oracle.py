@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from partition_lab.cli import _VERIFY_GRID
 from partition_lab.core import ExtParams, ParameterError, canonicalize
+from partition_lab.eppf import eppf
 from partition_lab.oracle import (
     chi_square,
     deletion_law_check,
@@ -70,6 +72,18 @@ def test_exact_law_and_perturbation():
         exact_law(ExtParams.two_param(0, 1), 11)
 
 
+@pytest.mark.parametrize("params", _VERIFY_GRID + (ExtParams.two_param(0.3, 0.5),), ids=str)
+def test_exact_law_is_eppf_of_each_partition(params):
+    # one eppf call per block-size vector must give each partition the
+    # value, and the type, of its own call
+    for n in range(1, 7):
+        got = exact_law(params, n).probs
+        want = {pi: eppf(params, pi.block_sizes()) for pi in iter_partitions(n)}
+        assert list(got) == list(want)
+        for pi, p in want.items():
+            assert got[pi] == p and type(got[pi]) is type(p)
+
+
 # ---------------------------------------------------------------------------
 # characterization checks (zero for the family, positive when perturbed)
 
@@ -95,6 +109,20 @@ def test_tau_regen_check_sees_perturbation():
     params = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
     law = exact_law(params, 4).perturbed(canonicalize([[1, 2, 3, 4]]), Fraction(1, 1000))
     assert tau_regen_check(params, 4, law) == Fraction(6, 7007)
+
+
+@pytest.mark.parametrize(("check", "params", "n", "dev"), [
+    (deletion_law_check, ExtParams.two_param(0, 1), 5, Fraction(2, 603)),
+    (deletion_law_check, ExtParams.two_param(0, 1), 6, Fraction(9, 2012)),
+    (tau_regen_check, ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 5, Fraction(14, 4021)),
+    (tau_regen_check, ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 6, Fraction(154, 30231)),
+])
+def test_checks_see_perturbation_within_a_size_vector(check, params, n, dev):
+    # {1, 3} {2, 4, ...} follows {1, 2} {3, 4, ...}, which has the same
+    # sizes and keeps its mass: the checks must read each partition's own p
+    pi = canonicalize([[1, 3], [2, *range(4, n + 1)]])
+    law = exact_law(params, n).perturbed(pi, Fraction(1, 1000))
+    assert check(params, n, law) == dev
 
 
 @pytest.mark.parametrize("tau", [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])
