@@ -428,12 +428,10 @@ def delete_block(pi: SetPartition, j: int) -> SetPartition:
     if not (1 <= j <= pi.k):
         raise MalformedPartitionError(f"block index {j} out of range 1..{pi.k}")
     removed = set(pi.blocks[j - 1])
-    survivors = [e for e in range(1, pi.n + 1) if e not in removed]
+    survivors = sorted(e for e in range(1, pi.n + 1) if e not in removed)
     relabel = {e: i + 1 for i, e in enumerate(survivors)}
-    # an increasing relabelling keeps each block sorted and the blocks
-    # ordered by least element, so the result is already canonical
-    new_blocks = tuple(tuple(relabel[e] for e in b) for i, b in enumerate(pi.blocks) if i != j - 1)
-    return SetPartition(len(survivors), new_blocks)
+    new_blocks = [tuple(relabel[e] for e in b) for i, b in enumerate(pi.blocks) if i != j - 1]
+    return canonicalize(new_blocks, n=len(survivors))
 
 
 def partition_from_assignment(word: Sequence[int]) -> SetPartition:
@@ -441,9 +439,7 @@ def partition_from_assignment(word: Sequence[int]) -> SetPartition:
     blocks: dict[int, list[int]] = {}
     for i, lab in enumerate(word, start=1):
         blocks.setdefault(lab, []).append(i)
-    # elements arrive in increasing order and dicts keep first-appearance
-    # order, so the blocks are already sorted and ordered by least element
-    return SetPartition(len(word), tuple(map(tuple, blocks.values())))
+    return canonicalize(blocks.values(), n=len(word))
 
 
 # ---------------------------------------------------------------------------
