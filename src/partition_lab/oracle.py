@@ -82,6 +82,16 @@ class ExactLaw:
         return ExactLaw(self.n, {k: exact_div(v, scale) for k, v in new.items()})
 
 
+def _size_key(pi: SetPartition) -> tuple[int, ...]:
+    """Block sizes of pi as a plain tuple, in block order.
+
+    The memo key of `exact_law` and `tau_regen_check`: the same parts as
+    `pi.block_sizes()`, without re-validating them in a `Composition` for
+    every enumerated partition.
+    """
+    return tuple(len(b) for b in pi.blocks)
+
+
 def exact_law(params: ExtParams, n: int) -> ExactLaw:
     """Exact partition law on [n] by direct enumeration, n <= 10.
 
@@ -94,7 +104,7 @@ def exact_law(params: ExtParams, n: int) -> ExactLaw:
     by_sizes: dict[tuple[int, ...], Scalar] = {}
     probs: dict[SetPartition, Scalar] = {}
     for pi in iter_partitions(n):
-        sizes = tuple(len(b) for b in pi.blocks)
+        sizes = _size_key(pi)
         p = by_sizes.get(sizes)
         if p is None:
             p = by_sizes[sizes] = eppf(params, sizes)
@@ -165,7 +175,7 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
     # since a passed-in law need not be a function of the sizes
     rows: dict[tuple[int, ...], list[Scalar]] = {}
     for pi, p in law.probs.items():
-        sizes = tuple(len(b) for b in pi.blocks)
+        sizes = _size_key(pi)
         row = rows.get(sizes)
         if row is None:
             row = rows[sizes] = [deletion_kernel(sizes, j, params=params)

@@ -93,35 +93,29 @@ def test_deletion_law_check_zero(params):
         assert deletion_law_check(params, n) == 0
 
 
-def test_deletion_law_check_sees_perturbation():
-    params = ExtParams.two_param(0, 1)
-    law = exact_law(params, 3).perturbed(canonicalize([[1, 2, 3]]), Fraction(1, 1000))
-    assert deletion_law_check(params, 3, law) == Fraction(1, 3003)
-
-
 @pytest.mark.parametrize("params", GRID[:5], ids=str)
 def test_tau_regen_check_zero(params):
     for n in (2, 4, 5):
         assert tau_regen_check(params, n) == 0
 
 
-def test_tau_regen_check_sees_perturbation():
-    params = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
-    law = exact_law(params, 4).perturbed(canonicalize([[1, 2, 3, 4]]), Fraction(1, 1000))
-    assert tau_regen_check(params, 4, law) == Fraction(6, 7007)
+_CRP = ExtParams.two_param(0, 1)
+_HALF = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
 
 
-@pytest.mark.parametrize(("check", "params", "n", "dev"), [
-    (deletion_law_check, ExtParams.two_param(0, 1), 5, Fraction(2, 603)),
-    (deletion_law_check, ExtParams.two_param(0, 1), 6, Fraction(9, 2012)),
-    (tau_regen_check, ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 5, Fraction(14, 4021)),
-    (tau_regen_check, ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 6, Fraction(154, 30231)),
+# the one-block rows move mass to [n] itself; {1, 3} {2, 4, ...} shares
+# its sizes with the unperturbed {1, 2} {3, 4, ...}, so a check that read
+# p once per size vector would miss it
+@pytest.mark.parametrize(("check", "params", "n", "blocks", "dev"), [
+    (deletion_law_check, _CRP, 3, [[1, 2, 3]], Fraction(1, 3003)),
+    (deletion_law_check, _CRP, 5, [[1, 3], [2, 4, 5]], Fraction(2, 603)),
+    (deletion_law_check, _CRP, 6, [[1, 3], [2, 4, 5, 6]], Fraction(9, 2012)),
+    (tau_regen_check, _HALF, 4, [[1, 2, 3, 4]], Fraction(6, 7007)),
+    (tau_regen_check, _HALF, 5, [[1, 3], [2, 4, 5]], Fraction(14, 4021)),
+    (tau_regen_check, _HALF, 6, [[1, 3], [2, 4, 5, 6]], Fraction(154, 30231)),
 ])
-def test_checks_see_perturbation_within_a_size_vector(check, params, n, dev):
-    # {1, 3} {2, 4, ...} follows {1, 2} {3, 4, ...}, which has the same
-    # sizes and keeps its mass: the checks must read each partition's own p
-    pi = canonicalize([[1, 3], [2, *range(4, n + 1)]])
-    law = exact_law(params, n).perturbed(pi, Fraction(1, 1000))
+def test_checks_see_perturbation(check, params, n, blocks, dev):
+    law = exact_law(params, n).perturbed(canonicalize(blocks), Fraction(1, 1000))
     assert check(params, n, law) == dev
 
 
