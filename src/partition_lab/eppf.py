@@ -19,6 +19,7 @@ are exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -189,19 +190,75 @@ def first_color_tail(params: ExtParams, n: int, m_cap: int) -> Scalar:
 
         sum_{r<n} C(m_cap + n - 1, r) E[W_1^{m_cap + n - 1 - r} (1 - W_1)^r].
 
-    Exact parameters give an exact value (cost grows with m_cap); float
-    parameters use log-gamma and support astronomically large caps.
+    Exact parameters give an exact value (cost grows with m_cap).  Float
+    parameters take the r = 0 term E[W_1^h] = (a)_h / (a + b)_h from one
+    log-gamma call, so astronomically large caps are cheap, and each later
+    term from its ratio (h - r)/(r + 1) * (b + r)/(a + h - r - 1) to the
+    one before; a r = 0 term below the normal range would carry too few
+    digits, so there each term gets its own log-gamma call.
     """
     if not (isinstance(n, int) and n >= 1 and isinstance(m_cap, int) and m_cap >= 0):
         raise ParameterError(f"need integers n >= 1, m_cap >= 0, got n={n}, m_cap={m_cap}")
     horizon = m_cap + n - 1
     law = stick_fraction_law(params, 1)
     if isinstance(law, BetaParams) and not (is_exact(law.a) and is_exact(law.b)):
-        a, b = float(law.a), float(law.b)  # C(h, r) = (h - r + 1)_r / (1)_r
-        return sum(_log_rising_ratio([(horizon - r + 1, r), (a, horizon - r), (b, r)],
-                                     [(1, r), (a + b, horizon)], ())
-                   for r in range(n))
+        a, b = float(law.a), float(law.b)
+        term = _log_rising_ratio([(a, horizon)], [(a + b, horizon)], ())
+        if term < sys.float_info.min:
+            # C(h, r) = (h - r + 1)_r / (1)_r
+            return sum(_log_rising_ratio([(horizon - r + 1, r), (a, horizon - r), (b, r)],
+                                         [(1, r), (a + b, horizon)], ())
+                       for r in range(n))
+        total = term
+        for r in range(n - 1):
+            term *= (horizon - r) / (r + 1) * (b + r) / (a + horizon - r - 1)
+            total += term
+        return total
     return sum(math.comb(horizon, r) * _stick_moment(law, horizon - r, r) for r in range(n))
+
+
+def _tail_bracket(params: ExtParams, n: int, M: int, t_M: Scalar) -> tuple[Scalar, Scalar] | None:
+    """Bounds (lo, hi) on the tail sum_{m >= M} t_m of derived_eppf's series.
+
+    n is the size of the kept composition and t_M the series' M-th term;
+    exact inputs give exact bounds.  Returns None while M is too small
+    for the comparison below to hold.
+
+    Two-parameter and negative-alpha kinds: with s = 1 + alpha + theta,
+    the term ratio rho(m) = (m + n - 1)(m - alpha) / (m (m + theta + n))
+    is compared with the ratio (m + x)/(m + x + s) of the telescoping
+    quotient u_m = Gamma(m + x) / Gamma(m + x + s), whose tail is
+    u_M (M + x + s - 1)/(s - 1).  Over the positive denominator
+    m (m + theta + n)(m + x + s), rho(m) minus that ratio is -f(m) with
+    f(m) = m (s (x - x0) + A) + A (x + s), x0 = n - 1 - alpha and
+    A = alpha (n - 1) (the m^2 terms cancel).  f is linear in m, so it
+    keeps one sign on m >= M when it does at m = M and in slope: f >= 0
+    (rho below the ratio, an upper bound) for x >= x_hi and f <= 0 (a
+    lower bound) for x <= x_lo, where x_lo, x_hi are the min and max of
+    x* = (M s x0 - A (M + s)) / (M s + A) and x0 - A/s.
+
+    Coupon kind (c colours): rho(m) = (m + n - 1)/(m c) decreases to
+    1/c, so the tail lies between the geometric sums t_M / (1 - 1/c) and
+    t_M / (1 - rho(M)).
+    """
+    if params.kind == COUPON:
+        c = params.m
+        rho = Fraction(M + n - 1, M * c)
+        if rho >= 1:
+            return None
+        return t_M / (1 - Fraction(1, c)), t_M / (1 - rho)
+    alpha, theta = params.alpha, params.theta
+    s = 1 + alpha + theta
+    x0, A = n - 1 - alpha, alpha * (n - 1)
+    if M * s + A <= 0:
+        return None
+    x_star = exact_div(M * s * x0 - A * (M + s), M * s + A)
+    x_lim = x0 - exact_div(A, s)
+    x_lo, x_hi = min(x_star, x_lim), max(x_star, x_lim)
+    if M + x_lo <= 0:
+        return None
+    return (t_M * exact_div(M + x_lo + s - 1, s - 1),
+            t_M * exact_div(M + x_hi + s - 1, s - 1))
 
 
 def derived_eppf(
@@ -219,13 +276,19 @@ def derived_eppf(
 
         t_{m+1}/t_m = (n_mu + m - 1)/m * (m - alpha)/(theta + n_mu + m)
 
-    and stops once the tail bound P(T_{n_mu} > m) drops below tol
-    (the tail decays like m^-(alpha+theta), so tol must be chosen with
-    the parameters in mind); ConvergenceError is raised at TERM_BUDGET.
+    (coupon kind with c colours: (n_mu + m - 1)/(m c)).  After each
+    block, _tail_bracket bounds the unsummed tail sum_{m >= M} t_m from
+    both sides by comparing this ratio with that of a telescoping gamma
+    quotient whose tail has a closed form (a geometric sum for coupon).
+    The sum stops once half the bracket's width is at most tol times the
+    partial sum and returns the partial sum plus the bracket's midpoint,
+    which is then within tol relative of the full series (up to float
+    rounding).  tol is relative; ConvergenceError is raised at
+    TERM_BUDGET terms.
 
     The closed-form counterpart is eppf at the shifted parameters
     (alpha, theta + alpha) (bounded ranges: m - 1), which the test
-    suite compares against.
+    suite compares against; the stopping rule does not use it.
     """
     mu = Composition.of(parts)
     if mu.k == 0:
@@ -235,7 +298,6 @@ def derived_eppf(
     n_mu = mu.n
     fparams = params.as_float()
     if params.kind == COUPON:
-        alpha, theta = 0.0, 0.0  # only the block-count prefactor differs
         inv_m = 1.0 / params.m
     else:
         alpha, theta = float(params.alpha), float(params.theta)
@@ -254,11 +316,13 @@ def derived_eppf(
         total += float(terms.sum())
         term = float(terms[-1] * ratios[-1])
         m += block
-        if term == 0.0:
+        if term == 0.0:  # every later float term is 0.0 too
             return total
-        # the series tail is bounded by the tail of the law of T
-        if first_color_tail(fparams, n_mu, m - 1) < tol:
-            return total
+        bracket = _tail_bracket(fparams, n_mu, m, term)
+        if bracket is not None:
+            lo, hi = bracket
+            if hi - lo <= 2 * tol * total:
+                return total + (lo + hi) / 2
         block = min(2 * block, 1 << 18)
     raise ConvergenceError(
         f"first-block sum did not reach tolerance {tol} within {TERM_BUDGET} terms"

@@ -221,26 +221,42 @@ def test_float_first_color_tail_matches_exact(params):
             assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, (n, cap)
 
 
-# series tolerance must respect the m**-(alpha+theta) tail, hence per-point tol
-DERIVED_TOL = {
-    (0, 1): 1e-6,
-    (0, 2): 1e-9,
-    (Fraction(1, 2), Fraction(1, 2)): 1e-6,
-    (Fraction(1, 3), Fraction(2, 3)): 1e-6,
-    (Fraction(2, 3), 0): 1e-4,
-}
+def test_float_first_color_tail_with_subnormal_first_term():
+    # E[W^h] is about 1e-320, below the normal range, while the sum is about 1e-289
+    params = ExtParams.two_param(Fraction(1, 2), Fraction(639, 2))
+    exact = first_color_tail(params, 20, 1000)
+    got = first_color_tail(params.as_float(), 20, 1000)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact
+
+
+DERIVED_CASES = [(params, mu, 1e-9) for params in GRID for mu in ((2,), (1, 1), (3, 1), (40,), (150,))]
+# the float workload's own case: float (1/2, 1/2) at (150,), summed to tol=1e-6
+DERIVED_CASES.append((ExtParams.two_param(0.5, 0.5), (150,), 1e-6))
+
+
+@pytest.mark.parametrize(("params", "mu", "tol"), DERIVED_CASES, ids=str)
+def test_derived_eppf_matches_shifted_parameters(params, mu, tol):
+    want = Fraction(eppf(params.shifted(), mu))
+    got = derived_eppf(params, mu, tol=tol)
+    assert abs(Fraction(got) - want) <= Fraction(tol) * want
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)
-@pytest.mark.parametrize("mu", [(2,), (1, 1), (3, 1)])
-def test_derived_eppf_matches_shifted_parameters(params, mu):
-    if params.kind == "two_param":
-        tol = DERIVED_TOL[(params.alpha, params.theta)]
-    else:
-        tol = 1e-9
-    got = derived_eppf(params, mu, tol=tol)
-    want = float(eppf(params.shifted(), mu))
-    assert got == pytest.approx(want, abs=20 * tol)
+@pytest.mark.parametrize("mu", [(2,), (3, 1), (40,)])
+def test_tail_bracket_holds_exact_tail(params, mu):
+    # the exact tail after t_1 ... t_{M-1} is the shifted eppf minus their sum
+    n = sum(mu)
+    tail = eppf(params.shifted(), mu)
+    for M in range(1, 65):
+        t_M = math.comb(M + n - 2, M - 1) * eppf(params, (M,) + mu)
+        if M in (1, 2, 5, 17, 64):
+            bracket = eppf_module._tail_bracket(params, n, M, t_M)
+            if M >= 17:
+                assert bracket is not None, M
+            if bracket is not None:
+                lo, hi = bracket
+                assert lo <= tail <= hi, (M, lo, tail, hi)
+        tail -= t_M
 
 
 def test_derived_eppf_respects_block_bound():
@@ -249,10 +265,10 @@ def test_derived_eppf_respects_block_bound():
 
 
 def test_derived_eppf_raises_when_tolerance_unreachable(monkeypatch):
-    # alpha + theta = 1 decays like 1/m; 1e-9 is past the term budget
-    monkeypatch.setattr(eppf_module, "TERM_BUDGET", 100_000)
+    # (40,) needs more than one block of 1,024 terms to bracket its tail to 1e-9
+    monkeypatch.setattr(eppf_module, "TERM_BUDGET", 1024)
     with pytest.raises(ConvergenceError):
-        derived_eppf(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), (2,))
+        derived_eppf(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), (40,))
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)
