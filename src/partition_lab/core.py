@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -570,6 +571,12 @@ def check_eps(eps: float) -> None:
     """Reject a truncation level outside (0, 1)."""
     if not (0 < eps < 1):
         raise ParameterError(f"need 0 < eps < 1, got {eps}")
+
+
+def check_size(name: str, value: int, least: int) -> None:
+    """Reject a size that is not an integer >= least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ParameterError(f"need {name} >= {least}, got {value}")
 
 
 def break_sticks(

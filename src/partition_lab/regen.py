@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     TWO_PARAM,
     ConvergenceError,
@@ -36,6 +37,7 @@ from .core import (
     break_sticks,
     canonicalize,
     check_eps,
+    check_size,
     delete_block,
     exact_div,
     is_exact,
@@ -45,15 +47,14 @@ from .core import (
     scalar_from_json,
 )
 from .deletion import DecrementMatrix
-from .samplers import RngHandle, _paint, xi_order
+from .samplers import RngHandle, _paint, crp_sample, xi_order
 
 ALPHA_THETA = "alpha_theta"
 FINITE_ATOMS = "finite_atoms"
 
 JUMP_BUDGET = 10_000_000  # compound_poisson_set jumps before giving up
-BULK_BATCH = 1024  # leftmost_deletion_counts replicates per stick matrix
-BULK_STICKS = 16384  # _gem_lengths_matrix columns at most
-BULK_TAIL_FRAC = 0.01  # share of rows a stick matrix may leave above eps
+BULK_BATCH = 1024  # leftmost_deletion_counts replicates per batch
+BULK_STICKS = 16384  # sticks _cover_points breaks before completing a row from its tail
 
 
 @dataclass(frozen=True)
@@ -453,57 +454,60 @@ def leftmost_delete(iv: IntervalSet, n: int, rng: RngHandle) -> tuple[int, SetPa
     return len(groups[leftmost_key]), delete_block(pi, j)
 
 
-def _gem_lengths_matrix(
-    params: ExtParams,
-    count: int,
-    eps: float,
-    rng: RngHandle,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(count, K) stick lengths per row, zero-padded, plus counts and residuals.
+def _cover_points(params: ExtParams, pts: np.ndarray, rng: RngHandle) -> np.ndarray:
+    """1-based GEM(alpha, theta) stick of every point in pts, one row per replicate.
 
-    Rows stop once their residual drops to eps.  For alpha > 0 the
-    residual only decays polynomially and its row-to-row spread is wide,
-    so insisting on eps everywhere would let a few stragglers blow up
-    the matrix width; the loop therefore also stops once at most a
-    BULK_TAIL_FRAC share of rows remains above eps, or at BULK_STICKS
-    columns, and those rows keep their larger residual (the caller's
-    pseudo-tail absorbs it).
+    Stick k of a row covers [1 - R_{k-1}, 1 - R_k), where R_k is the
+    residual after k sticks.  Sticks are broken in column rounds of
+    doubling width, W_k ~ beta(1 - alpha, theta + k alpha) for the rows
+    still running, and a row stops once R_K < 1 - max u, so the sticks
+    beyond K never matter to its points.  Each round holds only its live
+    rows, at most 2^20 fractions, so a straggler costs one row, not a
+    whole batch.
 
-    Fractions are drawn in column blocks, W_j ~ beta(1 - alpha,
-    theta + j alpha) broadcast over the rows still running, so the
-    python-level iteration count stays logarithmic in the final width.
+    For alpha > 0, a row still uncovered after BULK_STICKS sticks is
+    completed exactly: its uncovered points are uniform on the tail,
+    whose frequencies are GEM(alpha, theta + K alpha), so crp_sample at
+    those parameters partitions them and each tail block gets a fresh
+    stick label K + 1, K + 2, ....  For alpha = 0 the residual decays
+    geometrically; rows keep breaking up to core.STICK_BUDGET sticks and
+    raise ConvergenceError past it.
     """
     if params.kind != TWO_PARAM:
-        raise ParameterError("stick length matrix needs two_param frequencies")
+        raise ParameterError("stick covering needs two_param frequencies")
     alpha, theta = float(params.alpha), float(params.theta)
-    rem = np.ones(count)
-    ks = np.zeros(count, dtype=np.int64)
-    live = np.arange(count)
-    chunks = []
-    j = 1
-    width = 64
-    while live.size > BULK_TAIL_FRAC * count and j <= BULK_STICKS:
-        width = min(width, BULK_STICKS - j + 1)
+    col = np.zeros(pts.shape, dtype=np.int64)  # 0 until the point's stick is broken
+    rem = np.ones(pts.shape[0])
+    live = np.arange(pts.shape[0])
+    limit = BULK_STICKS if alpha > 0 else core.STICK_BUDGET
+    j, width = 1, 16
+    while live.size:
+        if j > limit:
+            if alpha == 0:
+                raise ConvergenceError(f"stick budget {limit} exhausted with points uncovered")
+            tail = ExtParams.two_param(alpha, theta + limit * alpha)
+            for i in live:
+                uncovered = col[i] == 0
+                word = crp_sample(tail, int(uncovered.sum()), rng).assignment_word()
+                col[i, uncovered] = limit + np.asarray(word)
+            break
+        width = min(width, limit - j + 1, max(1, (1 << 20) // live.size))
         b_cols = theta + alpha * np.arange(j, j + width, dtype=float)
         flat_b = np.broadcast_to(b_cols, (live.size, width)).ravel()
         w = rng.beta(1.0 - alpha, flat_b, size=flat_b.size).reshape(live.size, width)
-        bar = np.cumprod(1.0 - w, axis=1)
-        lens = rem[live, None] * w
-        lens[:, 1:] *= bar[:, :-1]
-        row_rem = rem[live, None] * bar
-        hit = row_rem <= eps
-        done = hit.any(axis=1)
-        stop = np.where(done, hit.argmax(axis=1), width - 1)
-        lens[np.arange(width)[None, :] > stop[:, None]] = 0.0
-        chunk = np.zeros((count, width))
-        chunk[live] = lens
-        chunks.append(chunk)
-        rem[live] = row_rem[np.arange(live.size), stop]
-        ks[live] = j + stop
-        live = live[~done]
+        res = rem[live, None] * np.cumprod(1.0 - w, axis=1)
+        offs = 2.0 * np.arange(live.size)[:, None]
+        idx = np.searchsorted((1.0 - res + offs).ravel(), (pts[live] + offs).ravel(), side="right")
+        idx = idx.reshape(live.size, -1) - width * np.arange(live.size)[:, None]
+        c = col[live]
+        hit = (c == 0) & (idx < width)
+        c[hit] = j + idx[hit]
+        col[live] = c
+        rem[live] = res[:, -1]
+        live = live[(c == 0).any(axis=1)]
         j += width
-        width = min(2 * width, 1024)
-    return np.concatenate(chunks, axis=1), ks, rem
+        width *= 2
+    return col
 
 
 def leftmost_deletion_counts(
@@ -515,54 +519,51 @@ def leftmost_deletion_counts(
 ) -> np.ndarray:
     """Monte Carlo law of the leftmost-deleted block size, vectorized.
 
-    Builds GEM(alpha, theta) stick lengths, arranges them by the
-    xi = theta/alpha order, paints n uniform points and deletes the
-    leftmost occupied component; entry m of the returned array counts
-    replicates whose deleted block had size m.  Supported arrangements
-    are the exchangeable cases xi in {0, 1, inf}; other xi need the
-    object path (ordered_arrangement + leftmost_delete).
+    Paints n uniform points per replicate, breaks GEM(alpha, theta)
+    sticks only until they cover the points (_cover_points), arranges
+    the sticks by the xi = theta/alpha order and deletes the leftmost
+    occupied stick; entry m of the returned array counts replicates
+    whose deleted block had size m.  Supported arrangements are the
+    exchangeable cases xi in {0, 1, inf}; other xi need the object path
+    (ordered_arrangement + leftmost_delete).
 
-    The deleted size only depends on which occupied component the
-    arrangement puts first, so instead of sorting the whole stick
-    matrix each component gets an arrangement key and the minimum key
-    over occupied components decides: for xi = 1 keys are iid uniform
-    (the order is exchangeable), xi = 0 additionally forces stick 1
-    after everything else, and xi = inf uses appearance order itself.
+    The deleted size only depends on which occupied stick the
+    arrangement puts first, so each occupied stick gets an arrangement
+    key and the minimum key decides.  For xi = 1 each point draws a
+    uniform key and each stick takes the key of its first point, which
+    gives i.i.d. uniform keys over the occupied sticks; xi = 0
+    additionally forces stick 1 after everything else, and xi = inf
+    uses the stick index itself.
 
-    For finite xi the mass beyond the truncation horizon is kept as one
-    pseudo-component with its own key, since the true tail sticks would
-    be interleaved, not rightmost; merging them only misgroups
-    replicates with two or more points in the tail, an O((n*eps)^2)
-    bias.  For xi = inf the appearance order really does place the tail
-    rightmost, so the terminal gap is exact there.
+    The result is exact: no stick beyond the points matters, and rows
+    still uncovered at BULK_STICKS sticks are completed from the tail's
+    EPPF.  eps is validated for compatibility but no longer used.
     """
     if params.kind != TWO_PARAM:
         raise ParameterError("bulk deletion harness needs two_param frequencies")
     xi = params.xi()
     if not (math.isinf(xi) or xi == 0 or xi == 1):
         raise ParameterError(f"bulk harness supports xi in {{0, 1, inf}}, got {xi}")
+    check_size("n", n, 1)
+    check_size("count", count, 0)
     check_eps(eps)
     counts = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, count, BULK_BATCH):
         b = min(BULK_BATCH, count - start)
-        lengths, ks, rem = _gem_lengths_matrix(params, b, eps, rng)
-        kc = lengths.shape[1]
-        bounds = np.cumsum(lengths, axis=1)
         pts = rng.random(b * n).reshape(b, n)
-        offs = 2.0 * np.arange(b)[:, None]
-        gidx = np.searchsorted((bounds + offs).ravel(), (pts + offs).ravel(), side="left")
-        col = gidx.reshape(b, n) - kc * np.arange(b)[:, None]  # col kc = tail
-        rows = np.arange(b)
+        col = _cover_points(params, pts, rng)
         if math.isinf(xi):
-            key = col.astype(float)
+            win = col.min(axis=1)
         else:
-            keys = rng.random(b * (kc + 1)).reshape(b, kc + 1)
+            key = rng.random(b * n).reshape(b, n)
             if xi == 0:
-                keys[:, 0] = 1.5  # stick 1 goes after every uniform key
-            key = keys[rows[:, None], col]
-        win = col[rows, np.argmin(key, axis=1)]
+                key[col == 1] = 1.5  # stick 1 goes after every uniform key
+            order = np.argsort(col, axis=1, kind="stable")
+            sticks = np.take_along_axis(col, order, axis=1)
+            first = np.ones(sticks.shape, dtype=bool)  # a stick's first point, by stable sort
+            first[:, 1:] = sticks[:, 1:] != sticks[:, :-1]
+            key = np.where(first, np.take_along_axis(key, order, axis=1), np.inf)
+            win = sticks[np.arange(b), np.argmin(key, axis=1)]
         m = (col == win[:, None]).sum(axis=1)
-        if math.isinf(xi):
-            m[win == kc] = 1
-        counts += np.bincount(m, minlength=n + 1)[: n + 1]
+        counts += np.bincount(m, minlength=n + 1)
     return counts

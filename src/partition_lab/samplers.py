@@ -51,6 +51,7 @@ from .core import (
     all_exact,
     break_sticks,
     check_eps,
+    check_size,
     exact_div,
     partition_from_assignment,
     canonicalize,
@@ -278,6 +279,8 @@ def crp_assignments(params: ExtParams, n: int, count: int, rng: RngHandle) -> np
     Labels are 0-based; row-wise they form the same law as
     crp_sample(params, n, ...).assignment_word() minus 1.
     """
+    check_size("n", n, 1)
+    check_size("count", count, 0)
     if params.kind == COUPON:
         alpha = theta = None
     else:
@@ -334,6 +337,8 @@ def gem_sample(
 
 def stick_fraction_matrix(params: ExtParams, k: int, count: int, rng: RngHandle) -> np.ndarray:
     """(count, k) i.i.d. rows of the first k stick fractions (vectorized)."""
+    check_size("k", k, 1)
+    check_size("count", count, 0)
     out = np.empty((count, k))
     for i in range(1, k + 1):
         law = stick_fraction_law(params, i)
@@ -520,6 +525,10 @@ def xi_order(k: int, xi: Scalar, rng: RngHandle) -> XiOrder:
 
 def xi_arrangements(k: int, xi: Scalar, count: int, rng: RngHandle) -> np.ndarray:
     """Vectorized xi_order: (count, k) arrangements, elements 1..k."""
+    check_size("k", k, 1)
+    check_size("count", count, 0)
+    if not (xi >= 0):
+        raise ParameterError(f"need xi >= 0, got {xi}")
     if math.isinf(xi):
         return np.tile(np.arange(1, k + 1), (count, 1))
     xif = float(xi)
@@ -540,6 +549,7 @@ def xi_arrangements(k: int, xi: Scalar, count: int, rng: RngHandle) -> np.ndarra
 
 def size_biased_perms(x: Sequence[float], count: int, rng: RngHandle) -> np.ndarray:
     """Vectorized size-biased permutations of indices 1..k under weights x."""
+    check_size("count", count, 0)
     k = len(x)
     w0 = np.asarray([float(v) for v in x])
     if (w0 <= 0).any():

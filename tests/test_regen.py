@@ -23,7 +23,6 @@ from partition_lab.regen import (
     ScaledBeta,
     SubordinatorPath,
     _alpha_zero_lengths,
-    _gem_lengths_matrix,
     compound_poisson_set,
     crossbreed_set,
     decrement_from_phi,
@@ -234,6 +233,9 @@ def test_every_stick_loop_has_the_budget(monkeypatch, capsys):
         stick_breaking_set(1.0, 1e-9, RngHandle(1))
     with pytest.raises(ConvergenceError, match="stick budget 10 exhausted"):
         crossbreed_set(0.5, 0.5, 1e-9, RngHandle(1))
+    with pytest.raises(ConvergenceError, match="stick budget 10 exhausted"):
+        # xi = inf rows have no tail completion; about 1% of them need an 11th stick
+        leftmost_deletion_counts(ExtParams.two_param(0, 1), 10, 1024, 1e-3, RngHandle(1))
     argv = ["regen-set", "--model", "stick", "--theta", "1", "--eps", "1e-9", "--seed", "1"]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
@@ -317,20 +319,60 @@ def test_leftmost_delete_law_matches_decrement_row():
 # ---------------------------------------------------------------------------
 # leftmost deletion, bulk harness
 
-def test_gem_lengths_matrix_invariants(monkeypatch):
-    monkeypatch.setattr(regen, "BULK_STICKS", 16384)
-    lengths, ks, rem = _gem_lengths_matrix(
-        ExtParams.two_param(Fraction(1, 3), 0), 500, 1e-4, RngHandle(12)
-    )
-    np.testing.assert_allclose(lengths.sum(axis=1) + rem, 1.0, atol=1e-12)
-    assert (lengths >= 0).all()
-    for i in range(500):
-        assert (lengths[i, ks[i] :] == 0).all()
-        assert lengths[i, ks[i] - 1] > 0
-    # straggler cap: at most 1% of rows may stop above eps
-    assert (rem > 1e-4).mean() <= 0.01
+def test_cover_points_invariants():
+    # replay the recorded stick fractions round by round with an explicit cumulative sum
+    params = ExtParams.two_param(Fraction(1, 2), 0)  # 8 rounds, rows up to ~3,000 sticks
+    rows, n = 300, 6
+    pts = RngHandle(11).random(rows * n).reshape(rows, n)
+    rounds = []
+
+    class Recorder(RngHandle):
+        def beta(self, a, b, size=None):
+            w = super().beta(a, b, size)
+            rounds.append((np.asarray(b), w))
+            return w
+
+    col = regen._cover_points(params, pts, Recorder(12))
+    bounds = [[0.0] for _ in range(rows)]  # stick k of row i is [bounds[i][k-1], bounds[i][k])
+    rem = [1.0] * rows
+    live = list(range(rows))
+    for b_flat, w in rounds:
+        # exactly the rows not yet covered draw, each the same columns
+        assert live and b_flat.size % len(live) == 0
+        b_rows = b_flat.reshape(len(live), -1)
+        assert (b_rows == b_rows[0]).all()
+        for i, ws in zip(live, w.reshape(b_rows.shape)):
+            for x in ws:
+                bounds[i].append(bounds[i][-1] + rem[i] * x)
+                rem[i] *= 1.0 - x
+        live = [i for i in live if bounds[i][-1] <= pts[i].max()]
+    assert not live and len(rounds) > 3
+    for i in range(rows):
+        for u, k in zip(pts[i], col[i]):
+            assert 1 <= k < len(bounds[i])
+            # the routine forms 1 - R_k, not the sum: allow rounding at the ends
+            assert bounds[i][k - 1] - 1e-12 <= u < bounds[i][k] + 1e-12
     with pytest.raises(ParameterError):
-        _gem_lengths_matrix(ExtParams.coupon(3), 10, 1e-4, RngHandle(0))
+        regen._cover_points(ExtParams.coupon(3), pts, RngHandle(0))
+
+
+@pytest.mark.parametrize(
+    ("alpha", "theta"),
+    [
+        (Fraction(1, 2), Fraction(1, 2)),  # xi = 1
+        (Fraction(1, 2), 0),  # xi = 0
+    ],
+)
+def test_bulk_tail_completion_is_exact(monkeypatch, alpha, theta):
+    # with 4 sticks most rows finish through the crp_sample tail
+    monkeypatch.setattr(regen, "BULK_STICKS", 4)
+    params = ExtParams.two_param(alpha, theta)
+    counts = leftmost_deletion_counts(params, 10, 20_000, 1e-3, RngHandle(61))
+    row = [float(x) for x in decrement_matrix(params, 10).row(10)]
+    stat, dof, pval = chi_square(counts[1:], row)
+    assert pval > 1e-3
+    again = leftmost_deletion_counts(params, 10, 20_000, 1e-3, RngHandle(61))
+    assert (again == counts).all()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partition_lab import core, samplers
+from partition_lab import core, regen, samplers
 from partition_lab.core import (
     ConvergenceError,
     ExtParams,
@@ -279,6 +279,36 @@ def test_gem_sample_truncation_contract(monkeypatch):
     for eps in (0.0, 1.0):
         with pytest.raises(ParameterError):
             gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=eps)
+
+
+HH = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
+SIZE_CALLS = {
+    "leftmost n=0": lambda r: regen.leftmost_deletion_counts(HH, 0, 10, 1e-3, r),
+    "leftmost n=-1": lambda r: regen.leftmost_deletion_counts(HH, -1, 10, 1e-3, r),
+    "leftmost count=-5": lambda r: regen.leftmost_deletion_counts(HH, 5, -5, 1e-3, r),
+    "crp n=0": lambda r: crp_assignments(HH, 0, 10, r),
+    "crp count=-1": lambda r: crp_assignments(HH, 4, -1, r),
+    "perms count=-1": lambda r: size_biased_perms([0.5, 0.5], -1, r),
+    "xi k=0": lambda r: xi_arrangements(0, 1, 10, r),
+    "xi count=-1": lambda r: xi_arrangements(3, 1, -1, r),
+    "xi xi=-1": lambda r: xi_arrangements(3, -1, 10, r),
+    "xi xi=nan": lambda r: xi_arrangements(3, math.nan, 10, r),
+    "fractions count=-1": lambda r: stick_fraction_matrix(HH, 3, -1, r),
+}
+
+
+@pytest.mark.parametrize("label", SIZE_CALLS)
+def test_vectorized_samplers_reject_bad_sizes(label):
+    with pytest.raises(ParameterError, match=r"need (n|k|count|xi) >= [01], got"):
+        SIZE_CALLS[label](RngHandle(0))
+
+
+def test_vectorized_samplers_allow_zero_count():
+    assert (regen.leftmost_deletion_counts(HH, 5, 0, 1e-3, RngHandle(0)) == 0).all()
+    assert crp_assignments(HH, 4, 0, RngHandle(0)).shape == (0, 4)
+    assert xi_arrangements(3, 1, 0, RngHandle(0)).shape == (0, 3)
+    assert stick_fraction_matrix(HH, 3, 0, RngHandle(0)).shape == (0, 3)
+    assert size_biased_perms([0.5, 0.5], 0, RngHandle(0)).shape == (0, 2)
 
 
 def test_stick_fraction_matrix_moments():
