@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import core
 from .core import (
     TWO_PARAM,
     ConvergenceError,
@@ -47,14 +46,14 @@ from .core import (
     scalar_from_json,
 )
 from .deletion import DecrementMatrix
-from .samplers import RngHandle, _paint, crp_sample, xi_order
+from .samplers import RngHandle, _paint, crp_assignments, xi_order
 
 ALPHA_THETA = "alpha_theta"
 FINITE_ATOMS = "finite_atoms"
 
 JUMP_BUDGET = 10_000_000  # compound_poisson_set jumps before giving up
 BULK_BATCH = 1024  # leftmost_deletion_counts replicates per batch
-BULK_STICKS = 16384  # sticks _cover_points breaks before completing a row from its tail
+BULK_STICKS = 16  # sticks _cover_points breaks per row before the CRP tail
 
 
 @dataclass(frozen=True)
@@ -458,55 +457,34 @@ def _cover_points(params: ExtParams, pts: np.ndarray, rng: RngHandle) -> np.ndar
     """1-based GEM(alpha, theta) stick of every point in pts, one row per replicate.
 
     Stick k of a row covers [1 - R_{k-1}, 1 - R_k), where R_k is the
-    residual after k sticks.  Sticks are broken in column rounds of
-    doubling width, W_k ~ beta(1 - alpha, theta + k alpha) for the rows
-    still running, and a row stops once R_K < 1 - max u, so the sticks
-    beyond K never matter to its points.  Each round holds only its live
-    rows, at most 2^20 fractions, so a straggler costs one row, not a
-    whole batch.
+    residual after k sticks.  Every row breaks the same K = BULK_STICKS
+    sticks, W_k ~ beta(1 - alpha, theta + k alpha), in one beta call, and
+    a point's label is 1 + the number of right ends 1 - R_k at or below it.
 
-    For alpha > 0, a row still uncovered after BULK_STICKS sticks is
-    completed exactly: its uncovered points are uniform on the tail,
-    whose frequencies are GEM(alpha, theta + K alpha), so crp_sample at
-    those parameters partitions them and each tail block gets a fresh
-    stick label K + 1, K + 2, ....  For alpha = 0 the residual decays
-    geometrically; rows keep breaking up to core.STICK_BUDGET sticks and
-    raise ConvergenceError past it.
+    Points past stick K are uniform on the tail, whose frequencies are
+    GEM(alpha, theta + K alpha), so they are partitioned exactly by one
+    crp_assignments call at those parameters for all rows that have
+    any; by the CRP's consistency a row with m tail points reads the
+    first m columns.  Tail blocks get the labels K + 1, K + 2, ... in
+    order of appearance, so labels never exceed K + n.
     """
     if params.kind != TWO_PARAM:
         raise ParameterError("stick covering needs two_param frequencies")
     alpha, theta = float(params.alpha), float(params.theta)
-    col = np.zeros(pts.shape, dtype=np.int64)  # 0 until the point's stick is broken
-    rem = np.ones(pts.shape[0])
-    live = np.arange(pts.shape[0])
-    limit = BULK_STICKS if alpha > 0 else core.STICK_BUDGET
-    j, width = 1, 16
-    while live.size:
-        if j > limit:
-            if alpha == 0:
-                raise ConvergenceError(f"stick budget {limit} exhausted with points uncovered")
-            tail = ExtParams.two_param(alpha, theta + limit * alpha)
-            for i in live:
-                uncovered = col[i] == 0
-                word = crp_sample(tail, int(uncovered.sum()), rng).assignment_word()
-                col[i, uncovered] = limit + np.asarray(word)
-            break
-        width = min(width, limit - j + 1, max(1, (1 << 20) // live.size))
-        b_cols = theta + alpha * np.arange(j, j + width, dtype=float)
-        flat_b = np.broadcast_to(b_cols, (live.size, width)).ravel()
-        w = rng.beta(1.0 - alpha, flat_b, size=flat_b.size).reshape(live.size, width)
-        res = rem[live, None] * np.cumprod(1.0 - w, axis=1)
-        offs = 2.0 * np.arange(live.size)[:, None]
-        idx = np.searchsorted((1.0 - res + offs).ravel(), (pts[live] + offs).ravel(), side="right")
-        idx = idx.reshape(live.size, -1) - width * np.arange(live.size)[:, None]
-        c = col[live]
-        hit = (c == 0) & (idx < width)
-        c[hit] = j + idx[hit]
-        col[live] = c
-        rem[live] = res[:, -1]
-        live = live[(c == 0).any(axis=1)]
-        j += width
-        width *= 2
+    b, K = pts.shape[0], BULK_STICKS
+    shape = np.tile(theta + alpha * np.arange(1, K + 1, dtype=float), b)
+    w = rng.beta(1.0 - alpha, shape, size=b * K).reshape(b, K)
+    right_ends = 1.0 - np.cumprod(1.0 - w, axis=1)
+    col = 1 + (pts[:, :, None] >= right_ends[:, None, :]).sum(axis=2)
+    tail = col > K
+    m = tail.sum(axis=1)
+    if m.any():
+        tail_params = ExtParams.two_param(alpha, theta + K * alpha)
+        word = crp_assignments(tail_params, int(m.max()), int((m > 0).sum()), rng)
+        rows, cols = np.nonzero(tail)  # row-major, so in order of appearance
+        slot = np.cumsum(m > 0)[rows] - 1
+        rank = np.cumsum(tail, axis=1)[rows, cols] - 1
+        col[rows, cols] = K + 1 + word[slot, rank]
     return col
 
 
@@ -519,25 +497,25 @@ def leftmost_deletion_counts(
 ) -> np.ndarray:
     """Monte Carlo law of the leftmost-deleted block size, vectorized.
 
-    Paints n uniform points per replicate, breaks GEM(alpha, theta)
-    sticks only until they cover the points (_cover_points), arranges
-    the sticks by the xi = theta/alpha order and deletes the leftmost
-    occupied stick; entry m of the returned array counts replicates
-    whose deleted block had size m.  Supported arrangements are the
-    exchangeable cases xi in {0, 1, inf}; other xi need the object path
+    Paints n uniform points per replicate, locates them on GEM(alpha,
+    theta) sticks (_cover_points), arranges the sticks by the
+    xi = theta/alpha order and deletes the leftmost occupied stick;
+    entry m of the returned array counts replicates whose deleted block
+    had size m.  Supported arrangements are the exchangeable cases
+    xi in {0, 1, inf}; other xi need the object path
     (ordered_arrangement + leftmost_delete).
 
     The deleted size only depends on which occupied stick the
-    arrangement puts first, so each occupied stick gets an arrangement
-    key and the minimum key decides.  For xi = 1 each point draws a
-    uniform key and each stick takes the key of its first point, which
-    gives i.i.d. uniform keys over the occupied sticks; xi = 0
-    additionally forces stick 1 after everything else, and xi = inf
-    uses the stick index itself.
+    arrangement puts first.  For xi = 1 every stick label draws an
+    i.i.d. uniform key and the point with the smallest key decides;
+    xi = 0 additionally forces stick 1 after everything else.  For
+    xi = inf (alpha = 0) the smallest label decides: a covered stick
+    whenever any point is covered, and otherwise the block of the first
+    tail point, a size-biased pick, which has the law of the leftmost
+    occupied stick of a GEM(0, theta) tail.
 
-    The result is exact: no stick beyond the points matters, and rows
-    still uncovered at BULK_STICKS sticks are completed from the tail's
-    EPPF.  eps is validated for compatibility but no longer used.
+    The result is exact, with no truncation.  eps is validated for
+    compatibility but not used.
     """
     if params.kind != TWO_PARAM:
         raise ParameterError("bulk deletion harness needs two_param frequencies")
@@ -555,15 +533,12 @@ def leftmost_deletion_counts(
         if math.isinf(xi):
             win = col.min(axis=1)
         else:
-            key = rng.random(b * n).reshape(b, n)
+            labels = BULK_STICKS + n + 1
+            key = rng.random(b * labels).reshape(b, labels)
             if xi == 0:
-                key[col == 1] = 1.5  # stick 1 goes after every uniform key
-            order = np.argsort(col, axis=1, kind="stable")
-            sticks = np.take_along_axis(col, order, axis=1)
-            first = np.ones(sticks.shape, dtype=bool)  # a stick's first point, by stable sort
-            first[:, 1:] = sticks[:, 1:] != sticks[:, :-1]
-            key = np.where(first, np.take_along_axis(key, order, axis=1), np.inf)
-            win = sticks[np.arange(b), np.argmin(key, axis=1)]
+                key[:, 1] = 1.5  # stick 1 goes after every uniform key
+            pick = np.argmin(np.take_along_axis(key, col, axis=1), axis=1)
+            win = col[np.arange(b), pick]
         m = (col == win[:, None]).sum(axis=1)
         counts += np.bincount(m, minlength=n + 1)
     return counts

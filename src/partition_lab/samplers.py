@@ -550,6 +550,7 @@ def xi_arrangements(k: int, xi: Scalar, count: int, rng: RngHandle) -> np.ndarra
 def size_biased_perms(x: Sequence[float], count: int, rng: RngHandle) -> np.ndarray:
     """Vectorized size-biased permutations of indices 1..k under weights x."""
     check_size("count", count, 0)
+    _check_weights(x)
     k = len(x)
     w0 = np.asarray([float(v) for v in x])
     if (w0 <= 0).any():

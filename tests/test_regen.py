@@ -233,9 +233,6 @@ def test_every_stick_loop_has_the_budget(monkeypatch, capsys):
         stick_breaking_set(1.0, 1e-9, RngHandle(1))
     with pytest.raises(ConvergenceError, match="stick budget 10 exhausted"):
         crossbreed_set(0.5, 0.5, 1e-9, RngHandle(1))
-    with pytest.raises(ConvergenceError, match="stick budget 10 exhausted"):
-        # xi = inf rows have no tail completion; about 1% of them need an 11th stick
-        leftmost_deletion_counts(ExtParams.two_param(0, 1), 10, 1024, 1e-3, RngHandle(1))
     argv = ["regen-set", "--model", "stick", "--theta", "1", "--eps", "1e-9", "--seed", "1"]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
@@ -320,52 +317,56 @@ def test_leftmost_delete_law_matches_decrement_row():
 # leftmost deletion, bulk harness
 
 def test_cover_points_invariants():
-    # replay the recorded stick fractions round by round with an explicit cumulative sum
-    params = ExtParams.two_param(Fraction(1, 2), 0)  # 8 rounds, rows up to ~3,000 sticks
-    rows, n = 300, 6
+    # check every label against an explicit cumulative sum of the recorded stick fractions
+    params = ExtParams.two_param(Fraction(1, 2), 0)  # about 5% of the points pass 16 sticks
+    rows, n, K = 300, 6, regen.BULK_STICKS
     pts = RngHandle(11).random(rows * n).reshape(rows, n)
-    rounds = []
+    calls = []
 
     class Recorder(RngHandle):
         def beta(self, a, b, size=None):
             w = super().beta(a, b, size)
-            rounds.append((np.asarray(b), w))
+            calls.append((a, np.asarray(b), size, w))
             return w
 
     col = regen._cover_points(params, pts, Recorder(12))
-    bounds = [[0.0] for _ in range(rows)]  # stick k of row i is [bounds[i][k-1], bounds[i][k])
-    rem = [1.0] * rows
-    live = list(range(rows))
-    for b_flat, w in rounds:
-        # exactly the rows not yet covered draw, each the same columns
-        assert live and b_flat.size % len(live) == 0
-        b_rows = b_flat.reshape(len(live), -1)
-        assert (b_rows == b_rows[0]).all()
-        for i, ws in zip(live, w.reshape(b_rows.shape)):
-            for x in ws:
-                bounds[i].append(bounds[i][-1] + rem[i] * x)
-                rem[i] *= 1.0 - x
-        live = [i for i in live if bounds[i][-1] <= pts[i].max()]
-    assert not live and len(rounds) > 3
-    for i in range(rows):
+    assert len(calls) == 1
+    a, shapes, size, w = calls[0]
+    assert a == 0.5 and size == rows * K
+    assert (shapes == np.tile(0.5 * np.arange(1, K + 1), rows)).all()
+    tails = 0
+    for i, ws in enumerate(w.reshape(rows, K)):
+        bounds, rem = [0.0], 1.0  # stick k of row i is [bounds[k-1], bounds[k])
+        for x in ws:
+            bounds.append(bounds[-1] + rem * x)
+            rem *= 1.0 - x
+        seen = K
         for u, k in zip(pts[i], col[i]):
-            assert 1 <= k < len(bounds[i])
             # the routine forms 1 - R_k, not the sum: allow rounding at the ends
-            assert bounds[i][k - 1] - 1e-12 <= u < bounds[i][k] + 1e-12
+            if k <= K:
+                assert 1 <= k and bounds[k - 1] - 1e-12 <= u < bounds[k] + 1e-12
+            else:
+                assert u >= bounds[K] - 1e-12
+                assert k <= seen + 1  # tail labels appear as K + 1, K + 2, ...
+                seen = max(seen, k)
+                tails += 1
+    assert 0 < tails < rows * n
     with pytest.raises(ParameterError):
         regen._cover_points(ExtParams.coupon(3), pts, RngHandle(0))
 
 
+@pytest.mark.parametrize("sticks", [1, 4])
 @pytest.mark.parametrize(
     ("alpha", "theta"),
     [
         (Fraction(1, 2), Fraction(1, 2)),  # xi = 1
         (Fraction(1, 2), 0),  # xi = 0
+        (0, 1),  # xi = inf
     ],
 )
-def test_bulk_tail_completion_is_exact(monkeypatch, alpha, theta):
-    # with 4 sticks most rows finish through the crp_sample tail
-    monkeypatch.setattr(regen, "BULK_STICKS", 4)
+def test_bulk_tail_completion_is_exact(monkeypatch, alpha, theta, sticks):
+    # with 1 or 4 sticks many rows reach the crp_assignments tail
+    monkeypatch.setattr(regen, "BULK_STICKS", sticks)
     params = ExtParams.two_param(alpha, theta)
     counts = leftmost_deletion_counts(params, 10, 20_000, 1e-3, RngHandle(61))
     row = [float(x) for x in decrement_matrix(params, 10).row(10)]

@@ -303,6 +303,11 @@ def test_vectorized_samplers_reject_bad_sizes(label):
         SIZE_CALLS[label](RngHandle(0))
 
 
+def test_size_biased_perms_rejects_empty_weights():
+    with pytest.raises(ParameterError, match="need at least one weight"):
+        size_biased_perms([], 3, RngHandle(0))
+
+
 def test_vectorized_samplers_allow_zero_count():
     assert (regen.leftmost_deletion_counts(HH, 5, 0, 1e-3, RngHandle(0)) == 0).all()
     assert crp_assignments(HH, 4, 0, RngHandle(0)).shape == (0, 4)
