@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partition_lab import core, regen, samplers
+from partition_lab import cli, core, regen, samplers
 from partition_lab.core import (
     ConvergenceError,
     ExtParams,
@@ -279,6 +279,68 @@ def test_gem_sample_truncation_contract(monkeypatch):
     for eps in (0.0, 1.0):
         with pytest.raises(ParameterError):
             gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=eps)
+
+
+# sha256 of dumps((rf.to_json(), fv.to_json())) for seeds 1, 2, 3, recorded
+# from the per-stick stick_fraction_law implementation
+GEM_GOLDEN = {
+    "1/2,1/2 eps=1e-3": (ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 1e-3, (
+        "fd654f7c1cf3479e571fa17280b5e34b5a941a544211416eb911726dbc8377c7",
+        "688f25f34f984d4cffa1c4fa38e3f473508539d981b180ef5e65c6c8e1084723",
+        "44c751a3718cd92b9d1745fca89b5f488e224391ef8692746365898ff4496a30",
+    )),
+    "int 0,1": (ExtParams.two_param(0, 1), None, (
+        "778b3633a421564f130291eb53793bba03f64ab9a2934f256491734ceda41cd5",
+        "18ad049f7b1c3e1970284d8c2f178042aa28e463e765def530c3fd94495e2e6b",
+        "0e0aa3af7e83f40824aa1414f6fd5c3474b474751b96e3ffb526ec5d6e4e04ff",
+    )),
+    "1/3,1/7": (ExtParams.two_param(Fraction(1, 3), Fraction(1, 7)), None, (
+        "40e44ba64c24d724042db4bd8b33a28374013cd6a8c171a32db4bbcc2482c3da",
+        "0b2ab552fb984772679c2ef411a55d9d9334f299a652010f92f8e042efe082a1",
+        "cc08ef5bb2c9ef07e502e609278f549562e62e0bcf796d3b895dd9817bd57338",
+    )),
+    "0.25,0.5 eps=1e-6": (ExtParams.two_param(0.25, 0.5), 1e-6, (
+        "301610d87510d6894049f8ee690f0d6184f865fcb93e0f1c01abf1422b419a5d",
+        "847e0c1bb6e89da5c54fb1a87e64a3d868b3f083bd7881d56146bb4adea52c6b",
+        "3bdcaa524a185edd20e75def05dd15bd1f472fbce58b394ffc551bcfc42af2b2",
+    )),
+    "neg_alpha(-1,3)": (ExtParams.neg_alpha(-1, 3), None, (
+        "8fb5c5e445762c7c1d2e00ff888f441abb8bb1ceb9337b343a83321af88d1b28",
+        "481b3bb2904a00d78a7cdd09a046abac9e826b57d478cedc27735d3bc92e09a9",
+        "cfc942413db7a17336ad291a9802440f68b559232ecb45be21d98dfd82ae4a33",
+    )),
+    "coupon(4)": (ExtParams.coupon(4), None, (
+        "5bb9d626d37a2d9c18a5978eabd31cf475077827d7a5789f4d8fadd47d8f1362",
+    ) * 3),
+}
+
+
+@pytest.mark.parametrize("point", sorted(GEM_GOLDEN))
+def test_gem_sample_golden(point):
+    params, eps, digests = GEM_GOLDEN[point]
+    kwargs = {} if eps is None else {"eps": eps}
+    for seed, digest in zip((1, 2, 3), digests):
+        rf, fv = gem_sample(params, RngHandle(seed), **kwargs)
+        text = core.dumps((rf.to_json(), fv.to_json()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (point, seed)
+
+
+@pytest.mark.parametrize(
+    ("args", "digest"),
+    [
+        (("sample", "--model", "gem", "--alpha", "1/2", "--theta", "1/2", "--eps", "1e-3",
+          "--seed", "1", "--count", "3"),
+         "69a3ecae33de6c55fad699dccb1fa1a27b57cd6d7901da04b1c5512f48613c6e"),
+        (("regen-set", "--model", "ordered", "--alpha", "1/2", "--theta", "1/2", "--eps", "1e-3",
+          "--seed", "1"),
+         "fa0261e9af1ffd98d18216640b699c1da1216104e4017db203a669e31478e143"),
+    ],
+)
+def test_gem_cli_golden(capsys, args, digest):
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
 
 
 HH = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
