@@ -13,16 +13,18 @@ theta = -m*alpha (at most m blocks) and to the m-colour coupon limit
     p_m(lambda) = m (m - 1) ... (m - k + 1) / m^n.
 
 All functions preserve exact (Fraction) arithmetic when the parameters
-are exact.
+are exact, except stick_b_shape and stick_float_laws, which give the
+float stick laws that samplers draw from.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -82,6 +84,45 @@ def stick_fraction_law(params: ExtParams, i: int) -> BetaParams | Scalar:
         if i == params.m:
             return 1
     return BetaParams(1 - params.alpha, params.theta + i * params.alpha)
+
+
+def stick_b_shape(params: ExtParams) -> Callable[[int], float]:
+    """k -> float(theta + k*alpha), the second beta shape of W_k, with no Fraction.
+
+    For exact theta = p/q and alpha = r/s this is the int/int division
+    (p*s + k*r*q) / (q*s).  CPython rounds that quotient correctly, and
+    float() of a Fraction is numerator / denominator, so both give the
+    double nearest the exact shape.  Needs a two_param or neg_alpha range.
+    """
+    alpha, theta = params.alpha, params.theta
+    if not params.is_exact_mode:
+        return lambda k: float(theta + k * alpha)
+    base = theta.numerator * alpha.denominator
+    step = alpha.numerator * theta.denominator
+    den = theta.denominator * alpha.denominator
+    return lambda k: (base + k * step) / den
+
+
+def stick_float_laws(params: ExtParams) -> Iterator[tuple[float, float] | float]:
+    """The laws of W_1, W_2, ... that stick_fraction_law gives, as floats for drawing.
+
+    Yields the float beta shapes (a, b_k) of W_k, or the float value of a
+    deterministic W_k, after which the stream ends.  Every value equals
+    float() of the matching stick_fraction_law entry, but a is converted
+    once and b_k comes from stick_b_shape, so no Fraction or BetaParams is
+    built per stick.  ExtParams keeps the shapes positive, and the gamma
+    sampler rejects any that are not.
+    """
+    if params.kind == COUPON:
+        for j in range(params.m, 0, -1):
+            yield 1 / j
+        return
+    a, b = float(1 - params.alpha), stick_b_shape(params)
+    for k in itertools.count(1):
+        if k == params.m:  # None on the two_param range: never ends
+            yield 1.0
+            return
+        yield a, b(k)
 
 
 def residual_moment_family(params: ExtParams) -> Callable[[int, int, int], Scalar]:

@@ -31,7 +31,6 @@ with no block.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -57,7 +56,7 @@ from .core import (
     canonicalize,
     rising_factorial,
 )
-from .eppf import BetaParams, stick_fraction_law
+from .eppf import BetaParams, stick_float_laws, stick_fraction_law
 
 _MASK64 = (1 << 64) - 1
 # scalar variates read uniforms from blocks that start at BLOCK_START
@@ -322,12 +321,8 @@ def gem_sample(
     ws: list[float] = []
 
     def draws() -> Iterator[float]:
-        for k in itertools.count(1):
-            law = stick_fraction_law(params, k)
-            if isinstance(law, BetaParams):
-                ws.append(rng.beta(float(law.a), float(law.b)))
-            else:
-                ws.append(float(law))
+        for law in stick_float_laws(params):
+            ws.append(rng.beta(*law) if isinstance(law, tuple) else law)
             yield ws[-1]
 
     entries, residual = break_sticks(draws(), eps)
@@ -396,8 +391,8 @@ def _check_weights(x: Sequence[Scalar]) -> None:
     if len(x) == 0:
         raise ParameterError("need at least one weight")
     for v in x:
-        if v < 0:
-            raise ParameterError(f"negative weight {v}")
+        if not (0 <= v < math.inf):
+            raise ParameterError(f"weight {v} is not a finite nonnegative number")
 
 
 def size_biased_pick(x: Sequence[Scalar], rng: RngHandle) -> int | None:

@@ -234,6 +234,7 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("sample", "--model", "gem", "--alpha", "1/2", "--theta", "1/2", "--eps", "0", "--seed", "1"),
         ("sample", "--model", "crp", "--alpha", "0", "--theta", "1", "--count", "-1", "--seed", "1"),
         ("order", "--k", "3", "--count", "-1", "--seed", "1"),
+        ("order", "--x", "nan,1/2", "--tau", "1/4", "--count", "2", "--seed", "1"),
     ],
 )
 def test_domain_errors_exit_2(capsys, args):

@@ -1,9 +1,10 @@
-"""Property tests: JSON round trips of every value type and partition invariants.
+"""Property tests: JSON round trips, partition invariants and the float stick laws.
 
 Hypothesis runs with the derandomized profile of conftest.py, so each run
 draws the same examples.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from partition_lab.core import (
     partition_from_assignment,
 )
 from partition_lab.deletion import decrement_matrix
+from partition_lab.eppf import BetaParams, stick_b_shape, stick_float_laws, stick_fraction_law
 from partition_lab.regen import LevyImageMeasure
 
 _weights = st.lists(st.integers(1, 1000), min_size=1, max_size=8)
@@ -209,3 +211,45 @@ def test_parse_scalar_round_trips_text(x):
     text = f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else str(x)
     got = parse_scalar(text)
     assert got == x and type(got) is type(x)
+
+
+@st.composite
+def gem_params(draw):
+    """Two-param points with denominators up to 10**6, exact or float, and neg_alpha points."""
+    kind = draw(st.sampled_from(["exact", "int", "float", "neg_alpha"]))
+    if kind == "int":
+        return ExtParams.two_param(0, draw(st.integers(1, 10**6)))
+    if kind == "float":
+        alpha = draw(st.floats(0, 1, exclude_max=True))
+        return ExtParams.two_param(alpha, draw(st.floats(-alpha, 1e6).filter(lambda t: t > -alpha)))
+    if kind == "neg_alpha":
+        alpha = -draw(st.fractions(0, 50, max_denominator=10**6).filter(lambda a: a > 0))
+        return ExtParams.neg_alpha(*_maybe_float(draw, [alpha]), draw(st.integers(1, 10**7)))
+    alpha = draw(st.fractions(0, 1, max_denominator=10**6).filter(lambda a: a < 1))
+    theta = draw(st.fractions(0, 10**6, max_denominator=10**6).filter(lambda t: t > 0)) - alpha
+    return ExtParams.two_param(alpha, theta)
+
+
+def _float_law(law):
+    if isinstance(law, BetaParams):
+        return (float(law.a), float(law.b))
+    return float(law)
+
+
+@given(gem_params(), st.integers(1, 10**7))
+def test_stick_b_shape_is_the_rounded_exact_shape(params, k):
+    if params.m is not None:
+        k = min(k, params.m - 1)
+        if k == 0:
+            return
+    assert stick_b_shape(params)(k) == float(stick_fraction_law(params, k).b)
+
+
+@given(st.one_of(gem_params(), st.builds(ExtParams.coupon, st.integers(1, 60))))
+def test_stick_float_laws_equal_float_stick_fraction_laws(params):
+    head = list(itertools.islice(stick_float_laws(params), 50))
+    sticks = 50 if params.m is None else min(params.m, 50)
+    assert head == [_float_law(stick_fraction_law(params, k)) for k in range(1, sticks + 1)]
+    # a bounded range ends with W_m = 1
+    if params.m is not None and params.m <= 50:
+        assert len(head) == params.m and head[-1] == 1.0

@@ -370,6 +370,20 @@ def test_size_biased_perms_rejects_empty_weights():
         size_biased_perms([], 3, RngHandle(0))
 
 
+WEIGHTED_CALLS = {
+    "size_biased_pick": lambda x, r: size_biased_pick(x, r),
+    "tau_biased_perm": lambda x, r: tau_biased_perm(x, Fraction(1, 4), r),
+    "size_biased_perms": lambda x, r: size_biased_perms(x, 2, r),
+}
+
+
+@pytest.mark.parametrize("label", WEIGHTED_CALLS)
+@pytest.mark.parametrize("x", [[math.nan], [math.nan, 0.5], [0.5, math.inf], [-0.5, 0.5]])
+def test_weighted_samplers_reject_nonfinite_and_negative_weights(label, x):
+    with pytest.raises(ParameterError, match="is not a finite nonnegative number"):
+        WEIGHTED_CALLS[label](x, RngHandle(0))
+
+
 def test_vectorized_samplers_allow_zero_count():
     assert (regen.leftmost_deletion_counts(HH, 5, 0, 1e-3, RngHandle(0)) == 0).all()
     assert crp_assignments(HH, 4, 0, RngHandle(0)).shape == (0, 4)
