@@ -1,5 +1,6 @@
 """Scalars, parameters, partitions, frequencies, interval sets."""
 
+import hashlib
 import json
 import math
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from partition_lab import deletion, regen
 from partition_lab.core import (
     Composition,
     ExtParams,
@@ -14,6 +16,7 @@ from partition_lab.core import (
     IntervalSet,
     MalformedPartitionError,
     ParameterError,
+    RankedFrequencies,
     ResidualFractions,
     SetPartition,
     break_sticks,
@@ -29,6 +32,7 @@ from partition_lab.core import (
     scalar_to_json,
     stick_breaking,
 )
+from partition_lab.samplers import RngHandle
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +316,60 @@ def test_from_lengths_skips_float_underflow():
 def test_interval_set_json_round_trip():
     iv = IntervalSet.from_lengths([Fraction(1, 3)], residual=Fraction(2, 3))
     assert IntervalSet.from_json(json.loads(dumps(iv.to_json()))) == iv
+
+
+# sha256 of dumps(x.to_json()) for one instance of every serialized record
+# type, recorded from the hand-written per-type to_json methods; the
+# instances cover Fractions, floats, ints, inf, bools, nested tuples and
+# the fields the coupon and alpha_theta variants leave out
+def _json_golden_instances():
+    return {
+        "ExtParams two_param": ExtParams.two_param(Fraction(1, 3), Fraction(2, 7)),
+        "ExtParams float inf": ExtParams.two_param(0.25, math.inf),
+        "ExtParams neg_alpha": ExtParams.neg_alpha(Fraction(-1, 2), 3),
+        "ExtParams coupon": ExtParams.coupon(4),
+        "Composition": Composition((3, 1, 2)),
+        "SetPartition": canonicalize([[2, 5], [1, 3], [4]]),
+        "ResidualFractions": ResidualFractions((Fraction(1, 2), 0.25, 1), terminated=True),
+        "FrequencyVector": FrequencyVector(
+            (Fraction(1, 2), Fraction(1, 4)), dust=Fraction(1, 8), residual=Fraction(1, 8)
+        ),
+        "RankedFrequencies": RankedFrequencies((0.5, 0.25), deficit=0.25),
+        "IntervalSet": IntervalSet(
+            ((0, Fraction(1, 3)), (Fraction(1, 2), Fraction(3, 4))), residual=Fraction(5, 12)
+        ),
+        "DecrementMatrix": deletion.decrement_matrix(
+            ExtParams.two_param(Fraction(1, 2), Fraction(1, 3)), 4
+        ),
+        "LevyImageMeasure alpha_theta": regen.LevyImageMeasure.alpha_theta(Fraction(1, 2), 0.5),
+        "LevyImageMeasure finite_atoms": regen.LevyImageMeasure.finite_atoms(
+            [(Fraction(1, 2), 1), (1, math.inf)]
+        ),
+        "SubordinatorPath": regen.compound_poisson_set(1.0, 1e-2, RngHandle(5))[0],
+    }
+
+
+JSON_GOLDEN = {
+    "ExtParams two_param": "aa337b1c969ca3f3c41b772bf5d157309c64698aa55afc8889e4e46210d58c2f",
+    "ExtParams float inf": "f328c5de1955da904361b30f9f0483dcc04c2e8305bd3e2d8fd332fccb9621b8",
+    "ExtParams neg_alpha": "d4016636404c6bd7e64b38a7371be12b6941e536aaa536c3fcfc61064947e8e5",
+    "ExtParams coupon": "09f6ccf5d9698a8c098834874229b0fbb897fe816c815ef615be19640c7d624a",
+    "Composition": "46f4c8d3d0ba232890e4cf5bf0733477ac37e82e0106ba25b302207e91f1829d",
+    "SetPartition": "a6e67ef953e27658871914c8e18c1e63daeca271a776cd053d702fad9edcc2d7",
+    "ResidualFractions": "6be763854a37f4ffe53f23774e79807094af706566411efba09325518f5a6f51",
+    "FrequencyVector": "629c23c4f0aa4db6522ac74cde43c90dd63099a781027a74b08d56331383755f",
+    "RankedFrequencies": "8d2382d87c34b18ba62e49cb3835c2bbefc69b341bc15f9b1523e9e8a0e3ed3a",
+    "IntervalSet": "fd63f56a386f93f7497d0a6b28d38ff5656a9b0f00c3dff5340207a788db784a",
+    "DecrementMatrix": "81ffe00396c45f062f6b2d9e3562de878b0fe0f4e34c775babc32f8d5868109e",
+    "LevyImageMeasure alpha_theta": "8eb727d80f76f3eb9feac94317bdb35f20b56444918ec387a6db52a69af623db",
+    "LevyImageMeasure finite_atoms": "961ca3c7cc816ad047f699658eabb95f7ae57b0be8c5d73f7b3ff264a211b74f",
+    "SubordinatorPath": "cdb10e2d90cb0fc7e7fd4be725058a04f50275a70ed71d778d9920df4f56c046",
+}
+
+
+def test_to_json_golden():
+    instances = _json_golden_instances()
+    assert sorted(instances) == sorted(JSON_GOLDEN)
+    for name, value in instances.items():
+        text = dumps(value.to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == JSON_GOLDEN[name], (name, text)

@@ -1,5 +1,6 @@
 """Subordinator route to the decrement matrix and regenerative set samplers."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -399,3 +400,70 @@ def test_bulk_counts_guards():
         leftmost_deletion_counts(
             ExtParams.two_param(Fraction(1, 4), Fraction(1, 2)), 5, 10, 1e-3, RngHandle(0)
         )
+
+
+# ---------------------------------------------------------------------------
+# seeded goldens, recorded from the per-constructor beta(1, theta) stick loop
+# and the float shape arithmetic of _cover_points
+
+def _digest(obj) -> str:
+    return hashlib.sha256(dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("theta", "eps", "seed", "digest"),
+    [
+        (Fraction(1, 3), 1e-6, 1, "29b068014cdf93f4f5b91df7601e5128ecd31df708803a0ffafe5d5e863a54d6"),
+        (0.7, 1e-6, 2, "8396c689e26e88bd36ab77741c6b6568c0a72b5de822fa77de9c5b74b0c6a0f7"),
+        (1, 1e-6, 3, "4955a1aea1836764ef2d73f10ee9de9dd31f7fe20d9b1e9c145d5214e3a0f3f1"),
+    ],
+)
+def test_stick_breaking_set_golden(theta, eps, seed, digest):
+    assert _digest(stick_breaking_set(theta, eps, RngHandle(seed)).to_json()) == digest
+
+
+@pytest.mark.parametrize(
+    ("alpha", "theta", "seed", "digest"),
+    [
+        (Fraction(1, 3), Fraction(1, 3), 1,
+         "111ebab1070ccee13b8910a2bf12c792661234de44bce9638c83f6ccd447b583"),
+        (0.5, 0.5, 2, "3cc0eda938ba179f9e6ccb1479875d460104e2b40b1dad69c983f0e49d914bd6"),
+        (0.25, 2.0, 3, "d00118aa59dd293fc9d2da938b3fcaa96e07bf4b7695be3398b8c58ae44702ad"),
+    ],
+)
+def test_crossbreed_set_golden(alpha, theta, seed, digest):
+    assert _digest(crossbreed_set(alpha, theta, 1e-3, RngHandle(seed)).to_json()) == digest
+
+
+@pytest.mark.parametrize(
+    ("args", "digest"),
+    [
+        (("regen-set", "--model", "stick", "--theta", "1", "--eps", "1e-6", "--seed", "1"),
+         "e721771f77cc9db1ea1f75ed36b3441044bd1f898fb2c2ad5b22e0b95856e57d"),
+        (("regen-set", "--model", "crossbreed", "--alpha", "0.5", "--theta", "0.5",
+          "--eps", "1e-3", "--seed", "1"),
+         "5d6277ad91858101168f9de8a10ee5fac1dee25f0470c67bbcbd4c58fec1a593"),
+    ],
+)
+def test_regen_set_cli_golden(capsys, args, digest):
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+# n = 10, 2000 replicates, seed 12: the three mc-bulk benchmark points and (1/3, 1/3),
+# whose float shapes theta + k alpha are not all correctly rounded
+LEFTMOST_GOLDEN = {
+    (Fraction(1, 2), Fraction(1, 2)): [0, 1031, 289, 154, 89, 78, 55, 50, 65, 62, 127],
+    (Fraction(1, 2), 0): [0, 993, 248, 118, 71, 53, 40, 28, 46, 25, 378],
+    (0, 1): [0, 211, 188, 196, 185, 234, 187, 197, 223, 184, 195],
+    (Fraction(1, 3), Fraction(1, 3)): [0, 706, 234, 150, 106, 92, 95, 91, 98, 114, 314],
+}
+
+
+@pytest.mark.parametrize("point", sorted(LEFTMOST_GOLDEN), ids=str)
+def test_leftmost_deletion_counts_golden(point):
+    params = ExtParams.two_param(*point)
+    counts = leftmost_deletion_counts(params, 10, 2000, 4e-3, RngHandle(12))
+    assert counts.tolist() == LEFTMOST_GOLDEN[point]

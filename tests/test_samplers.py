@@ -597,3 +597,24 @@ def test_xi_arrangements_matches_object_path_law():
 )
 def test_right_record_count(arrangement, records):
     assert right_record_count(arrangement) == records
+
+
+# sha256 of dumps(stick_fraction_matrix(params, k, 50, RngHandle(9)).tolist()),
+# recorded from the per-stick stick_fraction_law implementation
+FRACTION_MATRIX_GOLDEN = {
+    "1/3,1/7": (ExtParams.two_param(Fraction(1, 3), Fraction(1, 7)), 4,
+                "4d623d7d100ae56769a7add984bcedb81d8a1189cf5cb5d7a17400ede31905b9"),
+    "0.25,0.5": (ExtParams.two_param(0.25, 0.5), 4,
+                 "2a93b73d7294fd3acf0bab6af9ec7ff8c6181b6ca744e7c8c1f4268b7bb4abc4"),
+    "neg_alpha(-1,3)": (ExtParams.neg_alpha(-1, 3), 3,
+                        "218befe79f725736a4a2a6f706d8b9699e473eca6f7bd6e264dcf3d3edf2bc87"),
+    "coupon(4)": (ExtParams.coupon(4), 4,
+                  "91b03842d24084cff05fc1ee7790eadba1b7fe892fe7eba0532d8e007244eced"),
+}
+
+
+@pytest.mark.parametrize("point", sorted(FRACTION_MATRIX_GOLDEN))
+def test_stick_fraction_matrix_golden(point):
+    params, k, digest = FRACTION_MATRIX_GOLDEN[point]
+    text = core.dumps(stick_fraction_matrix(params, k, 50, RngHandle(9)).tolist())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
