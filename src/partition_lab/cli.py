@@ -53,11 +53,6 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         raise ParameterError(f"cannot parse parts {text!r}")
 
 
-def _check_count(count: int) -> None:
-    if count < 0:
-        raise ParameterError(f"need --count >= 0, got {count}")
-
-
 def _emit(lines: list[str], out: str | None) -> None:
     payload = "".join(line + "\n" for line in lines)
     if out is None:
@@ -85,7 +80,7 @@ def _cmd_eppf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sample(ns: argparse.Namespace) -> int:
-    _check_count(ns.count)
+    core.check_size("--count", ns.count, 0)
     params = _params_from_args(ns)
     rng = samplers.RngHandle(ns.seed)
     lines = []
@@ -188,7 +183,7 @@ def _cmd_regen_set(ns: argparse.Namespace) -> int:
 
 
 def _cmd_order(ns: argparse.Namespace) -> int:
-    _check_count(ns.count)
+    core.check_size("--count", ns.count, 0)
     rng = samplers.RngHandle(ns.seed)
     lines = []
     if ns.x is not None:

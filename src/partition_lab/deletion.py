@@ -38,15 +38,16 @@ from .core import (
     Composition,
     ExtParams,
     FrequencyVector,
+    JsonRecord,
     ParameterError,
     ResidualPickError,
     Scalar,
+    check_size,
     exact_div,
     rising_ratio,
     SetPartition,
     UnsupportedKernelError,
     delete_block,
-    scalar_to_json,
     scalar_from_json,
 )
 from .samplers import RngHandle, _pick, tau_pick_law
@@ -91,7 +92,7 @@ def deletion_kernel(
         return tau_pick_law(lam.parts, tau)[j - 1]
     _require_kernel_params(params)
     if lam.k == 1:
-        return 1
+        return 1 if params.is_exact_mode else 1.0
     alpha, theta = params.alpha, params.theta
     n = lam.n
     num = theta * lam.parts[j - 1] + alpha * (n - lam.parts[j - 1])
@@ -100,7 +101,7 @@ def deletion_kernel(
 
 
 @dataclass(frozen=True)
-class DecrementMatrix:
+class DecrementMatrix(JsonRecord):
     """Rows n = 1..n_max of the deleted-size law; rows[n-1][m-1] = q(n, m)."""
 
     n_max: int
@@ -118,12 +119,6 @@ class DecrementMatrix:
 
     def row_sums(self) -> tuple[Scalar, ...]:
         return tuple(sum(r) for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "rows": [[scalar_to_json(v) for v in r] for r in self.rows],
-        }
 
     @classmethod
     def from_json(cls, d: dict) -> "DecrementMatrix":
@@ -150,11 +145,10 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
     Uses the row recurrence of the module docstring; the entries are
     equal to decrement_entry's, including their types.
     """
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise ParameterError(f"need n_max >= 1, got {n_max}")
+    check_size("n_max", n_max, 1)
     _require_kernel_params(params)
     alpha, theta = params.alpha, params.theta
-    last = exact_div(1, 1)
+    last = decrement_entry(params, 1, 1)
     rows = [(last,)]
     for n in range(2, n_max + 1):
         q = exact_div((n - 1) * alpha + theta, theta + n - 1)

@@ -14,7 +14,10 @@ theta = -m*alpha (at most m blocks) and to the m-colour coupon limit
 
 All functions preserve exact (Fraction) arithmetic when the parameters
 are exact, except stick_b_shape and stick_float_laws, which give the
-float stick laws that samplers draw from.
+float stick laws.  Every sampler that breaks GEM sticks draws them from
+stick_float_laws: gem_sample, stick_fraction_matrix, the bulk harness's
+stick block, stick_breaking_set and stage one of crossbreed_set (at
+alpha = 0).  Only crossbreed_set's (alpha, 0) stage draws its own.
 """
 
 from __future__ import annotations

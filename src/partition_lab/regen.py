@@ -29,6 +29,7 @@ from .core import (
     ExtParams,
     FrequencyVector,
     IntervalSet,
+    JsonRecord,
     ParameterError,
     Scalar,
     SetPartition,
@@ -42,10 +43,10 @@ from .core import (
     is_exact,
     rising_ratio,
     _log_rising_ratio,
-    scalar_to_json,
     scalar_from_json,
 )
 from .deletion import DecrementMatrix
+from .eppf import stick_float_laws
 from .samplers import RngHandle, _paint, crp_assignments, xi_order
 
 ALPHA_THETA = "alpha_theta"
@@ -57,7 +58,7 @@ BULK_STICKS = 16  # sticks _cover_points breaks per row before the CRP tail
 
 
 @dataclass(frozen=True)
-class LevyImageMeasure:
+class LevyImageMeasure(JsonRecord):
     """Image Levy measure on (0, 1], either parametric or purely atomic.
 
     * alpha_theta: right tail u -> u^(-alpha) (1 - u)^theta on (0, 1),
@@ -99,18 +100,6 @@ class LevyImageMeasure:
         if not (c > 0):
             raise ParameterError(f"scale must be positive, got {c}")
         return LevyImageMeasure.finite_atoms(tuple((u, c * w) for (u, w) in self.atoms))
-
-    def to_json(self) -> dict:
-        if self.kind == ALPHA_THETA:
-            return {
-                "kind": self.kind,
-                "alpha": scalar_to_json(self.alpha),
-                "theta": scalar_to_json(self.theta),
-            }
-        return {
-            "kind": self.kind,
-            "atoms": [[scalar_to_json(u), scalar_to_json(w)] for (u, w) in self.atoms],
-        }
 
     @classmethod
     def from_json(cls, d: dict) -> "LevyImageMeasure":
@@ -166,9 +155,6 @@ class ScaledBeta:
             raise ZeroDivisionError("division by a zero ScaledBeta")
         if self.c == 0:
             return 0 if is_exact(self.c) and is_exact(other.c) else 0.0
-        factors = [exact_div(self.c, other.c)]
-        if not all_exact(self.x, self.y, other.x, other.y):
-            factors.append(1.0)  # float fields give a float ratio, also at zero offsets
         num, den = [], []
         for p, q in ((self.x, other.x), (self.y, other.y), (other.x + other.y, self.x + self.y)):
             # Gamma(p)/Gamma(q) is (q)_d for an integer d = p - q >= 0, 1/(p)_{-d} below
@@ -177,7 +163,7 @@ class ScaledBeta:
                 return float(self) / float(other)
             num.append((q, max(int(d), 0)))
             den.append((p, max(-int(d), 0)))
-        return rising_ratio(num, den, factors)
+        return rising_ratio(num, den, [exact_div(self.c, other.c)])
 
 
 def laplace_exponent(measure: LevyImageMeasure, a: Scalar):
@@ -260,8 +246,7 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
     which keeps the comparison of the two routes a real cross-check.
     Atomic measures divide phi_nm by laplace_exponent entry by entry.
     """
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise ParameterError(f"need n_max >= 1, got {n_max}")
+    check_size("n_max", n_max, 1)
     if measure.kind != ALPHA_THETA:
         rows = []
         for n in range(1, n_max + 1):
@@ -294,7 +279,7 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
 # subordinator paths and set constructors
 
 @dataclass(frozen=True)
-class SubordinatorPath:
+class SubordinatorPath(JsonRecord):
     """Jump times and sizes of a pure-jump subordinator realization."""
 
     times: tuple[float, ...]
@@ -312,9 +297,6 @@ class SubordinatorPath:
         for j in self.jumps:
             if not (j > 0):
                 raise ParameterError("jumps must be positive")
-
-    def to_json(self) -> dict:
-        return {"times": list(self.times), "jumps": list(self.jumps), "killed": self.killed}
 
 
 def compound_poisson_set(
@@ -346,12 +328,6 @@ def compound_poisson_set(
     return path, IntervalSet.from_lengths(lengths, residual=remaining)
 
 
-def _beta_fractions(theta: float, rng: RngHandle) -> Iterator[float]:
-    """Endless i.i.d. beta(1, theta) stick fractions."""
-    while True:
-        yield rng.beta(1.0, float(theta))
-
-
 def stick_breaking_set(theta: float, eps: float, rng: RngHandle) -> IntervalSet:
     """Gap intervals from stick breaking with beta(1, theta) fractions.
 
@@ -362,7 +338,8 @@ def stick_breaking_set(theta: float, eps: float, rng: RngHandle) -> IntervalSet:
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
     check_eps(eps)
-    lengths, remaining = break_sticks(_beta_fractions(theta, rng), eps)
+    laws = stick_float_laws(ExtParams.two_param(0, theta))
+    lengths, remaining = break_sticks((rng.beta(*law) for law in laws), eps)
     return IntervalSet.from_lengths(lengths, residual=remaining)
 
 
@@ -418,7 +395,8 @@ def crossbreed_set(alpha: float, theta: float, eps: float, rng: RngHandle) -> In
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
     check_eps(eps)
-    sticks, _ = break_sticks(_beta_fractions(theta, rng), eps / 2)
+    laws = stick_float_laws(ExtParams.two_param(0, theta))
+    sticks, _ = break_sticks((rng.beta(*law) for law in laws), eps / 2)
     intervals = []
     pos = 0.0
     for L in sticks:
@@ -444,8 +422,7 @@ def leftmost_delete(iv: IntervalSet, n: int, rng: RngHandle) -> tuple[int, SetPa
     block with the smallest location is removed and the rest relabeled;
     returns (deleted size, remainder).
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"need n >= 1, got {n}")
+    check_size("n", n, 1)
     groups, location = _paint(iv, n, rng)
     pi = canonicalize(groups.values(), n=n)
     leftmost_key = min(groups, key=lambda kk: location[kk])
@@ -458,8 +435,9 @@ def _cover_points(params: ExtParams, pts: np.ndarray, rng: RngHandle) -> np.ndar
 
     Stick k of a row covers [1 - R_{k-1}, 1 - R_k), where R_k is the
     residual after k sticks.  Every row breaks the same K = BULK_STICKS
-    sticks, W_k ~ beta(1 - alpha, theta + k alpha), in one beta call, and
-    a point's label is 1 + the number of right ends 1 - R_k at or below it.
+    sticks, W_k ~ beta(1 - alpha, theta + k alpha) with the shapes of
+    eppf.stick_float_laws, in one beta call, and a point's label is
+    1 + the number of right ends 1 - R_k at or below it.
 
     Points past stick K are uniform on the tail, whose frequencies are
     GEM(alpha, theta + K alpha), so they are partitioned exactly by one
@@ -470,16 +448,16 @@ def _cover_points(params: ExtParams, pts: np.ndarray, rng: RngHandle) -> np.ndar
     """
     if params.kind != TWO_PARAM:
         raise ParameterError("stick covering needs two_param frequencies")
-    alpha, theta = float(params.alpha), float(params.theta)
     b, K = pts.shape[0], BULK_STICKS
-    shape = np.tile(theta + alpha * np.arange(1, K + 1, dtype=float), b)
-    w = rng.beta(1.0 - alpha, shape, size=b * K).reshape(b, K)
+    laws = list(itertools.islice(stick_float_laws(params), K))
+    shape = np.tile([b_k for _, b_k in laws], b)
+    w = rng.beta(laws[0][0], shape, size=b * K).reshape(b, K)
     right_ends = 1.0 - np.cumprod(1.0 - w, axis=1)
     col = 1 + (pts[:, :, None] >= right_ends[:, None, :]).sum(axis=2)
     tail = col > K
     m = tail.sum(axis=1)
     if m.any():
-        tail_params = ExtParams.two_param(alpha, theta + K * alpha)
+        tail_params = ExtParams.two_param(params.alpha, params.theta + K * params.alpha)
         word = crp_assignments(tail_params, int(m.max()), int((m > 0).sum()), rng)
         rows, cols = np.nonzero(tail)  # row-major, so in order of appearance
         slot = np.cumsum(m > 0)[rows] - 1

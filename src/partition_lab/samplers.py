@@ -31,6 +31,7 @@ with no block.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -56,7 +57,7 @@ from .core import (
     canonicalize,
     rising_factorial,
 )
-from .eppf import BetaParams, stick_float_laws, stick_fraction_law
+from .eppf import stick_float_laws
 
 _MASK64 = (1 << 64) - 1
 # scalar variates read uniforms from blocks that start at BLOCK_START
@@ -249,8 +250,7 @@ def crp_sample(params: ExtParams, n: int, rng: RngHandle) -> SetPartition:
     (theta + k alpha)/(i + theta); the coupon range instead picks one of
     m colours uniformly, i.e. each seen block with probability 1/m.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"need n >= 1, got {n}")
+    check_size("n", n, 1)
     word = [1]
     sizes = [1]
     for i in range(1, n):
@@ -334,13 +334,12 @@ def stick_fraction_matrix(params: ExtParams, k: int, count: int, rng: RngHandle)
     """(count, k) i.i.d. rows of the first k stick fractions (vectorized)."""
     check_size("k", k, 1)
     check_size("count", count, 0)
+    laws = list(itertools.islice(stick_float_laws(params), k))
+    if len(laws) < k:
+        raise ParameterError(f"stick index {k} beyond the {params.m} sticks of {params.kind}")
     out = np.empty((count, k))
-    for i in range(1, k + 1):
-        law = stick_fraction_law(params, i)
-        if isinstance(law, BetaParams):
-            out[:, i - 1] = rng.beta(float(law.a), float(law.b), size=count)
-        else:
-            out[:, i - 1] = float(law)
+    for i, law in enumerate(laws):
+        out[:, i] = rng.beta(*law, size=count) if isinstance(law, tuple) else law
     return out
 
 
@@ -354,8 +353,7 @@ def paintbox_sample(
     Points falling in the same stored interval share a block; points in
     dust, residual, or any uncovered gap are singletons.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"need n >= 1, got {n}")
+    check_size("n", n, 1)
     if isinstance(freqs, FrequencyVector):
         iv = IntervalSet.from_lengths(
             [float(p) for p in freqs.entries],
@@ -501,8 +499,7 @@ def xi_order(k: int, xi: Scalar, rng: RngHandle) -> XiOrder:
     keeps element 1 rightmost (others uniform), xi = inf is the
     standard left-to-right order.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ParameterError(f"need k >= 1, got {k}")
+    check_size("k", k, 1)
     if not (xi >= 0):
         raise ParameterError(f"need xi >= 0, got {xi}")
     ranks = [1]

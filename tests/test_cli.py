@@ -24,8 +24,9 @@ def run(capsys, *args):
         (("--alpha", "0", "--theta", "1", "--lambda", "2,1"), "1/6"),
         (("--alpha", "1/2", "--theta", "1/2", "--lambda", "2"), "1/3"),
         (("--alpha", "-1", "--m", "3", "--lambda", "2,1"), "1/5"),
-        # decimal parameters switch to float arithmetic
+        # decimal parameters switch to float arithmetic, also where the value is 1
         (("--alpha", "0.5", "--theta", "0.5", "--lambda", "2"), "0.3333333333333333"),
+        (("--alpha", "0.5", "--theta", "0.5", "--lambda", "1"), "1.0"),
     ],
 )
 def test_eppf_text(capsys, args, line):
@@ -46,6 +47,15 @@ def test_eppf_json(capsys):
     assert out == '{"parts":[2,1],"value":{"den":6,"num":1}}\n'
     rc, out, _ = run(capsys, "eppf", "--coupon", "4", "--lambda", "1,1", "--format", "json")
     assert json.loads(out) == {"parts": [1, 1], "value": {"den": 4, "num": 3}}
+    rc, out, _ = run(capsys, "eppf", "--alpha", "0.5", "--theta", "0.5", "--lambda", "1", "--format", "json")
+    assert out == '{"parts":[1],"value":1.0}\n'
+
+
+def test_float_decrement_json_has_no_exact_entries(capsys):
+    rc, out, _ = run(capsys, "decrement", "--alpha", "0.3", "--theta", "0.5", "--n-max", "2",
+                     "--format", "json")
+    assert rc == 0
+    assert out == '{"n_max":2,"rows":[[1.0],[0.5333333333333333,0.4666666666666666]]}\n'
 
 
 def test_eppf_out_file(capsys, tmp_path):

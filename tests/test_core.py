@@ -10,6 +10,7 @@ import pytest
 
 from partition_lab import deletion, regen
 from partition_lab.core import (
+    TWO_PARAM,
     Composition,
     ExtParams,
     FrequencyVector,
@@ -90,6 +91,17 @@ def test_rising_ratio_plain_product_and_log_fallback():
     # a ratio beyond the float range has no float value
     with pytest.raises(OverflowError):
         rising_ratio([(1.0, 400)], [])
+
+
+def test_rising_ratio_float_base_of_length_zero_gives_float():
+    for got, want in (
+        (rising_ratio([(0.5, 0)], [(1.5, 0)]), 1.0),
+        (rising_ratio([(Fraction(1, 2), 0)], [(1.5, 0)], [Fraction(1, 4)]), 0.25),
+        (rising_ratio([(1, 0)], [(0.5, 0)], [3]), 3.0),
+    ):
+        assert got == want and type(got) is float
+    got = rising_ratio([(Fraction(1, 2), 0)], [(2, 0)], [Fraction(1, 4)])
+    assert got == Fraction(1, 4) and type(got) is Fraction
 
 
 def test_dumps_is_key_sorted_and_compact():
@@ -325,7 +337,8 @@ def test_interval_set_json_round_trip():
 def _json_golden_instances():
     return {
         "ExtParams two_param": ExtParams.two_param(Fraction(1, 3), Fraction(2, 7)),
-        "ExtParams float inf": ExtParams.two_param(0.25, math.inf),
+        # the raw constructor does not validate; it pins the "inf" encoding
+        "ExtParams float inf": ExtParams(TWO_PARAM, 0.25, math.inf),
         "ExtParams neg_alpha": ExtParams.neg_alpha(Fraction(-1, 2), 3),
         "ExtParams coupon": ExtParams.coupon(4),
         "Composition": Composition((3, 1, 2)),
@@ -343,7 +356,7 @@ def _json_golden_instances():
         ),
         "LevyImageMeasure alpha_theta": regen.LevyImageMeasure.alpha_theta(Fraction(1, 2), 0.5),
         "LevyImageMeasure finite_atoms": regen.LevyImageMeasure.finite_atoms(
-            [(Fraction(1, 2), 1), (1, math.inf)]
+            [(Fraction(1, 2), 1), (1, 0.25)]
         ),
         "SubordinatorPath": regen.compound_poisson_set(1.0, 1e-2, RngHandle(5))[0],
     }
@@ -362,7 +375,7 @@ JSON_GOLDEN = {
     "IntervalSet": "fd63f56a386f93f7497d0a6b28d38ff5656a9b0f00c3dff5340207a788db784a",
     "DecrementMatrix": "81ffe00396c45f062f6b2d9e3562de878b0fe0f4e34c775babc32f8d5868109e",
     "LevyImageMeasure alpha_theta": "8eb727d80f76f3eb9feac94317bdb35f20b56444918ec387a6db52a69af623db",
-    "LevyImageMeasure finite_atoms": "961ca3c7cc816ad047f699658eabb95f7ae57b0be8c5d73f7b3ff264a211b74f",
+    "LevyImageMeasure finite_atoms": "9bafbde6baa055511efb6e38a39c168c48db39c14667e981b02af134fef0420e",
     "SubordinatorPath": "cdb10e2d90cb0fc7e7fd4be725058a04f50275a70ed71d778d9920df4f56c046",
 }
 

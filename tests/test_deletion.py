@@ -25,6 +25,7 @@ from partition_lab.deletion import (
     f1_consistency,
     tau_delete,
 )
+from partition_lab.eppf import eppf
 from partition_lab.oracle import chi_square
 from partition_lab.regen import LevyImageMeasure, decrement_from_phi, laplace_exponent, phi_nm
 from partition_lab.samplers import RngHandle
@@ -72,6 +73,18 @@ def test_kernel_rows_normalize():
             continue
         total = sum(deletion_kernel((3, 1, 2), j, params=params) for j in (1, 2, 3))
         assert total == 1
+
+
+def test_single_block_values_keep_the_arithmetic_mode():
+    exact, floats = ExtParams.two_param(Fraction(1, 2), Fraction(1, 3)), ExtParams.two_param(0.5, 0.25)
+    for params, kind in ((exact, (int, Fraction)), (floats, float)):
+        for got in (
+            deletion_kernel((3,), 1, params=params),
+            decrement_entry(params, 1, 1),
+            decrement_matrix(params, 3).value(1, 1),
+            eppf(params, (1,)),
+        ):
+            assert got == 1 and isinstance(got, kind) and not isinstance(got, bool)
 
 
 def test_kernel_argument_validation():
@@ -208,8 +221,7 @@ def test_decrement_routes_match_closed_forms(alpha, theta, n_max, as_float):
                 (kernel.value(n, m), decrement_entry(params, n, m)),
                 (phi.value(n, m), exact_div(phi_nm(measure, n, m), phin)),
             ):
-                # exact entries are Fractions, float entries floats, and
-                # the kernel route's q(1, 1) is Fraction(1) in both modes
+                # exact entries are Fractions and float entries floats, q(1, 1) included
                 assert type(got) is type(want)
                 if isinstance(want, float):
                     assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -613,6 +613,13 @@ FRACTION_MATRIX_GOLDEN = {
 }
 
 
+def test_stick_fraction_matrix_ends_at_the_last_stick():
+    for params, m in ((ExtParams.neg_alpha(-1, 3), 3), (ExtParams.coupon(4), 4)):
+        assert stick_fraction_matrix(params, m, 2, RngHandle(0))[:, -1].tolist() == [1.0, 1.0]
+        with pytest.raises(ParameterError):
+            stick_fraction_matrix(params, m + 1, 2, RngHandle(0))
+
+
 @pytest.mark.parametrize("point", sorted(FRACTION_MATRIX_GOLDEN))
 def test_stick_fraction_matrix_golden(point):
     params, k, digest = FRACTION_MATRIX_GOLDEN[point]
