@@ -1,5 +1,6 @@
 """Enumeration oracles, exact consistency checks, and sampling statistics."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -131,6 +132,78 @@ def test_leem_check_handles_ties_and_validates():
         leem_check((), Fraction(1, 2))
     with pytest.raises(ParameterError):
         leem_check((Fraction(1, 2),), 2)
+
+
+# sha256 of one line per call, "<case>: <result type> <repr>" or the error,
+# recorded from the SetPartition-keyed, per-pair Fraction checks; pins the
+# exact values, their types and the float bits
+_FLOAT_POINTS = (
+    ExtParams.two_param(0.3, 0.5),
+    ExtParams.two_param(0.5, 0.5),
+    ExtParams.two_param(0.25, 2.0),
+)
+_LEEM_TAUS = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, 0.25, 0.0, 1.0)
+CHECK_GOLDEN = {
+    "grid": "ca7ff8fd5d32b156e85e4f5a61452475eedd5722642cadd62cf5e2db283b1b31",
+    "perturbed": "e6ef188cb01014a281e8ceb58a527339dc9e392f1ad3e68ae83c12e7e9db67bc",
+    "leem": "65f1749ada36fab2f4ba1fba866f7181faccd861570898ab73232a368272855c",
+    "errors": "f2b912cc6641d9e2e8c3d7bbc35c0b64942898883ce6592735be3109bca70841",
+}
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except Exception as e:  # the message is part of what is pinned
+        return f"{type(e).__name__}: {e}"
+    return f"{type(r).__name__} {r!r}"
+
+
+def _golden_lines(family):
+    if family == "grid":
+        for params in _VERIFY_GRID + _FLOAT_POINTS:
+            for n in range(1, 8):
+                for check in (deletion_law_check, tau_regen_check):
+                    yield f"{check.__name__} {params} {n}", check, params, n
+    elif family == "perturbed":
+        cases = [(deletion_law_check, p) for p in (_CRP, _HALF, _FLOAT_POINTS[0],
+                                                   ExtParams.coupon(4), ExtParams.neg_alpha(-1, 3))]
+        cases += [(tau_regen_check, p) for p in (_CRP, _HALF, _FLOAT_POINTS[1],
+                                                 ExtParams.two_param(Fraction(2, 3), 0))]
+        for check, params in cases:
+            for n in (4, 6):
+                for blocks in ([list(range(1, n + 1))], [[1, 3], [2, *range(4, n + 1)]],
+                               [[i] for i in range(1, n + 1)]):
+                    for amount in (Fraction(1, 1000), Fraction(-1, 1000), 0.001, -0.001):
+                        law = exact_law(params, n).perturbed(canonicalize(blocks), amount)
+                        yield f"{check.__name__} {params} {n} {blocks} {amount}", check, params, n, law
+    elif family == "leem":
+        for k in range(1, 6):
+            total = k * (k + 1) // 2
+            for x in (tuple(Fraction(i, total) for i in range(1, k + 1)),
+                      tuple(i / total for i in range(1, k + 1))):
+                for tau in _LEEM_TAUS:
+                    yield f"leem_check {x} {tau!r}", leem_check, x, tau
+        for tau in _LEEM_TAUS:
+            yield f"leem_check ties {tau!r}", leem_check, (0.25, 0.25, 0.5), tau
+            yield f"leem_check ints {tau!r}", leem_check, (1, 2, 3, 4), tau
+    else:
+        for x, tau in [((), Fraction(1, 2)), ((Fraction(1, 2),), 2), ((0, 1), Fraction(1, 2)),
+                       ((-1, 2), Fraction(1, 2)), ((1, math.inf), 0.5), ((1, math.nan), 0.5),
+                       ((1, 2), math.nan), ((1, 2), -0.5)]:
+            yield f"leem_check {x} {tau!r}", leem_check, x, tau
+        for check, params, n in [(deletion_law_check, _CRP, 0), (deletion_law_check, _CRP, 11),
+                                 (tau_regen_check, _CRP, 0), (tau_regen_check, ExtParams.neg_alpha(-1, 3), 4),
+                                 (tau_regen_check, ExtParams.coupon(4), 3),
+                                 (tau_regen_check, ExtParams.two_param(Fraction(1, 2), Fraction(-1, 4)), 4)]:
+            yield f"{check.__name__} {params} {n}", check, params, n
+
+
+@pytest.mark.parametrize("family", sorted(CHECK_GOLDEN))
+def test_check_outputs_golden(family):
+    lines = [f"{case}: {_outcome(fn, *args)}" for case, fn, *args in _golden_lines(family)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CHECK_GOLDEN[family], "\n".join(lines)
 
 
 def test_record_independence_residual_zero():
