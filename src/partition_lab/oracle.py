@@ -24,37 +24,46 @@ from .core import (
     ParameterError,
     Scalar,
     SetPartition,
-    delete_block,
     exact_div,
     is_exact,
     partition_from_assignment,
 )
 from .deletion import decrement_entry, deletion_kernel
 from .eppf import eppf, q_first_block
-from .samplers import order_probability, tau_perm_probability
+from .samplers import order_probability, tau_pick_law
 
 MAX_ENUM_N = 12
 MIN_EXPECTED = 5.0  # chi_square pools cells expected below this count
 
 
-def iter_partitions(n: int) -> Iterator[SetPartition]:
-    """All set partitions of [n] in restricted-growth order, canonical form."""
-    if not (isinstance(n, int) and 0 <= n <= MAX_ENUM_N):
-        raise ParameterError(f"need 0 <= n <= {MAX_ENUM_N}, got {n}")
+def _words(n: int) -> Iterator[bytes]:
+    """Restricted-growth words of length n, in lexicographic order.
+
+    Byte i is the block of element i + 1, blocks labelled in order of
+    appearance, so each word is the assignment word of one set partition.
+    """
     if n == 0:
-        yield SetPartition(0, ())
+        yield b""
         return
     word = [1] * n
 
-    def rec(i: int, used: int) -> Iterator[SetPartition]:
+    def rec(i: int, used: int) -> Iterator[bytes]:
         if i == n:
-            yield partition_from_assignment(word)
+            yield bytes(word)
             return
         for c in range(1, used + 2):
             word[i] = c
             yield from rec(i + 1, max(used, c))
 
     yield from rec(1, 1)
+
+
+def iter_partitions(n: int) -> Iterator[SetPartition]:
+    """All set partitions of [n] in restricted-growth order, canonical form."""
+    if not (isinstance(n, int) and 0 <= n <= MAX_ENUM_N):
+        raise ParameterError(f"need 0 <= n <= {MAX_ENUM_N}, got {n}")
+    for word in _words(n):
+        yield partition_from_assignment(word)
 
 
 def enumerate_partitions(n: int) -> list[SetPartition]:
@@ -112,13 +121,55 @@ def exact_law(params: ExtParams, n: int) -> ExactLaw:
     return ExactLaw(n, probs)
 
 
-def _law_distance(law: dict[SetPartition, Scalar], target: dict[SetPartition, Scalar]) -> Scalar:
-    keys = set(law) | set(target)
+# _LOWER[j] maps each label c to c - (c > j); _LABEL[j] is label j alone
+_LOWER = [bytes(c - (c > j) for c in range(256)) for j in range(MAX_ENUM_N + 1)]
+_LABEL = [bytes((j,)) for j in range(MAX_ENUM_N + 1)]
+
+
+def _remainder_word(word: bytes, j: int) -> bytes:
+    """Assignment word of delete_block(pi, j), from the word of pi.
+
+    Dropping block j's entries and lowering the labels above j keeps
+    the labels in order of appearance, so the result is canonical.
+    """
+    return word.translate(_LOWER[j], _LABEL[j])
+
+
+def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[Scalar], int | None]:
+    """Integer numerators of exact values over their least common denominator.
+
+    Sums of the numerators are exact sums of the values times the
+    denominator, and cost no gcd per term.  When any value is a float the
+    values come back unchanged with denominator None, so sums of them
+    keep the bits of summing the values themselves.
+    """
+    if not all(is_exact(v) for v in values):
+        return list(values), None
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _remainder_distance(joint: dict[bytes, Scalar], mass: Scalar, den: int | None,
+                        r: int, params: ExtParams, memo: dict[tuple[int, ...], Scalar]) -> Scalar:
+    """Worst gap between joint / mass and the law of params on [r].
+
+    joint maps remainder words to their mass (numerators over den when
+    den is not None, so the quotient needs no den); words of [r] it lacks
+    have conditional mass 0.  The target eppf is memoized by block sizes.
+    """
     worst: Scalar = 0
-    for k in keys:
-        dev = abs(law.get(k, 0) - target.get(k, 0))
-        if dev > worst:
-            worst = dev
+    for word in _words(r):
+        sizes = tuple(word.count(c) for c in range(1, max(word) + 1))
+        target = memo.get(sizes)
+        if target is None:
+            target = memo[sizes] = eppf(params, sizes)
+        v = joint.get(word)
+        if v is None:
+            cond: Scalar = 0
+        else:
+            cond = Fraction(v, mass) if den is not None else exact_div(v, mass)
+        dev = abs(cond - target)
+        worst = dev if dev > worst else worst
     return worst
 
 
@@ -131,29 +182,37 @@ def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -
     size itself the law C(n-1, m-1) q(n : m).  Returns the largest
     absolute deviation across both claims (0 for the family; pass a
     perturbed law to see the check fail).
+
+    Remainders are keyed by assignment word, and exact masses add as
+    integer numerators over one denominator.
     """
     if law is None:
         law = exact_law(params, n)
-    worst: Scalar = 0
-    joint: dict[int, dict[SetPartition, Scalar]] = {m: {} for m in range(1, n)}
+    words = [bytes(pi.assignment_word()) for pi in law.probs]
+    probs, den = _over_common_denominator(list(law.probs.values()))
+    # a remainder's length n - m says which size m it belongs to
+    joint: dict[bytes, Scalar] = {}
     size_mass: dict[int, Scalar] = {m: 0 for m in range(1, n)}
-    for pi, p in law.probs.items():
-        m = len(pi.blocks[0])
+    for word, p in zip(words, probs):
+        m = word.count(1)
         if m == n:
             continue
-        rem = delete_block(pi, 1)
-        joint[m][rem] = joint[m].get(rem, 0) + p
+        rem = _remainder_word(word, 1)
+        joint[rem] = joint.get(rem, 0) + p
         size_mass[m] = size_mass[m] + p
+    worst: Scalar = 0
+    shifted = None
+    memo: dict[tuple[int, ...], Scalar] = {}
     for m in range(1, n):
         mass = size_mass[m]
         size_target = math.comb(n - 1, m - 1) * q_first_block(params, n, m)
-        dev = abs(mass - size_target)
+        dev = abs((mass if den is None else Fraction(mass, den)) - size_target)
         worst = dev if dev > worst else worst
         if mass == 0:
             continue
-        cond = {k: exact_div(v, mass) for k, v in joint[m].items()}
-        target = exact_law(params.shifted(), n - m).probs
-        dev = _law_distance(cond, target)
+        if shifted is None:
+            shifted = params.shifted()
+        dev = _remainder_distance(joint, mass, den, n - m, shifted, memo)
         worst = dev if dev > worst else worst
     return worst
 
@@ -165,36 +224,91 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
     deleted size must follow the decrement row q(n, .), and conditional
     on size m < n the relabeled remainder must follow the same family
     on [n - m].  Returns the largest absolute deviation (0 expected).
+
+    Remainders are keyed by assignment word; exact masses add as integer
+    numerators, the law's over one denominator times the kernel's over
+    another.
     """
     if law is None:
         law = exact_law(params, n)
-    worst: Scalar = 0
-    joint: dict[int, dict[SetPartition, Scalar]] = {m: {} for m in range(1, n + 1)}
-    size_mass: dict[int, Scalar] = {m: 0 for m in range(1, n + 1)}
     # the kernel depends only on the block sizes; p stays per partition,
     # since a passed-in law need not be a function of the sizes
     rows: dict[tuple[int, ...], list[Scalar]] = {}
-    for pi, p in law.probs.items():
+    entries = []
+    for pi in law.probs:
         sizes = _size_key(pi)
-        row = rows.get(sizes)
-        if row is None:
-            row = rows[sizes] = [deletion_kernel(sizes, j, params=params)
-                                 for j in range(1, len(sizes) + 1)]
-        for j, (m, d) in enumerate(zip(sizes, row), start=1):
+        if sizes not in rows:
+            rows[sizes] = [deletion_kernel(sizes, j, params=params)
+                           for j in range(1, len(sizes) + 1)]
+        entries.append((bytes(pi.assignment_word()), sizes))
+    probs = list(law.probs.values())
+    law_num, law_den = _over_common_denominator(probs)
+    row_num, row_den = _over_common_denominator([d for row in rows.values() for d in row])
+    den = None
+    if law_den is not None and row_den is not None:
+        den = law_den * row_den
+        probs, it = law_num, iter(row_num)
+        rows = {sizes: [next(it) for _ in row] for sizes, row in rows.items()}
+    joint: dict[bytes, Scalar] = {}
+    size_mass: dict[int, Scalar] = {m: 0 for m in range(1, n + 1)}
+    for (word, sizes), p in zip(entries, probs):
+        for j, (m, d) in enumerate(zip(sizes, rows[sizes]), start=1):
             w = p * d
             size_mass[m] = size_mass[m] + w
-            rem = delete_block(pi, j)
-            joint[m][rem] = joint[m].get(rem, 0) + w
+            rem = _remainder_word(word, j)
+            joint[rem] = joint.get(rem, 0) + w
+    worst: Scalar = 0
+    memo: dict[tuple[int, ...], Scalar] = {}
     for m in range(1, n + 1):
-        dev = abs(size_mass[m] - decrement_entry(params, n, m))
+        mass = size_mass[m]
+        dev = abs((mass if den is None else Fraction(mass, den)) - decrement_entry(params, n, m))
         worst = dev if dev > worst else worst
-        if m == n or size_mass[m] == 0:
+        if m == n or mass == 0:
             continue
-        cond = {k: exact_div(v, size_mass[m]) for k, v in joint[m].items()}
-        target = exact_law(params, n - m).probs
-        dev = _law_distance(cond, target)
+        dev = _remainder_distance(joint, mass, den, n - m, params, memo)
         worst = dev if dev > worst else worst
     return worst
+
+
+def _pick_orders(
+    x: Sequence[Scalar], tau: Scalar
+) -> tuple[list[tuple[int, ...]], list[Scalar], int | None]:
+    """Every pick order of x under tau-biased picks, with its probability.
+
+    Returns the orders (permutations of 1..k in lexicographic order), their
+    probabilities and a denominator.  One `tau_pick_law` per remaining
+    subset serves every order that reaches it, and each probability is the
+    product of its picks in pick order, as `tau_perm_probability` takes it.
+    When every pick probability is exact the probabilities are integer
+    numerators over the returned denominator; otherwise that is None and
+    they equal `tau_perm_probability`'s values bit for bit.
+    """
+    k = len(x)
+    everyone = tuple(range(1, k + 1))
+    laws = {sub: tau_pick_law([x[i - 1] for i in sub], tau)
+            for size in range(k, 0, -1) for sub in itertools.combinations(everyone, size)}
+    flat, den = _over_common_denominator([v for law in laws.values() for v in law])
+    if den is not None:
+        it = iter(flat)
+        laws = {sub: [next(it) for _ in law] for sub, law in laws.items()}
+    orders: list[tuple[int, ...]] = []
+    probs: list[Scalar] = []
+
+    def rec(prefix: tuple[int, ...], remaining: tuple[int, ...], prob: Scalar) -> None:
+        if not remaining:
+            orders.append(prefix)
+            probs.append(prob)
+            return
+        law = laws[remaining]
+        for i, target in enumerate(remaining):
+            rec(prefix + (target,), remaining[:i] + remaining[i + 1:], prob * law[i])
+
+    rec((), everyone, 1)
+    return orders, probs, None if den is None else den ** k
+
+
+def _as_values(values: list[Scalar], den: int | None) -> list[Scalar]:
+    return values if den is None else [Fraction(v, den) for v in values]
 
 
 def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
@@ -204,27 +318,44 @@ def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
     size-biased pick order rearranged by an independent xi-biased order
     with xi = (1 - tau)/tau.  Compares both laws on every permutation
     and returns the largest absolute difference (0 expected).
+
+    Each xi-order probability is computed once per relative word, and
+    exact sums run over integer numerators.
     """
     k = len(x)
     if k == 0:
         raise ParameterError("need at least one weight")
     if not (0 <= tau <= 1):
         raise ParameterError(f"need 0 <= tau <= 1, got {tau}")
-    perms = list(itertools.permutations(range(1, k + 1)))
     xi = math.inf if tau == 0 else exact_div(1 - tau, tau)
-    worst: Scalar = 0
-    sb = {sigma: tau_perm_probability(x, 0, sigma) for sigma in perms}
-    for pi in perms:
-        lhs = tau_perm_probability(x, tau, pi)
-        if tau == 0:
-            rhs: Scalar = sb[pi]
+    perms, sb, sb_den = _pick_orders(x, 0)
+    _, lhs, lhs_den = _pick_orders(x, tau)
+    if tau == 0:
+        rhs, rhs_den = sb, sb_den
+    else:
+        ops, op_den = _over_common_denominator([order_probability(xi, w) for w in perms])
+        if sb_den is None or op_den is None:
+            sb, ops = _as_values(sb, sb_den), _as_values(ops, op_den)
+            rhs_den = None
         else:
-            rhs = 0
-            for sigma in perms:
-                inv = {v: i for i, v in enumerate(sigma, start=1)}
-                word = tuple(inv[v] for v in pi)
-                rhs = rhs + sb[sigma] * order_probability(xi, word)
-        dev = abs(lhs - rhs)
+            rhs_den = sb_den * op_den
+        op_of = dict(zip(perms, ops))
+        # positions, 1-based, of each element in each size-biased order
+        invs = []
+        for sigma in perms:
+            inv = [0] * (k + 1)
+            for i, v in enumerate(sigma, start=1):
+                inv[v] = i
+            invs.append(inv)
+        rhs = []
+        for pi in perms:
+            total: Scalar = 0
+            for inv, p in zip(invs, sb):
+                total = total + p * op_of[tuple(map(inv.__getitem__, pi))]
+            rhs.append(total)
+    worst: Scalar = 0
+    for left, right in zip(_as_values(lhs, lhs_den), _as_values(rhs, rhs_den)):
+        dev = abs(left - right)
         worst = dev if dev > worst else worst
     return worst
 
@@ -238,22 +369,23 @@ def record_independence_residual(x: Sequence[Scalar]) -> Scalar:
     events by enumeration.
     """
     k = len(x)
-    perms = list(itertools.permutations(range(1, k + 1)))
-    sb = {sigma: tau_perm_probability(x, 0, sigma) for sigma in perms}
+    perms, sb, den = _pick_orders(x, 0)
     tail = [sum(x[j:]) for j in range(k)]
     singles = [exact_div(x[j], tail[j]) for j in range(k)]
+    positions = [{v: i for i, v in enumerate(sigma)} for sigma in perms]
     worst: Scalar = 0
     for subset in itertools.product([False, True], repeat=k):
         prob: Scalar = 0
-        for sigma in perms:
-            pos = {v: i for i, v in enumerate(sigma)}
+        for pos, p in zip(positions, sb):
             ok = True
             for j in range(1, k + 1):
                 if subset[j - 1] and any(pos[v] < pos[j] for v in range(j + 1, k + 1)):
                     ok = False
                     break
             if ok:
-                prob = prob + sb[sigma]
+                prob = prob + p
+        if den is not None:
+            prob = Fraction(prob, den)
         expected: Scalar = 1
         for j in range(1, k + 1):
             if subset[j - 1]:

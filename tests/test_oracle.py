@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from partition_lab.cli import _VERIFY_GRID
-from partition_lab.core import ExtParams, ParameterError, canonicalize
+from partition_lab.core import ExtParams, ParameterError, canonicalize, delete_block
 from partition_lab.eppf import eppf
 from partition_lab.oracle import (
+    _remainder_word,
     chi_square,
     deletion_law_check,
     enumerate_partitions,
@@ -51,6 +52,15 @@ def test_enumeration_bounds_and_order():
         enumerate_partitions(-1)
     with pytest.raises(ParameterError):
         enumerate_partitions(13)
+
+
+def test_remainder_word_is_the_deleted_partition():
+    # the checks key remainders by this word instead of calling delete_block
+    for n in range(1, 8):
+        for pi in iter_partitions(n):
+            word = bytes(pi.assignment_word())
+            for j in range(1, pi.k + 1):
+                assert tuple(_remainder_word(word, j)) == delete_block(pi, j).assignment_word()
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)
