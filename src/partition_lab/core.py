@@ -244,12 +244,14 @@ class ExtParams(JsonRecord):
             raise ParameterError(f"need 0 <= alpha < 1, got {alpha}")
         if not (theta > -alpha):
             raise ParameterError(f"need theta > -alpha, got theta={theta}")
+        check_finite("theta", theta)
         return cls(TWO_PARAM, alpha, theta)
 
     @classmethod
     def neg_alpha(cls, alpha: Scalar, m: int) -> "ExtParams":
         if not (alpha < 0):
             raise ParameterError(f"need alpha < 0, got {alpha}")
+        check_finite("alpha", alpha)
         if not (isinstance(m, int) and m >= 1):
             raise ParameterError(f"need integer m >= 1, got {m}")
         return cls(NEG_ALPHA, alpha, -m * alpha, m)
@@ -568,6 +570,13 @@ def check_eps(eps: float) -> None:
     """Reject a truncation level outside (0, 1)."""
     if not (0 < eps < 1):
         raise ParameterError(f"need 0 < eps < 1, got {eps}")
+
+
+def check_finite(name: str, value: Scalar) -> None:
+    """Reject an infinite or nan float; exact values are always finite."""
+    # isfinite would raise OverflowError on a Fraction past the float range
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParameterError(f"need finite {name}, got {value}")
 
 
 def check_size(name: str, value: int, least: int) -> None:

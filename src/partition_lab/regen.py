@@ -37,6 +37,7 @@ from .core import (
     break_sticks,
     canonicalize,
     check_eps,
+    check_finite,
     check_size,
     delete_block,
     exact_div,
@@ -77,6 +78,7 @@ class LevyImageMeasure(JsonRecord):
             raise ParameterError(f"need 0 <= alpha < 1, got {alpha}")
         if not (theta >= 0):
             raise ParameterError(f"need theta >= 0, got {theta}")
+        check_finite("theta", theta)
         if alpha == 0 and theta == 0:
             raise ParameterError("alpha and theta cannot both be 0")
         return cls(ALPHA_THETA, alpha=alpha, theta=theta)
@@ -91,6 +93,7 @@ class LevyImageMeasure(JsonRecord):
                 raise ParameterError(f"atom location {u} outside (0, 1]")
             if not (w > 0):
                 raise ParameterError(f"atom weight {w} must be positive")
+            check_finite("atom weight", w)
         return cls(FINITE_ATOMS, atoms=atoms)
 
     def scaled(self, c: Scalar) -> "LevyImageMeasure":

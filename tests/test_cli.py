@@ -245,6 +245,14 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("sample", "--model", "crp", "--alpha", "0", "--theta", "1", "--count", "-1", "--seed", "1"),
         ("order", "--k", "3", "--count", "-1", "--seed", "1"),
         ("order", "--x", "nan,1/2", "--tau", "1/4", "--count", "2", "--seed", "1"),
+        # infinite parameters: nan output before, or the whole stick budget
+        ("eppf", "--alpha", "0.25", "--theta", "inf", "--lambda", "2"),
+        ("eppf", "--alpha", "0", "--theta", "inf", "--lambda", "1,1"),
+        ("decrement", "--alpha", "0.25", "--theta", "inf", "--n-max", "3"),
+        ("phi", "--alpha", "0.5", "--theta", "inf", "--n-max", "2"),
+        ("phi", "--atoms", "1/2:1,1:inf", "--n-max", "2"),
+        ("sample", "--model", "gem", "--alpha", "0.25", "--theta", "inf", "--eps", "1e-3", "--seed", "1"),
+        ("regen-set", "--model", "stick", "--theta", "inf", "--eps", "1e-3", "--seed", "1"),
     ],
 )
 def test_domain_errors_exit_2(capsys, args):

@@ -122,6 +122,23 @@ def test_two_param_validation():
         ExtParams.two_param(Fraction(1, 2), Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_constructors_reject_non_finite_floats(bad):
+    with pytest.raises(ParameterError):
+        ExtParams.two_param(0.25, bad)
+    with pytest.raises(ParameterError):
+        ExtParams.two_param(0, bad)
+    with pytest.raises(ParameterError):
+        ExtParams.neg_alpha(-bad, 3)
+
+
+def test_huge_exact_parameters_stay_valid():
+    # past the float range, where math.isfinite would raise OverflowError
+    huge = Fraction(10 ** 400, 3)
+    assert ExtParams.two_param(Fraction(1, 2), huge).theta == huge
+    assert ExtParams.neg_alpha(-huge, 2).theta == 2 * huge
+
+
 def test_neg_alpha_and_coupon_validation():
     p = ExtParams.neg_alpha(-1, 3)
     assert p.theta == 3 and p.max_blocks == 3

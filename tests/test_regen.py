@@ -55,6 +55,15 @@ def test_measure_validation():
         LevyImageMeasure.finite_atoms([(Fraction(1, 2), 0)])
     with pytest.raises(ParameterError):
         LevyImageMeasure.alpha_theta(0, 1).scaled(2)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            LevyImageMeasure.alpha_theta(0.5, bad)
+        with pytest.raises(ParameterError):
+            LevyImageMeasure.finite_atoms([(Fraction(1, 2), 1), (1, bad)])
+    with pytest.raises(ParameterError):
+        LevyImageMeasure.finite_atoms([(1, 1)]).scaled(math.inf)
+    huge = Fraction(10 ** 400, 3)
+    assert LevyImageMeasure.alpha_theta(0, huge).theta == huge
 
 
 def test_measure_json_round_trip():
