@@ -122,7 +122,7 @@ def exact_law(params: ExtParams, n: int) -> ExactLaw:
 
 
 # _LOWER[j] maps each label c to c - (c > j); _LABEL[j] is label j alone
-_LOWER = [bytes(c - (c > j) for c in range(256)) for j in range(MAX_ENUM_N + 1)]
+_LOWER = [bytes(range(j + 1)) + bytes(range(j, 255)) for j in range(MAX_ENUM_N + 1)]
 _LABEL = [bytes((j,)) for j in range(MAX_ENUM_N + 1)]
 
 
