@@ -145,8 +145,9 @@ def test_leem_check_handles_ties_and_validates():
 
 
 # sha256 of one line per call, "<case>: <result type> <repr>" or the error,
-# recorded from the SetPartition-keyed, per-pair Fraction checks; pins the
-# exact values, their types and the float bits
+# recorded from the SetPartition-keyed, per-pair Fraction checks (the xi
+# family from the per-step Fraction product); pins the exact values, their
+# types and the float bits
 _FLOAT_POINTS = (
     ExtParams.two_param(0.3, 0.5),
     ExtParams.two_param(0.5, 0.5),
@@ -158,6 +159,7 @@ CHECK_GOLDEN = {
     "perturbed": "e6ef188cb01014a281e8ceb58a527339dc9e392f1ad3e68ae83c12e7e9db67bc",
     "leem": "65f1749ada36fab2f4ba1fba866f7181faccd861570898ab73232a368272855c",
     "errors": "f2b912cc6641d9e2e8c3d7bbc35c0b64942898883ce6592735be3109bca70841",
+    "xi": "bf0b4b9335ffe1d2473bb7e3e0cb0cd92f9db5c6c3ad883dc0413d355bd64c3d",
 }
 
 
@@ -197,6 +199,10 @@ def _golden_lines(family):
         for tau in _LEEM_TAUS:
             yield f"leem_check ties {tau!r}", leem_check, (0.25, 0.25, 0.5), tau
             yield f"leem_check ints {tau!r}", leem_check, (1, 2, 3, 4), tau
+    elif family == "xi":
+        for xi in (0, Fraction(1, 2), 1, 2, 3, Fraction(7, 3), 0.0, 0.5, 2.0, math.inf):
+            for k in range(1, 8):
+                yield f"xi_order_enumeration_residual {k} {xi!r}", xi_order_enumeration_residual, k, xi
     else:
         for x, tau in [((), Fraction(1, 2)), ((Fraction(1, 2),), 2), ((0, 1), Fraction(1, 2)),
                        ((-1, 2), Fraction(1, 2)), ((1, math.inf), 0.5), ((1, math.nan), 0.5),
