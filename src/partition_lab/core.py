@@ -69,8 +69,28 @@ def exact_div(num: Scalar, den: Scalar) -> Scalar:
     return num / den
 
 
+def _rising_parts(x: Scalar, n: int) -> tuple[int, int]:
+    """(x)_n of an int or Fraction x as an integer numerator and denominator.
+
+    With x = p/q, (x)_n = p (p + q) ... (p + (n-1) q) / q^n; the pair is
+    not reduced, so callers multiply pairs and normalize once.
+    """
+    if not (isinstance(n, int) and n >= 0):
+        raise ParameterError(f"rising factorial needs integer n >= 0, got {n}")
+    p, q = x.numerator, x.denominator
+    return math.prod(range(p, p + n * q, q)), q ** n
+
+
 def rising_factorial(x: Scalar, n: int) -> Scalar:
-    """(x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
+    """(x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1.
+
+    An int x gives an int; a Fraction x = p/q with n >= 1 gives one
+    Fraction of the integer products p (p + q) ... and q^n, reduced by a
+    single gcd.  A float x multiplies the factors in turn.
+    """
+    if is_exact(x):
+        p, q = _rising_parts(x, n)
+        return Fraction(p, q) if n and isinstance(x, Fraction) else p
     if not (isinstance(n, int) and n >= 0):
         raise ParameterError(f"rising factorial needs integer n >= 0, got {n}")
     out: Scalar = 1
@@ -82,12 +102,17 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
 def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence = ()) -> Scalar:
     """prod(factors) * prod (x)_n over (x, n) in num / prod (y)_m over (y, m) in den.
 
-    The plain product goes factors, / denominator, * numerator terms, so
-    exact operands stay exact, and a float base makes the result a float
-    even when its length is 0.  A float denominator or result out of range
-    (inf, nan, 0) sends the ratio to log-gamma, which needs x, y > 0 and
-    nonzero factors.
+    When every factor and base is an int or Fraction, the integer
+    numerators and denominators of all terms are multiplied and the
+    result is one Fraction, reduced once; a zero denominator raises
+    ZeroDivisionError.  Otherwise the plain product goes factors,
+    / denominator, * numerator terms, and a float base makes the result a
+    float even when its length is 0.  A float denominator or result out of
+    range (inf, nan, 0) sends the ratio to log-gamma, which needs x, y > 0
+    and nonzero factors.
     """
+    if all(is_exact(f) for f in factors) and all(is_exact(b) for b, _ in (*den, *num)):
+        return _exact_ratio(num, den, factors)
     try:
         out: Scalar = 1
         for f in factors:
@@ -111,6 +136,27 @@ def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence =
     if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
         return _log_rising_ratio(num, den, factors)
     return out
+
+
+def _exact_ratio(num, den, factors) -> Fraction:
+    """rising_ratio of exact operands as one integer quotient."""
+    top = bottom = 1
+    for f in factors:
+        top *= f.numerator
+        bottom *= f.denominator
+    for (y, m) in den:
+        if m:
+            p, q = _rising_parts(y, m)
+            top *= q
+            bottom *= p
+    if not bottom:  # before the numerator lengths are checked, as the plain product does
+        raise ZeroDivisionError("rising_ratio denominator is zero")
+    for (x, n) in num:
+        if n:
+            p, q = _rising_parts(x, n)
+            top *= p
+            bottom *= q
+    return Fraction(top, bottom)
 
 
 def _log_rising_ratio(num, den, factors) -> float:

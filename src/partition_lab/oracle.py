@@ -401,15 +401,39 @@ def xi_order_enumeration_residual(k: int, xi: Scalar) -> Scalar:
     Walks all rank sequences (rho_2, ..., rho_k), accumulates the exact
     probability of each resulting arrangement, and compares with the
     closed form; also checks the arrangement probabilities sum to 1.
+
+    An exact xi = p/q is summed in integers: step j multiplies by p (rank
+    j) or q (any other rank) over p + (j - 1) q, so each rank sequence
+    weighs p^records q^(k - 1 - records) over the common denominator
+    D = (p + q)(p + 2q) ... (p + (k - 1) q).  Each arrangement's sum is
+    compared with order_probability through one cross-multiplied Fraction.
+    A float xi multiplies the step probabilities in turn.
     """
     from .samplers import arrangement_from_ranks
 
     if not (isinstance(k, int) and 1 <= k <= 8):
         raise ParameterError(f"need 1 <= k <= 8, got {k}")
-    if is_exact(xi):
-        xi = Fraction(xi)
-    accum: dict[tuple[int, ...], Scalar] = {}
+    if not (xi >= 0):
+        raise ParameterError(f"need xi >= 0, got {xi}")
     ranges = [range(1, j + 1) for j in range(1, k + 1)]
+    if is_exact(xi):
+        p, q = xi.numerator, xi.denominator
+        den = math.prod(range(p + q, p + k * q, q))
+        weight = [p ** r * q ** (k - 1 - r) for r in range(k)]
+        sums: dict[tuple[int, ...], int] = {}
+        for ranks in itertools.product(*ranges):
+            records = sum(r == j for j, r in enumerate(ranks[1:], start=2))
+            arr = arrangement_from_ranks(ranks)
+            sums[arr] = sums.get(arr, 0) + weight[records]
+        gap = abs(sum(sums.values()) - den)
+        worst: Scalar = Fraction(gap, den) if k > 1 else gap  # k = 1 takes no step: an int, as for float xi
+        for arr in itertools.permutations(range(1, k + 1)):
+            target = order_probability(xi, arr)
+            dev = Fraction(abs(sums.get(arr, 0) * target.denominator - target.numerator * den),
+                           den * target.denominator)
+            worst = dev if dev > worst else worst
+        return worst
+    accum: dict[tuple[int, ...], Scalar] = {}
     for ranks in itertools.product(*ranges):
         prob: Scalar = 1
         for j, r in enumerate(ranks[1:], start=2):
@@ -419,7 +443,7 @@ def xi_order_enumeration_residual(k: int, xi: Scalar) -> Scalar:
                 prob = prob * (xi if r == j else 1) / (j - 1 + xi)
         arr = arrangement_from_ranks(ranks)
         accum[arr] = accum.get(arr, 0) + prob
-    worst: Scalar = abs(sum(accum.values()) - 1)
+    worst = abs(sum(accum.values()) - 1)
     for arr in itertools.permutations(range(1, k + 1)):
         dev = abs(accum.get(arr, 0) - order_probability(xi, arr))
         worst = dev if dev > worst else worst

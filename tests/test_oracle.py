@@ -238,6 +238,10 @@ def test_xi_order_enumeration_bounds():
         xi_order_enumeration_residual(0, 1)
     with pytest.raises(ParameterError):
         xi_order_enumeration_residual(9, 1)
+    # -1 makes the step denominator j - 1 + xi zero at j = 2
+    for xi in (-1, -1.0, Fraction(-1, 2), -0.5, math.nan):
+        with pytest.raises(ParameterError, match="need xi >= 0"):
+            xi_order_enumeration_residual(3, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property tests: JSON round trips, partition invariants and the float stick laws.
+"""Property tests: JSON round trips, partition invariants, the float stick laws
+and rising factorials against their plain product.
 
 Hypothesis runs with the derandomized profile of conftest.py, so each run
 draws the same examples.
@@ -9,7 +10,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from partition_lab.core import (
@@ -17,6 +18,7 @@ from partition_lab.core import (
     ExtParams,
     FrequencyVector,
     IntervalSet,
+    ParameterError,
     RankedFrequencies,
     ResidualFractions,
     SetPartition,
@@ -25,6 +27,8 @@ from partition_lab.core import (
     dumps,
     parse_scalar,
     partition_from_assignment,
+    rising_factorial,
+    rising_ratio,
 )
 from partition_lab.deletion import decrement_matrix
 from partition_lab.eppf import BetaParams, stick_b_shape, stick_float_laws, stick_fraction_law
@@ -253,3 +257,75 @@ def test_stick_float_laws_equal_float_stick_fraction_laws(params):
     # a bounded range ends with W_m = 1
     if params.m is not None and params.m <= 50:
         assert len(head) == params.m and head[-1] == 1.0
+
+
+# rising factorials: the plain product, one factor at a time, is the reference
+
+def _rising_loop(x, n):
+    out = 1
+    for i in range(n):
+        out = out * (x + i)
+    return out
+
+
+def _ratio_loop(num, den, factors):
+    """factors, / denominator, * numerator terms; (x)_0 = x ** 0 is 1 in the mode of x."""
+    out = 1
+    for f in factors:
+        out = out * f
+    d = 1
+    for (y, m) in den:
+        d = d * (_rising_loop(y, m) if m else y ** 0)
+    out = Fraction(out, d) if isinstance(out, int) and isinstance(d, int) else out / d
+    for (x, n) in num:
+        out = out * (_rising_loop(x, n) if n else x ** 0)
+    return out
+
+
+def _same(got, want):
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+_exact = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7))
+_positive = st.one_of(st.integers(1, 6), st.fractions(Fraction(1, 7), 6, max_denominator=7),
+                      st.floats(0.1, 6))
+
+
+def _terms(base):
+    return st.lists(st.tuples(base, st.integers(0, 5)), max_size=3)
+
+
+@given(st.one_of(_exact, st.floats(-6, 6)), st.integers(0, 8))
+def test_rising_factorial_is_the_plain_product(x, n):
+    assert _same(rising_factorial(x, n), _rising_loop(x, n))
+
+
+@given(_terms(_exact), _terms(_exact), st.lists(_exact, max_size=3))
+def test_exact_rising_ratio_is_the_plain_product(num, den, factors):
+    try:
+        want = _ratio_loop(num, den, factors)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            rising_ratio(num, den, factors)
+        return
+    assert _same(rising_ratio(num, den, factors), want)
+
+
+@given(_terms(_positive), _terms(_positive), st.lists(_positive, max_size=3))
+def test_float_and_mixed_rising_ratio_keep_their_bits(num, den, factors):
+    assume(any(isinstance(v, float) for v in (*factors, *(b for b, _ in num + den))))
+    assert _same(rising_ratio(num, den, factors), _ratio_loop(num, den, factors))
+
+
+def test_rising_ratio_errors():
+    with pytest.raises(ZeroDivisionError):
+        rising_ratio([(Fraction(1, 2), 2)], [(0, 1)])
+    with pytest.raises(ZeroDivisionError):
+        rising_ratio([], [(Fraction(-2), 3)], [Fraction(1, 3)])
+    for bad in (-1, Fraction(1, 2), 1.5):
+        with pytest.raises(ParameterError):
+            rising_factorial(Fraction(1, 2), bad)
+        with pytest.raises(ParameterError):
+            rising_ratio([(Fraction(1, 2), bad)], [(2, 1)])
+        with pytest.raises(ParameterError):
+            rising_ratio([(1, 1)], [(Fraction(1, 3), bad)])
