@@ -6,8 +6,9 @@ exact in, exact out, unless a routine is documented as float-only
 (numerical series, gamma-function evaluations).  Mixing an exact scalar
 with a float falls through to float, matching Python semantics.
 
-Ratios of rising factorials go through rising_ratio: the plain product
-in every mode, and log-gamma only when a float product leaves its range.
+Ratios of rising factorials go through rising_ratio: one integer
+quotient, reduced once, when every operand is exact; otherwise the plain
+product, and log-gamma only when a float product leaves its range.
 _log_rising_ratio is the one route past the float range: float eppf,
 decrement_entry, ScaledBeta and first_color_tail take it, so
 decrement_entry and ScaledBeta ratios stay finite past n = 1020.
@@ -84,13 +85,12 @@ def _rising_parts(x: Scalar, n: int) -> tuple[int, int]:
 def rising_factorial(x: Scalar, n: int) -> Scalar:
     """(x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1.
 
-    An int x gives an int; a Fraction x = p/q with n >= 1 gives one
-    Fraction of the integer products p (p + q) ... and q^n, reduced by a
-    single gcd.  A float x multiplies the factors in turn.
+    A Fraction x = p/q with n >= 1 gives one Fraction of the integer
+    products p (p + q) ... (p + (n-1) q) and q^n, reduced by a single gcd.
+    Other bases multiply the factors in turn.
     """
-    if is_exact(x):
-        p, q = _rising_parts(x, n)
-        return Fraction(p, q) if n and isinstance(x, Fraction) else p
+    if type(x) is Fraction and n:  # not isinstance, see _EXACT
+        return Fraction(*_rising_parts(x, n))
     if not (isinstance(n, int) and n >= 0):
         raise ParameterError(f"rising factorial needs integer n >= 0, got {n}")
     out: Scalar = 1
@@ -102,7 +102,7 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
 def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence = ()) -> Scalar:
     """prod(factors) * prod (x)_n over (x, n) in num / prod (y)_m over (y, m) in den.
 
-    When every factor and base is an int or Fraction, the integer
+    When every factor and base is an int or a Fraction, the integer
     numerators and denominators of all terms are multiplied and the
     result is one Fraction, reduced once; a zero denominator raises
     ZeroDivisionError.  Otherwise the plain product goes factors,
@@ -111,7 +111,7 @@ def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence =
     range (inf, nan, 0) sends the ratio to log-gamma, which needs x, y > 0
     and nonzero factors.
     """
-    if all(is_exact(f) for f in factors) and all(is_exact(b) for b, _ in (*den, *num)):
+    if _exact_operands(num, den, factors):
         return _exact_ratio(num, den, factors)
     try:
         out: Scalar = 1
@@ -136,6 +136,24 @@ def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence =
     if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
         return _log_rising_ratio(num, den, factors)
     return out
+
+
+# Exact types, not isinstance: Fraction is an ABC, so isinstance against
+# it is slow, and a float ratio would pay it for every operand.  Bools and
+# subclasses take the plain product, which gives the same Fraction.
+_EXACT = {int, Fraction}
+
+
+def _exact_operands(num, den, factors) -> bool:
+    """True when every factor and base is exactly an int or a Fraction."""
+    for f in factors:
+        if type(f) not in _EXACT:
+            return False
+    for terms in (den, num):
+        for (b, _) in terms:
+            if type(b) not in _EXACT:
+                return False
+    return True
 
 
 def _exact_ratio(num, den, factors) -> Fraction:
