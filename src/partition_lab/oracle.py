@@ -426,7 +426,8 @@ def xi_order_enumeration_residual(k: int, xi: Scalar) -> Scalar:
             arr = arrangement_from_ranks(ranks)
             sums[arr] = sums.get(arr, 0) + weight[records]
         gap = abs(sum(sums.values()) - den)
-        worst: Scalar = Fraction(gap, den) if k > 1 else gap  # k = 1 takes no step: an int, as for float xi
+        # k = 1 takes no step, so its gap stays an int, as the float loop's does
+        worst: Scalar = Fraction(gap, den) if k > 1 else gap
         for arr in itertools.permutations(range(1, k + 1)):
             target = order_probability(xi, arr)
             dev = Fraction(abs(sums.get(arr, 0) * target.denominator - target.numerator * den),
