@@ -54,9 +54,16 @@ class ResidualPickError(RuntimeError):
 # ---------------------------------------------------------------------------
 # scalar helpers
 
+# Exact types, not isinstance: Fraction is an ABC, so isinstance against
+# it is slow, and every float value on an exact/float split would pay it.
+# Bools and subclasses are not exact; rising_ratio gives them the plain
+# product, which gives the same Fraction.
+_EXACT = {int, Fraction}
+
+
 def is_exact(x: Scalar) -> bool:
-    """True when x is an int or Fraction (participates in exact mode)."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    """True when x is exactly an int or a Fraction (participates in exact mode)."""
+    return type(x) in _EXACT
 
 
 def all_exact(*xs: Scalar) -> bool:
@@ -136,12 +143,6 @@ def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence =
     if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
         return _log_rising_ratio(num, den, factors)
     return out
-
-
-# Exact types, not isinstance: Fraction is an ABC, so isinstance against
-# it is slow, and a float ratio would pay it for every operand.  Bools and
-# subclasses take the plain product, which gives the same Fraction.
-_EXACT = {int, Fraction}
 
 
 def _exact_operands(num, den, factors) -> bool:

@@ -5,6 +5,11 @@ partitions, permutations, or rank sequences) so the closed-form modules
 can be checked against a second, slower route.  Deviations are returned
 as numbers, 0 in exact arithmetic when a claimed identity holds; the
 perturbation hooks confirm that the checks actually reject wrong laws.
+
+Both deletion characterizations run on one walk, `_deletion_walk`, that
+deletes a block by a given row and compares the deleted size and the
+remainder with their laws.  scipy is imported inside `chi_square` and
+`ks_two_sample`, so importing the library does not load it.
 """
 
 from __future__ import annotations
@@ -13,11 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
-from scipy.stats import ks_2samp as _ks_2samp
 
 from .core import (
     ExtParams,
@@ -94,11 +97,11 @@ class ExactLaw:
 def _size_key(pi: SetPartition) -> tuple[int, ...]:
     """Block sizes of pi as a plain tuple, in block order.
 
-    The memo key of `exact_law` and `tau_regen_check`: the same parts as
+    The memo key of `exact_law` and of the deletion rows: the same parts as
     `pi.block_sizes()`, without re-validating them in a `Composition` for
     every enumerated partition.
     """
-    return tuple(len(b) for b in pi.blocks)
+    return tuple(map(len, pi.blocks))
 
 
 def exact_law(params: ExtParams, n: int) -> ExactLaw:
@@ -173,6 +176,60 @@ def _remainder_distance(joint: dict[bytes, Scalar], mass: Scalar, den: int | Non
     return worst
 
 
+def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[Scalar]],
+                   deleted_sizes: range, size_target: Callable[[int], Scalar],
+                   remainder_params: Callable[[], ExtParams]) -> Scalar:
+    """Worst deviation of a block deletion from its targets.
+
+    A partition with block sizes b loses block j with chance row(b)[j - 1]
+    (blocks past the row's end stay).  For m in deleted_sizes, the mass of
+    deleting size m must be size_target(m), and given m < n with mass, the
+    relabeled remainder must follow remainder_params() on [n - m]; that is
+    called only then, as some parameters cannot shift.  Rows are built
+    once per size vector, p read per partition (a passed-in law need not
+    be a function of the sizes).  Remainders are keyed by assignment word;
+    exact masses add as integer numerators over the law's denominator
+    times the rows'.
+    """
+    if law.n != n:
+        raise ParameterError(f"law is on [{law.n}], check needs [{n}]")
+    keys = [_size_key(pi) for pi in law.probs]
+    rows = {key: row(key) for key in dict.fromkeys(keys)}
+    probs = list(law.probs.values())
+    law_num, law_den = _over_common_denominator(probs)
+    row_num, row_den = _over_common_denominator([d for r in rows.values() for d in r])
+    den = None
+    if law_den is not None and row_den is not None:
+        den = law_den * row_den
+        probs, it = law_num, iter(row_num)
+        rows = {key: [next(it) for _ in r] for key, r in rows.items()}
+    # (block, size, chance) per size vector, zipped once, not per partition
+    picks = {key: list(zip(itertools.count(1), key, r)) for key, r in rows.items()}
+    joint: dict[bytes, Scalar] = {}
+    size_mass: dict[int, Scalar] = {}
+    for pi, key, p in zip(law.probs, keys, probs):
+        word = bytes(pi.assignment_word())
+        for j, m, d in picks[key]:
+            w = p * d
+            size_mass[m] = size_mass.get(m, 0) + w
+            rem = _remainder_word(word, j)
+            joint[rem] = joint.get(rem, 0) + w
+    worst: Scalar = 0
+    target = None
+    memo: dict[tuple[int, ...], Scalar] = {}
+    for m in deleted_sizes:
+        mass = size_mass.get(m, 0)
+        dev = abs((mass if den is None else Fraction(mass, den)) - size_target(m))
+        worst = dev if dev > worst else worst
+        if m == n or mass == 0:
+            continue
+        if target is None:
+            target = remainder_params()
+        dev = _remainder_distance(joint, mass, den, n - m, target, memo)
+        worst = dev if dev > worst else worst
+    return worst
+
+
 def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> Scalar:
     """Worst deviation in the delete-first-block characterization.
 
@@ -183,38 +240,13 @@ def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -
     absolute deviation across both claims (0 for the family; pass a
     perturbed law to see the check fail).
 
-    Remainders are keyed by assignment word, and exact masses add as
-    integer numerators over one denominator.
+    The deletion row is [1] on block 1, empty when that block is all of [n].
     """
     if law is None:
         law = exact_law(params, n)
-    words = [bytes(pi.assignment_word()) for pi in law.probs]
-    probs, den = _over_common_denominator(list(law.probs.values()))
-    # a remainder's length n - m says which size m it belongs to
-    joint: dict[bytes, Scalar] = {}
-    size_mass: dict[int, Scalar] = {m: 0 for m in range(1, n)}
-    for word, p in zip(words, probs):
-        m = word.count(1)
-        if m == n:
-            continue
-        rem = _remainder_word(word, 1)
-        joint[rem] = joint.get(rem, 0) + p
-        size_mass[m] = size_mass[m] + p
-    worst: Scalar = 0
-    shifted = None
-    memo: dict[tuple[int, ...], Scalar] = {}
-    for m in range(1, n):
-        mass = size_mass[m]
-        size_target = math.comb(n - 1, m - 1) * q_first_block(params, n, m)
-        dev = abs((mass if den is None else Fraction(mass, den)) - size_target)
-        worst = dev if dev > worst else worst
-        if mass == 0:
-            continue
-        if shifted is None:
-            shifted = params.shifted()
-        dev = _remainder_distance(joint, mass, den, n - m, shifted, memo)
-        worst = dev if dev > worst else worst
-    return worst
+    return _deletion_walk(law, n, lambda sizes: [1] if len(sizes) > 1 else [], range(1, n),
+                          lambda m: math.comb(n - 1, m - 1) * q_first_block(params, n, m),
+                          params.shifted)
 
 
 def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> Scalar:
@@ -224,50 +256,12 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
     deleted size must follow the decrement row q(n, .), and conditional
     on size m < n the relabeled remainder must follow the same family
     on [n - m].  Returns the largest absolute deviation (0 expected).
-
-    Remainders are keyed by assignment word; exact masses add as integer
-    numerators, the law's over one denominator times the kernel's over
-    another.
     """
     if law is None:
         law = exact_law(params, n)
-    # the kernel depends only on the block sizes; p stays per partition,
-    # since a passed-in law need not be a function of the sizes
-    rows: dict[tuple[int, ...], list[Scalar]] = {}
-    entries = []
-    for pi in law.probs:
-        sizes = _size_key(pi)
-        if sizes not in rows:
-            rows[sizes] = [deletion_kernel(sizes, j, params=params)
-                           for j in range(1, len(sizes) + 1)]
-        entries.append((bytes(pi.assignment_word()), sizes))
-    probs = list(law.probs.values())
-    law_num, law_den = _over_common_denominator(probs)
-    row_num, row_den = _over_common_denominator([d for row in rows.values() for d in row])
-    den = None
-    if law_den is not None and row_den is not None:
-        den = law_den * row_den
-        probs, it = law_num, iter(row_num)
-        rows = {sizes: [next(it) for _ in row] for sizes, row in rows.items()}
-    joint: dict[bytes, Scalar] = {}
-    size_mass: dict[int, Scalar] = {m: 0 for m in range(1, n + 1)}
-    for (word, sizes), p in zip(entries, probs):
-        for j, (m, d) in enumerate(zip(sizes, rows[sizes]), start=1):
-            w = p * d
-            size_mass[m] = size_mass[m] + w
-            rem = _remainder_word(word, j)
-            joint[rem] = joint.get(rem, 0) + w
-    worst: Scalar = 0
-    memo: dict[tuple[int, ...], Scalar] = {}
-    for m in range(1, n + 1):
-        mass = size_mass[m]
-        dev = abs((mass if den is None else Fraction(mass, den)) - decrement_entry(params, n, m))
-        worst = dev if dev > worst else worst
-        if m == n or mass == 0:
-            continue
-        dev = _remainder_distance(joint, mass, den, n - m, params, memo)
-        worst = dev if dev > worst else worst
-    return worst
+    return _deletion_walk(law, n, lambda sizes: [deletion_kernel(sizes, j, params=params)
+                                                 for j in range(1, len(sizes) + 1)],
+                          range(1, n + 1), lambda m: decrement_entry(params, n, m), lambda: params)
 
 
 def _pick_orders(
@@ -484,10 +478,12 @@ def chi_square(observed: Sequence[int], probs: Sequence[Scalar]) -> tuple[float,
         raise ParameterError("fewer than two bins after pooling")
     stat = float(((np.asarray(o_bins) - np.asarray(e_bins)) ** 2 / np.asarray(e_bins)).sum())
     dof = len(o_bins) - 1
-    return stat, dof, float(_chi2.sf(stat, dof))
+    from scipy.stats import chi2
+    return stat, dof, float(chi2.sf(stat, dof))
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and p-value."""
-    res = _ks_2samp(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    from scipy.stats import ks_2samp
+    res = ks_2samp(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     return float(res.statistic), float(res.pvalue)

@@ -1,10 +1,14 @@
 """Lint: every name a library module imports is used by that module.
 
 Names listed in __all__ count as used (re-exports), and an import line
-marked ``# noqa: F401`` is skipped.
+marked ``# noqa: F401`` is skipped.  Also: importing the library and
+running an exact CLI command leave scipy unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,17 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_modules_have_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_and_exact_cli_do_not_load_scipy():
+    # scipy.stats takes about a second to import; only chi_square and
+    # ks_two_sample need it, and they import it when called
+    code = (
+        "import sys, partition_lab\n"
+        "from partition_lab import cli\n"
+        "assert cli.main(['eppf', '--alpha', '0', '--theta', '1', '--lambda', '2,1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["1/6", "[]"]

@@ -110,6 +110,17 @@ def test_tau_regen_check_zero(params):
         assert tau_regen_check(params, n) == 0
 
 
+@pytest.mark.parametrize("params", [ExtParams.coupon(1), ExtParams.neg_alpha(-1, 1)], ids=str)
+def test_deletion_law_check_one_block_never_shifts(params, monkeypatch):
+    # one block only: no remainder has mass, and these params cannot shift
+    calls = []
+    monkeypatch.setattr(ExtParams, "shifted", lambda self: calls.append(self))
+    for n in range(1, 6):
+        got = deletion_law_check(params, n)
+        assert got == 0 and type(got) is int
+    assert calls == []
+
+
 _CRP = ExtParams.two_param(0, 1)
 _HALF = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
 
@@ -128,6 +139,13 @@ _HALF = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
 def test_checks_see_perturbation(check, params, n, blocks, dev):
     law = exact_law(params, n).perturbed(canonicalize(blocks), Fraction(1, 1000))
     assert check(params, n, law) == dev
+
+
+@pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
+def test_checks_reject_a_law_on_another_n(check):
+    for law_n in (4, 6):
+        with pytest.raises(ParameterError, match=r"law is on \[%d\]" % law_n):
+            check(_HALF, 5, exact_law(_HALF, law_n))
 
 
 @pytest.mark.parametrize("tau", [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])
