@@ -1,5 +1,6 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -223,6 +224,42 @@ def test_verify_leem_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "leem", "--n", "4")
     assert rc == 0
     assert json.loads(out.splitlines()[-1])["failures"] == 0
+
+
+@pytest.mark.parametrize(
+    ("args", "digest"),
+    [
+        # the default grid at n = 6, as the benchmark's verify-grid op runs it
+        ((), "09f7b5babd4350de8ae0ceccf73e4cdcf00449b8f46d42d78e6cdb8cc58c01a4"),
+        (("--n", "7"), "1e28c9ad384054873396a9abe3fe847d849e40b28a0b804c44ef71934a281a47"),
+    ],
+    ids=["n6", "n7"],
+)
+def test_verify_stdout_frozen(capsys, args, digest):
+    rc, out, err = run(capsys, "verify", *args)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+VERIFY_SUITES = {
+    "eppf": ("eppf_normalization", "eppf_addition"),
+    "deletion": ("deletion_characterization", "tau_regeneration"),
+    "regen": ("decrement_vs_phi",),
+    "order": ("xi_order_enumeration",),
+    "leem": ("pick_order_identity",),
+}
+
+
+def test_verify_suites_split_the_full_run(capsys):
+    _, out, _ = run(capsys, "verify", "--n", "5")
+    full = out.splitlines()[:-1]
+    assert {json.loads(line)["check"] for line in full} == {
+        check for checks in VERIFY_SUITES.values() for check in checks
+    }
+    for suite, checks in VERIFY_SUITES.items():
+        rc, out, _ = run(capsys, "verify", "--suite", suite, "--n", "5")
+        assert rc == 0
+        assert out.splitlines()[:-1] == [line for line in full if json.loads(line)["check"] in checks]
 
 
 def test_verify_empty_selection_is_usage_error(capsys):
