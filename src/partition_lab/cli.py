@@ -1,6 +1,9 @@
 """Command line interface.
 
 Subcommands: sample, eppf, decrement, phi, regen-set, order, verify.
+`verify` runs the suites of the table _VERIFY_SUITES, which maps each
+suite name (eppf, deletion, regen, order, leem) to its checks; `--suite
+all` runs every suite in that order.
 Exit codes: 0 on success, 1 when a verification suite reports a
 failure or stdout is closed before the output is written, 2 on usage
 errors.  _emit writes the whole output in one write, so under `| head`
@@ -21,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import core, deletion, oracle, regen, samplers
-from .core import Composition, ExtParams, ParameterError, dumps, parse_scalar, scalar_to_json
+from .core import ExtParams, ParameterError, dumps, parse_scalar, scalar_to_json
 from .eppf import addition_residual, eppf
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:
@@ -222,90 +225,6 @@ def _params_label(params: ExtParams) -> str:
     return f"two_param({params.alpha}, {params.theta})"
 
 
-def _verify_tasks(suite: str, n: int, grid: tuple[ExtParams, ...]):
-    tasks = []
-    if suite in ("all", "eppf"):
-        for params in grid:
-            tasks.append(
-                (
-                    "eppf_normalization",
-                    _params_label(params),
-                    n,
-                    lambda p=params: abs(oracle.exact_law(p, n).total() - 1),
-                )
-            )
-            tasks.append(
-                (
-                    "eppf_addition",
-                    _params_label(params),
-                    min(n, 6),
-                    lambda p=params: max(
-                        abs(addition_residual(p, c.parts))
-                        for c in _all_compositions(min(n, 6))
-                    ),
-                )
-            )
-    if suite in ("all", "deletion"):
-        for params in grid:
-            tasks.append(
-                (
-                    "deletion_characterization",
-                    _params_label(params),
-                    n,
-                    lambda p=params: oracle.deletion_law_check(p, n),
-                )
-            )
-        for params in grid:
-            if params.kind == core.TWO_PARAM and params.theta >= 0:
-                tasks.append(
-                    (
-                        "tau_regeneration",
-                        _params_label(params),
-                        n,
-                        lambda p=params: oracle.tau_regen_check(p, n),
-                    )
-                )
-    if suite in ("all", "regen"):
-        for params in grid:
-            if params.kind == core.TWO_PARAM and params.theta >= 0:
-                tasks.append(
-                    (
-                        "decrement_vs_phi",
-                        _params_label(params),
-                        n,
-                        lambda p=params: _decrement_gap(p, n),
-                    )
-                )
-    if suite in ("all", "order"):
-        for xi in (Fraction(1, 2), 1, 2, 3):
-            tasks.append(
-                (
-                    "xi_order_enumeration",
-                    f"xi={xi}",
-                    min(n, 6),
-                    lambda x=xi: oracle.xi_order_enumeration_residual(min(n, 6), x),
-                )
-            )
-    if suite in ("all", "leem"):
-        for tau in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
-            tasks.append(
-                (
-                    "pick_order_identity",
-                    f"tau={tau}",
-                    4,
-                    lambda t=tau: oracle.leem_check((1, 2, 3, 4), t),
-                )
-            )
-    return tasks
-
-
-def _all_compositions(n: int):
-    out = []
-    for total in range(1, n + 1):
-        out.extend(Composition(c) for c in deletion._compositions(total))
-    return out
-
-
 def _decrement_gap(params: ExtParams, n: int):
     direct = deletion.decrement_matrix(params, n)
     measure = regen.LevyImageMeasure.alpha_theta(params.alpha, params.theta)
@@ -317,12 +236,67 @@ def _decrement_gap(params: ExtParams, n: int):
     )
 
 
+def _kernel_points(grid: tuple[ExtParams, ...]) -> list[ExtParams]:
+    """The two-parameter points with theta >= 0, where tau = alpha/(alpha + theta) is in [0, 1]
+    and the alpha-theta image measure exists."""
+    return [p for p in grid if p.kind == core.TWO_PARAM and p.theta >= 0]
+
+
+# Each suite maps (n, grid) to its tasks in output order, each task being
+# (check name, params label, n used, deviation thunk).  `--suite all`
+# runs every suite in table order.
+_VERIFY_SUITES = {
+    "eppf": lambda n, grid: [
+        task
+        for p in grid
+        for task in (
+            ("eppf_normalization", _params_label(p), n, lambda p=p: abs(oracle.exact_law(p, n).total() - 1)),
+            (
+                "eppf_addition",
+                _params_label(p),
+                min(n, 6),
+                lambda p=p: max(
+                    abs(addition_residual(p, parts))
+                    for size in range(1, min(n, 6) + 1)
+                    for parts in deletion._compositions(size)
+                ),
+            ),
+        )
+    ],
+    "deletion": lambda n, grid: [
+        ("deletion_characterization", _params_label(p), n, lambda p=p: oracle.deletion_law_check(p, n))
+        for p in grid
+    ] + [
+        ("tau_regeneration", _params_label(p), n, lambda p=p: oracle.tau_regen_check(p, n))
+        for p in _kernel_points(grid)
+    ],
+    "regen": lambda n, grid: [
+        ("decrement_vs_phi", _params_label(p), n, lambda p=p: _decrement_gap(p, n))
+        for p in _kernel_points(grid)
+    ],
+    "order": lambda n, grid: [
+        ("xi_order_enumeration", f"xi={xi}", min(n, 6),
+         lambda xi=xi: oracle.xi_order_enumeration_residual(min(n, 6), xi))
+        for xi in (Fraction(1, 2), 1, 2, 3)
+    ],
+    "leem": lambda n, grid: [
+        ("pick_order_identity", f"tau={tau}", 4, lambda tau=tau: oracle.leem_check((1, 2, 3, 4), tau))
+        for tau in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+    ],
+}
+
+
 def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.alpha is not None or ns.coupon is not None:
         grid: tuple[ExtParams, ...] = (_params_from_args(ns),)
     else:
         grid = _VERIFY_GRID
-    tasks = _verify_tasks(ns.suite, ns.n, grid)
+    tasks = [
+        task
+        for suite, build in _VERIFY_SUITES.items()
+        if ns.suite in ("all", suite)
+        for task in build(ns.n, grid)
+    ]
     if not tasks:
         raise ParameterError("no checks match the requested suite and parameters")
     lines = []
@@ -409,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exact consistency suites")
     _add_params_args(p)
-    p.add_argument("--suite", choices=("all", "eppf", "deletion", "regen", "order", "leem"), default="all")
+    p.add_argument("--suite", choices=("all", *_VERIFY_SUITES), default="all")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--exact", action="store_true", help="require literal zero deviations")
     p.add_argument("--tol", type=float, default=1e-12)
