@@ -160,6 +160,10 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
 
 
 def _cmd_regen_set(ns: argparse.Namespace) -> int:
+    if ns.model != "ordered" and ns.theta is None:
+        raise ParameterError(f"pass --theta with --model {ns.model}")
+    if ns.model == "crossbreed" and ns.alpha is None:
+        raise ParameterError("pass --alpha with --model crossbreed")
     rng = samplers.RngHandle(ns.seed)
     if ns.model == "stick":
         iv = regen.stick_breaking_set(float(parse_scalar(ns.theta)), ns.eps, rng)

@@ -290,6 +290,11 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("phi", "--atoms", "1/2:1,1:inf", "--n-max", "2"),
         ("sample", "--model", "gem", "--alpha", "0.25", "--theta", "inf", "--eps", "1e-3", "--seed", "1"),
         ("regen-set", "--model", "stick", "--theta", "inf", "--eps", "1e-3", "--seed", "1"),
+        # a missing parameter: parse_scalar(None) raised AttributeError before
+        ("regen-set", "--model", "stick", "--seed", "1"),
+        ("regen-set", "--model", "compound", "--seed", "1"),
+        ("regen-set", "--model", "crossbreed", "--theta", "1", "--seed", "1"),
+        ("regen-set", "--model", "crossbreed", "--alpha", "1/2", "--seed", "1"),
     ],
 )
 def test_domain_errors_exit_2(capsys, args):
