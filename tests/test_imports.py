@@ -1,8 +1,11 @@
 """Lint: every name a library module imports is used by that module.
 
 Names listed in __all__ count as used (re-exports), and an import line
-marked ``# noqa: F401`` is skipped.  Also: importing the library and
-running an exact CLI command leave scipy unloaded.
+marked ``# noqa: F401`` is skipped.  Every module-level private name
+(one leading underscore, not a dunder) is read by the library outside
+its own definition; tests and perfbench do not count as readers.  Also:
+importing the library and running an exact CLI command leave scipy
+unloaded.
 """
 
 import ast
@@ -44,6 +47,53 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_modules_have_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module reads.
+
+    A read is a name or attribute access; one inside the name's own
+    definition (a recursive call) does not count.
+    """
+    defined = []
+    reads = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            defined.extend((module, name) for name in sorted(names) if _is_private(name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = node.id
+                elif isinstance(node, ast.Attribute):
+                    read = node.attr
+                else:
+                    continue
+                if read not in names:
+                    reads.add(read)
+    return [f"{module}.{name}" for module, name in defined if name not in reads]
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a": "_K = 1\n__version__ = '1'\ndef _walk(n):\n    return _walk(n - 1) if n else _K\nclass _Spare: pass\n",
+        "b": "from a import _helper\nimport a\ndef f():\n    return a._K\n",
+    }
+    assert unread_private_names(sources) == ["a._walk", "a._Spare"]
+
+
+def test_library_private_names_are_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def test_import_and_exact_cli_do_not_load_scipy():
