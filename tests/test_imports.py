@@ -49,10 +49,6 @@ def test_library_modules_have_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _is_private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
-
-
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private functions, classes and constants that no module reads.
 
@@ -70,7 +66,9 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 names = {t.id for t in targets if isinstance(t, ast.Name)}
             else:
                 names = set()
-            defined.extend((module, name) for name in sorted(names) if _is_private(name))
+            defined.extend(
+                (module, name) for name in sorted(names) if name.startswith("_") and not name.startswith("__")
+            )
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     read = node.id
