@@ -1,5 +1,6 @@
 """Deletion kernel, decrement matrix, and block-removal samplers."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partition_lab import cli
 from partition_lab.core import (
     ExtParams,
     FrequencyVector,
@@ -15,6 +17,7 @@ from partition_lab.core import (
     ResidualPickError,
     UnsupportedKernelError,
     canonicalize,
+    dumps,
     exact_div,
 )
 from partition_lab.deletion import (
@@ -147,7 +150,6 @@ def test_decrement_rejects_bounded_ranges():
 def test_decrement_json_round_trip():
     import json
 
-    from partition_lab.core import dumps
     from partition_lab.deletion import DecrementMatrix
 
     dm = decrement_matrix(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 5)
@@ -158,6 +160,42 @@ def test_decrement_json_round_trip():
 def _both_routes(params, n_max):
     measure = LevyImageMeasure.alpha_theta(params.alpha, params.theta)
     return decrement_matrix(params, n_max), decrement_from_phi(measure, n_max)
+
+
+# sha256 of dumps(M.to_json()) at n_max = 100 for (kernel route, phi route),
+# recorded from the Fraction-per-step recurrences: the kernel points of the
+# verify grid, three more exact points and one float point
+DECREMENT_GOLDEN = {
+    (0, 1): ("be6a33770230bd589dc2417c713f0dc9ab30207173f66ee1aa333746112b6bff",) * 2,
+    (0, 2): ("a580ad54b1cb2da711094865970a4f062811c3a49c001665e77b2e436c50e7a0",) * 2,
+    (Fraction(1, 2), Fraction(1, 2)): (
+        "d85ebf9c71f720917df8698432db7c2b3310c7bb8b03d691eb731ae633365ab7",) * 2,
+    (Fraction(1, 3), Fraction(2, 3)): (
+        "dce7738bcec1d32f91823fe44c0483f2ff4fd7497f7f8b6b9611c3405f961b67",) * 2,
+    (Fraction(2, 3), 0): ("eb80534119df94da9b74ea584655720cbdec1fac876f787081b5acf7d7e009ad",) * 2,
+    (Fraction(1, 3), Fraction(1, 7)): (
+        "f7e65b52aadd400382352d517816519a62618908b03981e88be8ead130410692",) * 2,
+    (Fraction(7, 11), Fraction(5, 13)): (
+        "83a6ae17e6012aa2a130eeeb9931fbf64930c8eba42f8107cf2f94fd37a980f7",) * 2,
+    (Fraction(1, 2), 3): ("6fdb0ca3fc0e93fa3112d79d8a16669662ff374c1b9730f3ddb11595f6dd0672",) * 2,
+    (0.3, 0.5): (
+        "06b6909c859696c6d8e374024dcc988710a7836dae932214ab43e87caff706b7",
+        "6269ff1754d4e37876128974cfeefd47463c60134afbed929bb37db1e8e3edd1",
+    ),
+}
+
+
+def test_decrement_golden_covers_the_verify_grid():
+    points = {(p.alpha, p.theta) for p in cli._kernel_points(cli._VERIFY_GRID)}
+    assert points <= set(DECREMENT_GOLDEN)
+
+
+@pytest.mark.parametrize("point", list(DECREMENT_GOLDEN), ids=str)
+def test_decrement_routes_golden(point):
+    alpha, theta = point
+    kernel, phi = _both_routes(ExtParams.two_param(alpha, theta), 100)
+    got = tuple(hashlib.sha256(dumps(m.to_json()).encode()).hexdigest() for m in (kernel, phi))
+    assert got == DECREMENT_GOLDEN[point]
 
 
 @pytest.mark.parametrize(
