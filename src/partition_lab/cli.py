@@ -291,6 +291,7 @@ _VERIFY_SUITES = {
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    core.check_size("--n", ns.n, 1)  # the leem suite fixes k = 4 and never reads n
     if ns.alpha is not None or ns.coupon is not None:
         grid: tuple[ExtParams, ...] = (_params_from_args(ns),)
     else:

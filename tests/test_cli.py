@@ -295,6 +295,9 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("regen-set", "--model", "compound", "--seed", "1"),
         ("regen-set", "--model", "crossbreed", "--theta", "1", "--seed", "1"),
         ("regen-set", "--model", "crossbreed", "--alpha", "1/2", "--seed", "1"),
+        # the leem suite never reads --n, so only the up-front size check rejects it
+        ("verify", "--suite", "leem", "--n", "0"),
+        ("verify", "--suite", "leem", "--n", "-5"),
     ],
 )
 def test_domain_errors_exit_2(capsys, args):
