@@ -178,6 +178,17 @@ def _exact_ratio(num, den, factors) -> Fraction:
     return Fraction(top, bottom)
 
 
+def _integer_scale(alpha: Scalar, theta: Scalar) -> tuple[int, int, int]:
+    """(A, T, L) for exact alpha and theta: L = lcm(den alpha, den theta),
+    A = alpha L and T = theta L, all integers.
+
+    Written in A, T and L, every factor of the decrement recurrences is an
+    integer, since the L's cancel between numerator and denominator.
+    """
+    L = math.lcm(alpha.denominator, theta.denominator)
+    return alpha.numerator * (L // alpha.denominator), theta.numerator * (L // theta.denominator), L
+
+
 def _log_rising_ratio(num, den, factors) -> float:
     """rising_ratio by log-gamma, for real n, m with x, y, x + n, y + m > 0."""
     sign, log_abs = 1.0, 0.0

@@ -23,14 +23,22 @@ decrement_matrix builds each row from its neighbours in O(n) steps,
 so every factor is O(1): the matrix costs O(n_max^2), and float rows
 stay finite where the closed form's rising factorials overflow (from
 n = 172).  The last entry has its own rule because theta + n - m - 1
-vanishes at m = n - 1 when theta = 0.  Where its float products leave
-the range, decrement_entry takes core's one log-gamma route, with C(n, m)
-as an exact factor, and stays finite past n = 1020.
+vanishes at m = n - 1 when theta = 0.  With exact parameters,
+alpha = A/L and theta = T/L over L = lcm(den alpha, den theta), and the
+L's cancel in every factor, so q(n, 1) = ((n - 1) A + T)/(T + (n - 1) L)
+and each step multiplies the previous entry's integer numerator and
+denominator by integers, (n - m)(mL - A)((n - m - 1) A + (m + 1) T) and
+(m + 1)((n - m) A + m T)(T + (n - m - 1) L); the product is reduced once,
+into the entry's Fraction.  Float and mixed parameters multiply the
+factors as written above.  Where decrement_entry's float products leave
+the range, it takes core's one log-gamma route, with C(n, m) as an
+exact factor, and stays finite past n = 1020.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .core import (
@@ -42,6 +50,7 @@ from .core import (
     ParameterError,
     ResidualPickError,
     Scalar,
+    _integer_scale,
     check_size,
     exact_div,
     rising_ratio,
@@ -148,6 +157,8 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
     check_size("n_max", n_max, 1)
     _require_kernel_params(params)
     alpha, theta = params.alpha, params.theta
+    if params.is_exact_mode:
+        return DecrementMatrix(n_max, _integer_rows(alpha, theta, n_max))
     last = decrement_entry(params, 1, 1)
     rows = [(last,)]
     for n in range(2, n_max + 1):
@@ -163,6 +174,31 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
         row.append(last)
         rows.append(tuple(row))
     return DecrementMatrix(n_max, tuple(rows))
+
+
+def _integer_rows(alpha: Scalar, theta: Scalar, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of decrement_matrix for exact alpha and theta.
+
+    The row recurrence in the integers A, T, L of core._integer_scale:
+    each entry is one Fraction of the previous entry's numerator and
+    denominator times the step's integer factors.
+    """
+    A, T, L = _integer_scale(alpha, theta)
+    last = Fraction(1)
+    rows = [(last,)]
+    for n in range(2, n_max + 1):
+        q = Fraction((n - 1) * A + T, T + (n - 1) * L)
+        row = [q]
+        for m in range(1, n - 1):
+            q = Fraction(
+                q.numerator * (n - m) * (m * L - A) * ((n - m - 1) * A + (m + 1) * T),
+                q.denominator * (m + 1) * ((n - m) * A + m * T) * (T + (n - m - 1) * L),
+            )
+            row.append(q)
+        last = Fraction(last.numerator * ((n - 1) * L - A), last.denominator * (T + (n - 1) * L))
+        row.append(last)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def f1_consistency(params: ExtParams, n: int, lam1: int) -> Scalar:

@@ -43,6 +43,7 @@ from .core import (
     exact_div,
     is_exact,
     rising_ratio,
+    _integer_scale,
     _log_rising_ratio,
     scalar_from_json,
 )
@@ -245,6 +246,13 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
     starting from q(j + 1, 1) = (theta + j alpha)/(j + theta).  On the
     main diagonal q(n, n) = B(n - alpha, theta + 1)/B(1 - alpha, n + theta),
     so q(1, 1) = 1 and q(n + 1, n + 1) = q(n, n) (n - alpha)/(theta + n).
+    With exact parameters the same steps run in the integers of
+    core._integer_scale, alpha = A/L and theta = T/L: q(j + 1, 1) =
+    (T + j A)/(j L + T), and each step multiplies the previous entry's
+    numerator by n (m L - A)((m + 1) T + j A) and its denominator by
+    (m + 1)(m T + j A)(T + n L) ((n L - A) and (T + n L) on the main
+    diagonal), reduced once into the entry's Fraction.  Float and mixed
+    parameters multiply the factors as written.
     The kernel route steps along rows instead, a different identity,
     which keeps the comparison of the two routes a real cross-check.
     Atomic measures divide phi_nm by laplace_exponent entry by entry.
@@ -258,12 +266,24 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
         return DecrementMatrix(n_max, tuple(rows))
     alpha, theta = measure.alpha, measure.theta
     rows = [[None] * n for n in range(1, n_max + 1)]
+    if all_exact(alpha, theta):
+        A, T, L = _integer_scale(alpha, theta)
+        for j in range(n_max):
+            # the ScaledBeta ratio gives 1 as a Fraction in exact mode
+            q = Fraction(T + j * A, j * L + T) if j else Fraction(1)
+            rows[j][0] = q
+            for n in range(j + 1, n_max):
+                m = n - j
+                if j == 0:
+                    top, bottom = n * L - A, T + n * L
+                else:
+                    top = n * (m * L - A) * ((m + 1) * T + j * A)
+                    bottom = (m + 1) * (m * T + j * A) * (T + n * L)
+                q = Fraction(q.numerator * top, q.denominator * bottom)
+                rows[n][m] = q
+        return DecrementMatrix(n_max, tuple(tuple(r) for r in rows))
     for j in range(n_max):
-        if j == 0:
-            # the ScaledBeta ratio gives 1 as a Fraction only in exact mode
-            q = exact_div(1, 1) if all_exact(alpha, theta) else 1.0
-        else:
-            q = exact_div(theta + j * alpha, j + theta)
+        q = exact_div(theta + j * alpha, j + theta) if j else 1.0
         rows[j][0] = q
         for n in range(j + 1, n_max):
             m = n - j

@@ -235,20 +235,15 @@ def test_float_decrement_entry_past_the_float_binomial():
 
 _exact_alpha = st.one_of(st.just(0), st.fractions(0, 1, max_denominator=12).filter(lambda a: a < 1))
 _exact_theta = st.one_of(st.integers(0, 5), st.fractions(0, 5, max_denominator=12))
-
-
-@settings(deadline=None)
-@given(
-    alpha=_exact_alpha,
-    theta=_exact_theta,
-    n_max=st.integers(1, 20),
-    as_float=st.sampled_from([(False, False), (True, True), (True, False), (False, True)]),
+# denominators up to 10^4, so that lcm(den alpha, den theta) reaches about 10^8
+_big_den = st.integers(1, 10**4)
+_big_alpha = _big_den.flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+_big_theta = st.one_of(
+    st.integers(0, 5), _big_den.flatmap(lambda q: st.integers(0, 5 * q).map(lambda p: Fraction(p, q)))
 )
-def test_decrement_routes_match_closed_forms(alpha, theta, n_max, as_float):
-    if alpha == 0 and theta == 0:
-        theta = 1
-    alpha = float(alpha) if as_float[0] else alpha
-    theta = float(theta) if as_float[1] else theta
+
+
+def _assert_routes_match_closed_forms(alpha, theta, n_max):
     params = ExtParams.two_param(alpha, theta)
     measure = LevyImageMeasure.alpha_theta(alpha, theta)
     kernel, phi = _both_routes(params, n_max)
@@ -265,6 +260,29 @@ def test_decrement_routes_match_closed_forms(alpha, theta, n_max, as_float):
                     assert got == pytest.approx(want, rel=1e-12, abs=0)
                 else:
                     assert got == want
+
+
+@settings(deadline=None)
+@given(
+    alpha=_exact_alpha,
+    theta=_exact_theta,
+    n_max=st.integers(1, 20),
+    as_float=st.sampled_from([(False, False), (True, True), (True, False), (False, True)]),
+)
+def test_decrement_routes_match_closed_forms(alpha, theta, n_max, as_float):
+    if alpha == 0 and theta == 0:
+        theta = 1
+    alpha = float(alpha) if as_float[0] else alpha
+    theta = float(theta) if as_float[1] else theta
+    _assert_routes_match_closed_forms(alpha, theta, n_max)
+
+
+@settings(deadline=None)
+@given(alpha=_big_alpha, theta=_big_theta, n_max=st.integers(1, 12))
+def test_decrement_routes_match_closed_forms_large_denominators(alpha, theta, n_max):
+    if alpha == 0 and theta == 0:
+        theta = 1
+    _assert_routes_match_closed_forms(alpha, theta, n_max)
 
 
 # ---------------------------------------------------------------------------
