@@ -95,6 +95,32 @@ def test_exact_law_is_eppf_of_each_partition(params):
             assert got[pi] == p and type(got[pi]) is type(p)
 
 
+# sha256 of repr(exact_law(params, n)) for n = 1..7, one line each, recorded
+# from the SetPartition-keyed law; the repr is the public text of the law
+# and what the benchmark digests
+LAW_REPR_GOLDEN = {
+    _VERIFY_GRID[0]: "920e46af373337b7709a83d5c15625e0e46d27a61f69a9b53e9e0dd34afa8e35",
+    _VERIFY_GRID[1]: "e93a559a9272bc6840a5d73b10cfc13d00af2717230afaff2bcfa9d0559157f1",
+    _VERIFY_GRID[2]: "02240c24b3c514c1c06ef5206c237cfb804a23a1a220b0103911420768516371",
+    _VERIFY_GRID[3]: "50e714547fd4a9abe7faa2c88202c44b6ecfe6114419c32556b5615269145af6",
+    _VERIFY_GRID[4]: "9b8fd053f7b8ab71a8c4903b48a810383e93a9a64232189dd7136d2b150c7cd2",
+    _VERIFY_GRID[5]: "76ff6aad254e0b5bd179673101d9906351656fd39303a4e66fd13a7e2ad7c7bc",
+    _VERIFY_GRID[6]: "53fefd5f8bcf10334ba3f35f1c4b5f61e409f4df5bcfbde41ff7e352d7770634",
+}
+
+
+@pytest.mark.parametrize("params", _VERIFY_GRID, ids=str)
+def test_exact_law_repr_golden(params):
+    text = "\n".join(repr(exact_law(params, n)) for n in range(1, 8))
+    assert hashlib.sha256(text.encode()).hexdigest() == LAW_REPR_GOLDEN[params]
+
+
+def test_exact_law_repr_golden_n8():
+    law = exact_law(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 8)
+    digest = hashlib.sha256(repr(law).encode()).hexdigest()
+    assert digest == "1fa279c09b0ecada1e5d6fd19f7697a0fd77025e20fd1fdc99d5b3e95df20d15"
+
+
 # ---------------------------------------------------------------------------
 # characterization checks (zero for the family, positive when perturbed)
 
@@ -139,6 +165,20 @@ _HALF = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
 def test_checks_see_perturbation(check, params, n, blocks, dev):
     law = exact_law(params, n).perturbed(canonicalize(blocks), Fraction(1, 1000))
     assert check(params, n, law) == dev
+
+
+# recorded from the SetPartition-keyed law at two more grid points, n = 7
+@pytest.mark.parametrize(("params", "blocks", "deletion_dev", "tau_dev"), [
+    (_VERIFY_GRID[3], [[1, 3], [2, 4, 5, 6, 7]], Fraction(289289, 53462187), Fraction(51, 11335)),
+    (_VERIFY_GRID[3], [[i] for i in range(1, 8)], Fraction(917609, 240102711), Fraction(365, 149974)),
+    (_VERIFY_GRID[4], [[1, 3], [2, 4, 5, 6, 7]], Fraction(45927, 6824114), Fraction(486, 49729)),
+    (_VERIFY_GRID[4], [[i] for i in range(1, 8)], Fraction(6698781, 3435550349),
+     Fraction(211, 162243)),
+])
+def test_checks_on_perturbed_grid_laws(params, blocks, deletion_dev, tau_dev):
+    law = exact_law(params, 7).perturbed(canonicalize(blocks), Fraction(1, 1000))
+    assert deletion_law_check(params, 7, law) == deletion_dev
+    assert tau_regen_check(params, 7, law) == tau_dev
 
 
 @pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
