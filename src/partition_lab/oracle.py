@@ -2,7 +2,10 @@
 
 Everything here recomputes laws by brute force (enumerating set
 partitions, permutations, or rank sequences) so the closed-form modules
-can be checked against a second, slower route.  Deviations are returned
+can be checked against a second, slower route.  A set partition of [n]
+is enumerated as its restricted-growth assignment word: `exact_law`
+keys its law by word and builds `SetPartition` objects only when the
+public `ExactLaw.probs` mapping is read.  Deviations are returned
 as numbers, 0 in exact arithmetic when a claimed identity holds; the
 perturbation hooks confirm that the checks actually reject wrong laws.
 
@@ -14,6 +17,7 @@ remainder with their laws.  scipy is imported inside `chi_square` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,34 +78,50 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
     return list(iter_partitions(n))
 
 
+def _block_sizes(word: bytes) -> tuple[int, ...]:
+    """Block sizes of the partition with assignment word `word`, in block order.
+
+    The same parts as `pi.block_sizes()`, as a plain tuple, without
+    building pi; the key by which laws and rows are memoized.
+    """
+    return tuple(map(word.count, range(1, max(word) + 1)))
+
+
 @dataclass
 class ExactLaw:
-    """A finite exact law over set partitions of [n]."""
+    """A finite exact law over set partitions of [n], keyed by assignment word.
+
+    words holds restricted-growth words (`bytes`, byte i the block of
+    element i + 1) and values their probabilities, in the same order.
+    The public mapping `probs` from `SetPartition` to probability is built
+    on first read and kept; the checks read words and values only.
+    """
 
     n: int
-    probs: dict[SetPartition, Scalar]
+    words: Sequence[bytes]
+    values: Sequence[Scalar]
+
+    @functools.cached_property
+    def probs(self) -> dict[SetPartition, Scalar]:
+        return {partition_from_assignment(w): v for w, v in zip(self.words, self.values)}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, probs={self.probs!r})"
 
     def total(self) -> Scalar:
-        return sum(self.probs.values())
+        return sum(self.values)
 
     def perturbed(self, pi: SetPartition, amount: Scalar) -> "ExactLaw":
         """Add mass to one partition and renormalize; breaks exactness claims."""
-        if pi not in self.probs:
-            raise ParameterError("perturbation target is not a partition of [n]")
-        new = dict(self.probs)
-        new[pi] = new[pi] + amount
+        word = bytes(pi.assignment_word())
+        try:
+            i = self.words.index(word)
+        except ValueError:
+            raise ParameterError("perturbation target is not a partition of [n]") from None
+        new = list(self.values)
+        new[i] = new[i] + amount
         scale = 1 + amount
-        return ExactLaw(self.n, {k: exact_div(v, scale) for k, v in new.items()})
-
-
-def _size_key(pi: SetPartition) -> tuple[int, ...]:
-    """Block sizes of pi as a plain tuple, in block order.
-
-    The memo key of `exact_law` and of the deletion rows: the same parts as
-    `pi.block_sizes()`, without re-validating them in a `Composition` for
-    every enumerated partition.
-    """
-    return tuple(map(len, pi.blocks))
+        return ExactLaw(self.n, self.words, [exact_div(v, scale) for v in new])
 
 
 def exact_law(params: ExtParams, n: int) -> ExactLaw:
@@ -109,19 +129,20 @@ def exact_law(params: ExtParams, n: int) -> ExactLaw:
 
     The probability of a set partition depends only on its block sizes,
     so `eppf` is evaluated once per block-size vector (in order of
-    appearance) and every partition with that vector shares the value.
+    appearance) and every word with that vector shares the value.  No
+    `SetPartition` is built until `probs` is read.
     """
     if not (isinstance(n, int) and 1 <= n <= 10):
         raise ParameterError(f"need 1 <= n <= 10, got {n}")
+    words = tuple(_words(n))
     by_sizes: dict[tuple[int, ...], Scalar] = {}
-    probs: dict[SetPartition, Scalar] = {}
-    for pi in iter_partitions(n):
-        sizes = _size_key(pi)
+    values = []
+    for sizes in map(_block_sizes, words):
         p = by_sizes.get(sizes)
         if p is None:
             p = by_sizes[sizes] = eppf(params, sizes)
-        probs[pi] = p
-    return ExactLaw(n, probs)
+        values.append(p)
+    return ExactLaw(n, words, values)
 
 
 # _LOWER[j] maps each label c to c - (c > j); _LABEL[j] is label j alone
@@ -162,7 +183,7 @@ def _remainder_distance(joint: dict[bytes, Scalar], mass: Scalar, den: int | Non
     """
     worst: Scalar = 0
     for word in _words(r):
-        sizes = tuple(word.count(c) for c in range(1, max(word) + 1))
+        sizes = _block_sizes(word)
         target = memo.get(sizes)
         if target is None:
             target = memo[sizes] = eppf(params, sizes)
@@ -186,16 +207,17 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
     deleting size m must be size_target(m), and given m < n with mass, the
     relabeled remainder must follow remainder_params() on [n - m]; that is
     called only then, as some parameters cannot shift.  Rows are built
-    once per size vector, p read per partition (a passed-in law need not
-    be a function of the sizes).  Remainders are keyed by assignment word;
+    once per size vector, p read per word (a passed-in law need not be a
+    function of the sizes).  The walk reads the law's words and values and
+    keys remainders by assignment word, so it builds no `SetPartition`;
     exact masses add as integer numerators over the law's denominator
     times the rows'.
     """
     if law.n != n:
         raise ParameterError(f"law is on [{law.n}], check needs [{n}]")
-    keys = [_size_key(pi) for pi in law.probs]
+    keys = list(map(_block_sizes, law.words))
     rows = {key: row(key) for key in dict.fromkeys(keys)}
-    probs = list(law.probs.values())
+    probs = law.values
     law_num, law_den = _over_common_denominator(probs)
     row_num, row_den = _over_common_denominator([d for r in rows.values() for d in r])
     den = None
@@ -207,8 +229,7 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
     picks = {key: list(zip(itertools.count(1), key, r)) for key, r in rows.items()}
     joint: dict[bytes, Scalar] = {}
     size_mass: dict[int, Scalar] = {}
-    for pi, key, p in zip(law.probs, keys, probs):
-        word = bytes(pi.assignment_word())
+    for word, key, p in zip(law.words, keys, probs):
         for j, m, d in picks[key]:
             w = p * d
             size_mass[m] = size_mass.get(m, 0) + w

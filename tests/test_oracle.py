@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from partition_lab import cli, oracle
 from partition_lab.cli import _VERIFY_GRID
 from partition_lab.core import ExtParams, ParameterError, canonicalize, delete_block
 from partition_lab.eppf import eppf
@@ -179,6 +180,25 @@ def test_checks_on_perturbed_grid_laws(params, blocks, deletion_dev, tau_dev):
     law = exact_law(params, 7).perturbed(canonicalize(blocks), Fraction(1, 1000))
     assert deletion_law_check(params, 7, law) == deletion_dev
     assert tau_regen_check(params, 7, law) == tau_dev
+
+
+def test_oracle_builds_no_partition_until_probs_is_read(monkeypatch, capsys):
+    def refuse(word):
+        raise AssertionError(f"built the SetPartition of {word!r}")
+
+    monkeypatch.setattr(oracle, "partition_from_assignment", refuse)
+    law = exact_law(_HALF, 8)
+    assert law.total() == 1
+    assert deletion_law_check(_HALF, 8) == 0
+    assert tau_regen_check(_HALF, 8) == 0
+    pert = law.perturbed(canonicalize([[1, 3], [2, 4, 5, 6, 7, 8]]), Fraction(1, 1000))
+    assert pert.total() == 1 and deletion_law_check(_HALF, 8, pert) > 0
+    assert cli.main(["verify", "--suite", "deletion"]) == 0
+    assert capsys.readouterr().out.endswith('{"checks":12,"failures":0}\n')
+    monkeypatch.undo()
+    # the mapping, built on first read, is keyed and ordered as enumeration is
+    want = {pi: eppf(_HALF, pi.block_sizes()) for pi in iter_partitions(8)}
+    assert list(law.probs.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
