@@ -164,7 +164,8 @@ def _both_routes(params, n_max):
 
 # sha256 of dumps(M.to_json()) at n_max = 100 for (kernel route, phi route),
 # recorded from the Fraction-per-step recurrences: the kernel points of the
-# verify grid, three more exact points and one float point
+# verify grid, three more exact points and two float points; theta = 0.7 is
+# not dyadic, so a regrouped float sum such as theta + (n - m - 1) shows
 DECREMENT_GOLDEN = {
     (0, 1): ("be6a33770230bd589dc2417c713f0dc9ab30207173f66ee1aa333746112b6bff",) * 2,
     (0, 2): ("a580ad54b1cb2da711094865970a4f062811c3a49c001665e77b2e436c50e7a0",) * 2,
@@ -181,6 +182,10 @@ DECREMENT_GOLDEN = {
     (0.3, 0.5): (
         "06b6909c859696c6d8e374024dcc988710a7836dae932214ab43e87caff706b7",
         "6269ff1754d4e37876128974cfeefd47463c60134afbed929bb37db1e8e3edd1",
+    ),
+    (0.3, 0.7): (
+        "bac16d39cb2a8cc699ffcd106c95e2e0cc9f7fa8da4c78eb341a8edc244ef790",
+        "8c21df04db7d8e1c084a4e0e6e3b51433d691257e4ee475c4edf843839a01feb",
     ),
 }
 
