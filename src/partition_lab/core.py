@@ -23,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -178,15 +178,35 @@ def _exact_ratio(num, den, factors) -> Fraction:
     return Fraction(top, bottom)
 
 
-def _integer_scale(alpha: Scalar, theta: Scalar) -> tuple[int, int, int]:
-    """(A, T, L) for exact alpha and theta: L = lcm(den alpha, den theta),
-    A = alpha L and T = theta L, all integers.
+def _exact_step(q: Fraction, top: int, bottom: int) -> Fraction:
+    return Fraction(q.numerator * top, q.denominator * bottom)
 
-    Written in A, T and L, every factor of the decrement recurrences is an
-    integer, since the L's cancel between numerator and denominator.
+
+def _float_step(q: Scalar, top: Scalar, bottom: Scalar) -> Scalar:
+    return q * (top / bottom)
+
+
+def _integer_scale(
+    alpha: Scalar, theta: Scalar
+) -> tuple[Scalar, Scalar, Scalar, Callable[[Scalar, Scalar, Scalar], Scalar]]:
+    """(A, T, L, step) for the decrement recurrences, alpha = A/L and theta = T/L.
+
+    For exact alpha and theta, L = lcm(den alpha, den theta), A = alpha L
+    and T = theta L are integers.  Written in A, T and L, every factor of
+    the recurrences is an integer, since the L's cancel between numerator
+    and denominator, and step(q, top, bottom) is the one Fraction of q's
+    numerator times top over q's denominator times bottom, reduced once.
+    Otherwise (A, T, L) = (alpha, theta, 1) and step(q, top, bottom) is
+    q * (top / bottom); a factor written term by term with L multiplied
+    in, such as T + n L - m L - L for theta + n - m - 1, then does the
+    float operations of the plain factor.  step(1, top, bottom) is the
+    quotient itself and step(1, 1, 1) is 1, in the mode of the parameters.
     """
+    if not all_exact(alpha, theta):
+        return alpha, theta, 1, _float_step
     L = math.lcm(alpha.denominator, theta.denominator)
-    return alpha.numerator * (L // alpha.denominator), theta.numerator * (L // theta.denominator), L
+    A, T = alpha.numerator * (L // alpha.denominator), theta.numerator * (L // theta.denominator)
+    return A, T, L, _exact_step
 
 
 def _log_rising_ratio(num, den, factors) -> float:

@@ -23,22 +23,20 @@ decrement_matrix builds each row from its neighbours in O(n) steps,
 so every factor is O(1): the matrix costs O(n_max^2), and float rows
 stay finite where the closed form's rising factorials overflow (from
 n = 172).  The last entry has its own rule because theta + n - m - 1
-vanishes at m = n - 1 when theta = 0.  With exact parameters,
-alpha = A/L and theta = T/L over L = lcm(den alpha, den theta), and the
-L's cancel in every factor, so q(n, 1) = ((n - 1) A + T)/(T + (n - 1) L)
-and each step multiplies the previous entry's integer numerator and
-denominator by integers, (n - m)(mL - A)((n - m - 1) A + (m + 1) T) and
-(m + 1)((n - m) A + m T)(T + (n - m - 1) L); the product is reduced once,
-into the entry's Fraction.  Float and mixed parameters multiply the
-factors as written above.  Where decrement_entry's float products leave
-the range, it takes core's one log-gamma route, with C(n, m) as an
-exact factor, and stays finite past n = 1020.
+vanishes at m = n - 1 when theta = 0.  decrement_matrix writes this
+recurrence once, in the A, T, L and step of core._integer_scale
+(alpha = A/L, theta = T/L).  For exact parameters L = lcm(den alpha,
+den theta), every factor is an integer, and each entry is one Fraction
+of the previous entry's numerator and denominator times the factors,
+reduced once.  Float and mixed parameters have L = 1 and multiply the
+factors as written above, in the same order.  Where decrement_entry's
+float products leave the range, it takes core's one log-gamma route,
+with C(n, m) as an exact factor, and stays finite past n = 1020.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .core import (
@@ -156,49 +154,23 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
     """
     check_size("n_max", n_max, 1)
     _require_kernel_params(params)
-    alpha, theta = params.alpha, params.theta
-    if params.is_exact_mode:
-        return DecrementMatrix(n_max, _integer_rows(alpha, theta, n_max))
-    last = decrement_entry(params, 1, 1)
+    A, T, L, step = _integer_scale(params.alpha, params.theta)
+    last = step(1, 1, 1)
     rows = [(last,)]
     for n in range(2, n_max + 1):
-        q = exact_div((n - 1) * alpha + theta, theta + n - 1)
+        q = step(1, (n - 1) * A + T, T + n * L - L)
         row = [q]
         for m in range(1, n - 1):
-            q = q * exact_div(
-                (n - m) * (m - alpha) * ((n - m - 1) * alpha + (m + 1) * theta),
-                (m + 1) * ((n - m) * alpha + m * theta) * (theta + n - m - 1),
+            q = step(
+                q,
+                (n - m) * (m * L - A) * ((n - m - 1) * A + (m + 1) * T),
+                (m + 1) * ((n - m) * A + m * T) * (T + n * L - m * L - L),
             )
             row.append(q)
-        last = last * exact_div(n - 1 - alpha, theta + n - 1)
+        last = step(last, n * L - L - A, T + n * L - L)
         row.append(last)
         rows.append(tuple(row))
     return DecrementMatrix(n_max, tuple(rows))
-
-
-def _integer_rows(alpha: Scalar, theta: Scalar, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of decrement_matrix for exact alpha and theta.
-
-    The row recurrence in the integers A, T, L of core._integer_scale:
-    each entry is one Fraction of the previous entry's numerator and
-    denominator times the step's integer factors.
-    """
-    A, T, L = _integer_scale(alpha, theta)
-    last = Fraction(1)
-    rows = [(last,)]
-    for n in range(2, n_max + 1):
-        q = Fraction((n - 1) * A + T, T + (n - 1) * L)
-        row = [q]
-        for m in range(1, n - 1):
-            q = Fraction(
-                q.numerator * (n - m) * (m * L - A) * ((n - m - 1) * A + (m + 1) * T),
-                q.denominator * (m + 1) * ((n - m) * A + m * T) * (T + (n - m - 1) * L),
-            )
-            row.append(q)
-        last = Fraction(last.numerator * ((n - 1) * L - A), last.denominator * (T + (n - 1) * L))
-        row.append(last)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def f1_consistency(params: ExtParams, n: int, lam1: int) -> Scalar:

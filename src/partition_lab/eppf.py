@@ -43,6 +43,7 @@ from .core import (
     is_exact,
     rising_factorial,  # noqa: F401  (re-exported: eppf.rising_factorial)
     rising_ratio,
+    _integer_scale,
     _log_rising_ratio,
 )
 
@@ -92,18 +93,14 @@ def stick_fraction_law(params: ExtParams, i: int) -> BetaParams | Scalar:
 def stick_b_shape(params: ExtParams) -> Callable[[int], float]:
     """k -> float(theta + k*alpha), the second beta shape of W_k, with no Fraction.
 
-    For exact theta = p/q and alpha = r/s this is the int/int division
-    (p*s + k*r*q) / (q*s).  CPython rounds that quotient correctly, and
-    float() of a Fraction is numerator / denominator, so both give the
-    double nearest the exact shape.  Needs a two_param or neg_alpha range.
+    In the A, T, L of core._integer_scale this is (T + k*A) / L.  For
+    exact parameters that is an int/int division, which CPython rounds
+    correctly, and float() of a Fraction is numerator / denominator, so
+    both give the double nearest the exact shape; float parameters have
+    L = 1.  Needs a two_param or neg_alpha range.
     """
-    alpha, theta = params.alpha, params.theta
-    if not params.is_exact_mode:
-        return lambda k: float(theta + k * alpha)
-    base = theta.numerator * alpha.denominator
-    step = alpha.numerator * theta.denominator
-    den = theta.denominator * alpha.denominator
-    return lambda k: (base + k * step) / den
+    A, T, L, _ = _integer_scale(params.alpha, params.theta)
+    return lambda k: (T + k * A) / L
 
 
 def stick_float_laws(params: ExtParams) -> Iterator[tuple[float, float] | float]:
