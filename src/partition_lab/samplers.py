@@ -239,6 +239,16 @@ def _pick(weights: Iterable[float], u: float) -> int | None:
     return None
 
 
+def _pick_rows(w: np.ndarray, rng: RngHandle) -> np.ndarray:
+    """_pick for every row of w at once: one uniform per row, 0-based columns.
+
+    A row's total weight must be positive.
+    """
+    cum = np.cumsum(w, axis=1)
+    u = rng.random(w.shape[0]) * cum[:, -1]
+    return (cum <= u[:, None]).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # sequential partition sampling
 
@@ -297,9 +307,7 @@ def crp_assignments(params: ExtParams, n: int, count: int, rng: RngHandle) -> np
             w = np.where(counts > 0, counts - alpha, 0.0)
             new_w = theta + k * alpha
         w[rows, k] = new_w
-        cum = np.cumsum(w, axis=1)
-        u = rng.random(count) * cum[:, -1]
-        idx = (cum <= u[:, None]).sum(axis=1)
+        idx = _pick_rows(w, rng)
         words[:, i - 1] = idx
         counts[rows, idx] += 1.0
         k += (idx == k).astype(np.int64)
@@ -552,9 +560,7 @@ def size_biased_perms(x: Sequence[float], count: int, rng: RngHandle) -> np.ndar
     rows = np.arange(count)
     for step in range(k):
         w = np.where(alive, w0[None, :], 0.0)
-        cum = np.cumsum(w, axis=1)
-        u = rng.random(count) * cum[:, -1]
-        idx = (cum <= u[:, None]).sum(axis=1)
+        idx = _pick_rows(w, rng)
         out[:, step] = idx + 1
         alive[rows, idx] = False
     return out
