@@ -316,6 +316,7 @@ def compound_poisson_set(
     """
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
+    check_finite("theta", theta)
     check_eps(eps)
     times, jumps, lengths = [], [], []
     t = 0.0

@@ -218,6 +218,9 @@ def test_compound_poisson_set_structure():
         rem *= math.exp(-jump)
     with pytest.raises(ParameterError):
         compound_poisson_set(0.0, 1e-6, rng)
+    # jumps of mean 1/inf = 0 would spend the whole jump budget first
+    with pytest.raises(ParameterError, match="finite theta"):
+        compound_poisson_set(math.inf, 1e-3, rng)
     with pytest.raises(ParameterError):
         compound_poisson_set(1.0, 2.0, rng)
 
