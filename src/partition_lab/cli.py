@@ -19,6 +19,7 @@ point.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -292,6 +293,8 @@ _VERIFY_SUITES = {
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     core.check_size("--n", ns.n, 1)  # the leem suite fixes k = 4 and never reads n
+    if not 0 <= ns.tol < math.inf:  # a negative or nan --tol fails every float check
+        raise ParameterError(f"need finite --tol >= 0, got {ns.tol}")
     if ns.alpha is not None or ns.coupon is not None:
         grid: tuple[ExtParams, ...] = (_params_from_args(ns),)
     else:

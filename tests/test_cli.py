@@ -298,6 +298,10 @@ def test_verify_empty_selection_is_usage_error(capsys):
         # the leem suite never reads --n, so only the up-front size check rejects it
         ("verify", "--suite", "leem", "--n", "0"),
         ("verify", "--suite", "leem", "--n", "-5"),
+        # before any suite runs: these marked every float check failed and exited 1
+        ("verify", "--suite", "leem", "--tol", "-1"),
+        ("verify", "--suite", "leem", "--tol", "nan"),
+        ("verify", "--suite", "leem", "--tol", "inf"),
     ],
 )
 def test_domain_errors_exit_2(capsys, args):
