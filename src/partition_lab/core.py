@@ -178,7 +178,7 @@ def _exact_ratio(num, den, factors) -> Fraction:
     return Fraction(top, bottom)
 
 
-def _exact_step(q: Fraction, top: int, bottom: int) -> Fraction:
+def _exact_step(q: int | Fraction, top: int, bottom: int) -> Fraction:
     return Fraction(q.numerator * top, q.denominator * bottom)
 
 
