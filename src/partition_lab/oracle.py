@@ -5,9 +5,11 @@ partitions, permutations, or rank sequences) so the closed-form modules
 can be checked against a second, slower route.  A set partition of [n]
 is enumerated as its restricted-growth assignment word: `exact_law`
 keys its law by word and builds `SetPartition` objects only when the
-public `ExactLaw.probs` mapping is read.  Deviations are returned
-as numbers, 0 in exact arithmetic when a claimed identity holds; the
-perturbation hooks confirm that the checks actually reject wrong laws.
+public `ExactLaw.probs` mapping is read.  The words of [n] and their
+block sizes are enumerated once per n <= 10, by `_word_table`, and kept
+for the process.  Deviations are returned as numbers, 0 in exact
+arithmetic when a claimed identity holds; the perturbation hooks
+confirm that the checks actually reject wrong laws.
 
 Both deletion characterizations run on one walk, `_deletion_walk`, that
 deletes a block by a given row and compares the deleted size and the
@@ -40,6 +42,7 @@ from .eppf import eppf, q_first_block
 from .samplers import order_probability, tau_pick_law
 
 MAX_ENUM_N = 12
+MAX_EXACT_N = 10  # exact_law's bound, and the largest n whose word table is kept
 MIN_EXPECTED = 5.0  # chi_square pools cells expected below this count
 
 
@@ -84,7 +87,26 @@ def _block_sizes(word: bytes) -> tuple[int, ...]:
     The same parts as `pi.block_sizes()`, as a plain tuple, without
     building pi; the key by which laws and rows are memoized.
     """
-    return tuple(map(word.count, range(1, max(word) + 1)))
+    return tuple(map(word.count, range(1, max(word, default=0) + 1)))
+
+
+_WORD_TABLES: dict[int, tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]] = {}
+
+
+def _word_table(n: int) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]:
+    """The words of [n] in `_words` order and the block sizes of each.
+
+    Built once per n <= MAX_EXACT_N and kept for the process, so exact
+    laws and remainder comparisons do not enumerate [n] again; a larger
+    n is built afresh on each call and never kept.
+    """
+    table = _WORD_TABLES.get(n)
+    if table is None:
+        words = tuple(_words(n))
+        table = words, tuple(map(_block_sizes, words))
+        if n <= MAX_EXACT_N:
+            _WORD_TABLES[n] = table
+    return table
 
 
 @dataclass
@@ -132,12 +154,12 @@ def exact_law(params: ExtParams, n: int) -> ExactLaw:
     appearance) and every word with that vector shares the value.  No
     `SetPartition` is built until `probs` is read.
     """
-    if not (isinstance(n, int) and 1 <= n <= 10):
-        raise ParameterError(f"need 1 <= n <= 10, got {n}")
-    words = tuple(_words(n))
+    if not (isinstance(n, int) and 1 <= n <= MAX_EXACT_N):
+        raise ParameterError(f"need 1 <= n <= {MAX_EXACT_N}, got {n}")
+    words, keys = _word_table(n)
     by_sizes: dict[tuple[int, ...], Scalar] = {}
     values = []
-    for sizes in map(_block_sizes, words):
+    for sizes in keys:
         p = by_sizes.get(sizes)
         if p is None:
             p = by_sizes[sizes] = eppf(params, sizes)
@@ -182,8 +204,7 @@ def _remainder_distance(joint: dict[bytes, Scalar], mass: Scalar, den: int | Non
     have conditional mass 0.  The target eppf is memoized by block sizes.
     """
     worst: Scalar = 0
-    for word in _words(r):
-        sizes = _block_sizes(word)
+    for word, sizes in zip(*_word_table(r)):
         target = memo.get(sizes)
         if target is None:
             target = memo[sizes] = eppf(params, sizes)
@@ -211,11 +232,14 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
     function of the sizes).  The walk reads the law's words and values and
     keys remainders by assignment word, so it builds no `SetPartition`;
     exact masses add as integer numerators over the law's denominator
-    times the rows'.
+    times the rows'.  A law on the kept word table of [n] (every
+    `exact_law` and its `perturbed` laws) reuses the table's block sizes.
     """
     if law.n != n:
         raise ParameterError(f"law is on [{law.n}], check needs [{n}]")
-    keys = list(map(_block_sizes, law.words))
+    words, keys = _WORD_TABLES.get(n, (None, None))
+    if law.words is not words:
+        keys = list(map(_block_sizes, law.words))
     rows = {key: row(key) for key in dict.fromkeys(keys)}
     probs = law.values
     law_num, law_den = _over_common_denominator(probs)

@@ -313,11 +313,17 @@ def compound_poisson_set(
     from level s opens the gap (1 - e^-s, 1 - e^-(s+J)).  Jumps are
     drawn (waiting time first, then size) until the uncovered terminal
     mass e^-S drops to eps, or ConvergenceError after JUMP_BUDGET jumps.
+    The jumps needed number 1 + Poisson(theta ln(1/eps)), so a mean of
+    2 JUMP_BUDGET or more, which would spend the budget with chance
+    above 1 - e^(-3e6), raises ConvergenceError before any draw.
     """
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
     check_finite("theta", theta)
     check_eps(eps)
+    if theta >= 2 * JUMP_BUDGET / -math.log(eps):  # divided, as theta * ln may overflow
+        raise ConvergenceError(f"theta={theta} at eps={eps} expects theta*ln(1/eps) >= "
+                               f"{2 * JUMP_BUDGET} jumps, twice the budget {JUMP_BUDGET}")
     times, jumps, lengths = [], [], []
     t = 0.0
     remaining = 1.0

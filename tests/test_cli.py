@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -308,6 +309,16 @@ def test_domain_errors_exit_2(capsys, args):
     rc, out, err = run(capsys, *args)
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_hopeless_compound_set_exits_2_at_once(capsys):
+    # it drew jumps until the 10**7-jump budget ran out, about 16 s
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "regen-set", "--model", "compound", "--theta", "1e308",
+                       "--eps", "1e-6", "--seed", "1")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "twice the budget" in err
 
 
 def test_usage_errors_exit_2():

@@ -1,17 +1,28 @@
 """Enumeration oracles, exact consistency checks, and sampling statistics."""
 
 import hashlib
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from partition_lab import cli, oracle
 from partition_lab.cli import _VERIFY_GRID
-from partition_lab.core import ExtParams, ParameterError, canonicalize, delete_block
+from partition_lab.core import (
+    ExtParams,
+    ParameterError,
+    canonicalize,
+    delete_block,
+    partition_from_assignment,
+)
 from partition_lab.eppf import eppf
 from partition_lab.oracle import (
+    ExactLaw,
     _remainder_word,
+    _word_table,
+    _words,
     chi_square,
     deletion_law_check,
     enumerate_partitions,
@@ -62,6 +73,34 @@ def test_remainder_word_is_the_deleted_partition():
             word = bytes(pi.assignment_word())
             for j in range(1, pi.k + 1):
                 assert tuple(_remainder_word(word, j)) == delete_block(pi, j).assignment_word()
+
+
+def test_word_table_is_the_enumeration():
+    for n in range(9):
+        words, keys = _word_table(n)
+        assert words == tuple(_words(n))
+        assert len(keys) == len(words)
+        for word, key in zip(words, keys):
+            assert key == partition_from_assignment(word).block_sizes().parts
+        # built once: a second call hands back the same objects
+        assert _word_table(n)[0] is words and _word_table(n)[1] is keys
+
+
+def test_word_table_keeps_no_n_past_exact_law(monkeypatch):
+    exact_law(ExtParams.two_param(0, 1), 5)
+    start = time.perf_counter()
+    first = list(itertools.islice(iter_partitions(11), 3))
+    # streamed: the first of Bell(11) = 678570 partitions without the rest
+    assert time.perf_counter() - start < 0.5
+    assert [pi.k for pi in first] == [1, 2, 2]
+    assert 5 in oracle._WORD_TABLES and max(oracle._WORD_TABLES) <= oracle.MAX_EXACT_N
+    # past the bound a table is built on each call and never kept
+    monkeypatch.setattr(oracle, "_WORD_TABLES", {})
+    monkeypatch.setattr(oracle, "MAX_EXACT_N", 3)
+    first, again = _word_table(4), _word_table(4)
+    assert first == again and first[0] is not again[0]
+    assert list(oracle._WORD_TABLES) == []
+    assert _word_table(3)[0] is _word_table(3)[0] and list(oracle._WORD_TABLES) == [3]
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)
@@ -206,6 +245,30 @@ def test_checks_reject_a_law_on_another_n(check):
     for law_n in (4, 6):
         with pytest.raises(ParameterError, match=r"law is on \[%d\]" % law_n):
             check(_HALF, 5, exact_law(_HALF, law_n))
+
+
+@pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
+@pytest.mark.parametrize("perturb", [False, True])
+@pytest.mark.parametrize("params", [_HALF, ExtParams.two_param(0.3, 0.5)], ids=str)
+def test_checks_on_a_copied_word_list(check, perturb, params, monkeypatch):
+    # a law whose words are not the table's maps its block sizes itself
+    # and must give the table-backed law's value, and type, exactly
+    n = 6
+    law = exact_law(params, n)
+    if perturb:
+        law = law.perturbed(canonicalize([[1, 3], [2, 4, 5, 6]]), Fraction(1, 1000))
+    assert law.words is _word_table(n)[0]
+    copy = ExactLaw(n, list(law.words), law.values)
+    want = check(params, n, law)  # builds every remainder table it needs
+    calls = []
+    real = oracle._block_sizes
+    monkeypatch.setattr(oracle, "_block_sizes", lambda word: calls.append(word) or real(word))
+    assert check(params, n, law) == want and calls == []
+    got = check(params, n, copy)
+    assert got == want and type(got) is type(want)
+    assert calls == copy.words
+    if params is _HALF:
+        assert (want > 0) is perturb
 
 
 @pytest.mark.parametrize("tau", [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])

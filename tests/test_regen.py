@@ -236,6 +236,20 @@ def test_exhausted_budgets_raise_convergence_error(monkeypatch):
         _alpha_zero_lengths(0.9, 1e-3, rng)
 
 
+def test_compound_poisson_set_rejects_a_hopeless_jump_count(monkeypatch):
+    # 1 + Poisson(theta ln(1/eps)) jumps are needed: a mean of twice the
+    # budget or more fails before any draw
+    rng = RngHandle(3)
+    for theta in (1e308, Fraction(10 ** 400), 2 * regen.JUMP_BUDGET / math.log(1e6)):
+        with pytest.raises(ConvergenceError, match="twice the budget"):
+            compound_poisson_set(theta, 1e-6, rng)
+    assert rng.exponential(1.0) == RngHandle(3).exponential(1.0)
+    # below that the loop's own budget still stops a run that needs more jumps
+    monkeypatch.setattr(regen, "JUMP_BUDGET", 3)
+    with pytest.raises(ConvergenceError, match="exhausted"):
+        compound_poisson_set(0.4, 1e-6, RngHandle(12))
+
+
 def test_every_stick_loop_has_the_budget(monkeypatch, capsys):
     # at theta = 1 about ln(1/eps) ~ 21 sticks reach 1e-9; seed 1 needs more than 10
     monkeypatch.setattr(core, "STICK_BUDGET", 10)
