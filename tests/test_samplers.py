@@ -625,3 +625,130 @@ def test_stick_fraction_matrix_golden(point):
     params, k, digest = FRACTION_MATRIX_GOLDEN[point]
     text = core.dumps(stick_fraction_matrix(params, k, 50, RngHandle(9)).tolist())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# bulk samplers: seeded bytes and the scalar references
+
+def _array_digest(out) -> str:
+    return hashlib.sha256(core.dumps(np.asarray(out).tolist()).encode()).hexdigest()
+
+
+# sha256 of dumps(xi_arrangements(k, xi, 400, RngHandle(31)).tolist()), recorded
+# from the implementation that re-gathered the prefix for every insertion
+XI_ARRANGEMENTS_GOLDEN = {
+    (1, 0): "214a3edb407e163fb3a4224dbdc9b1227eac650902ef40dedcf082e1a2a38c85",
+    (1, Fraction(1, 4)): "214a3edb407e163fb3a4224dbdc9b1227eac650902ef40dedcf082e1a2a38c85",
+    (1, 3): "214a3edb407e163fb3a4224dbdc9b1227eac650902ef40dedcf082e1a2a38c85",
+    (5, 0): "6d821c605e6ae4da7ebfdd818c7aca415cb61190be9a8fb28a90bb15dfc51692",
+    (5, Fraction(1, 4)): "c7424596e31c3a1d236d0c8c90ced3e8405c23e1b02ff55d9bfa8a70e9196bb0",
+    (5, 3): "6d4f2b504b8681fc507c967da6181f6cb89c494c59f0a3a8ce23b9bce77437d9",
+    (8, 0): "d1c2b6de15536e441e55fb5a1631165f4fafeb5c53fa319a7a00a563dd48b375",
+    (8, Fraction(1, 4)): "996f56490942163a8062264055474761cf202234ca65528eb89e125e1a01dc7f",
+    (8, 3): "3bffddefa6127835226291d4215cdc0b762cacc5a79ca32c32cf8e8dbac2d84a",
+}
+
+
+@pytest.mark.parametrize("point", list(XI_ARRANGEMENTS_GOLDEN), ids=str)
+def test_xi_arrangements_golden(point):
+    k, xi = point
+    assert _array_digest(xi_arrangements(k, xi, 400, RngHandle(31))) == XI_ARRANGEMENTS_GOLDEN[point]
+
+
+# sha256 of dumps(size_biased_perms(x, 2000, RngHandle(37)).tolist()), recorded
+# from the implementation with a cumsum(axis=1) pick; "tiny" holds weights
+# that vanish next to their neighbours in the running sums
+SIZE_BIASED_PERMS_GOLDEN = {
+    "criterion 06": (tuple(Fraction(i, 36) for i in range(1, 9)),
+                     "81d9b81810ffef2f7d4cbb5f57ebfa844e6509fb07d66edc2c7635ea21d017ba"),
+    "tiny": ((0.25, 1e-300, 0.5, 1e-300, 0.125),
+             "7a7605483faaa9e282bfd09e18f3909b1ab7a91422ee0012b00bb137850777d5"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SIZE_BIASED_PERMS_GOLDEN))
+def test_size_biased_perms_golden(label):
+    x, digest = SIZE_BIASED_PERMS_GOLDEN[label]
+    assert _array_digest(size_biased_perms(x, 2000, RngHandle(37))) == digest
+
+
+# sha256 of dumps(crp_assignments(params, n, 1000, RngHandle(41)).tolist()),
+# recorded from the implementation with a cumsum(axis=1) pick
+CRP_ASSIGNMENTS_GOLDEN = {
+    "1/2,1/2 n=6": (ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 6,
+                    "cd7d74c270e55a85f516c7fb44a4d76324071295994e180f30d40f2064f2c1ce"),
+    "coupon(4) n=7": (ExtParams.coupon(4), 7,
+                      "9f640c14ae73014e9941d583a8096fd3407c02f0f24fc922d573081ab859e9e1"),
+    "0.9,0.01 n=12": (ExtParams.two_param(0.9, 0.01), 12,
+                      "c2cf6fabaa5ad5a5c8c9b15762f7160792f16a7a91b941026ae49a0c0d6cfa67"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CRP_ASSIGNMENTS_GOLDEN))
+def test_crp_assignments_golden(label):
+    params, n, digest = CRP_ASSIGNMENTS_GOLDEN[label]
+    assert _array_digest(crp_assignments(params, n, 1000, RngHandle(41))) == digest
+
+
+# sha256 of dumps(RngHandle(43).gamma(shape, 2000).tolist()), recorded from the
+# implementation that evaluated the squeeze on every proposal; "mixed" draws
+# 1800 variates whose shapes cycle through the six others
+GAMMA_SHAPES = (1e-3, 0.5, 0.999, 1, 1.5, 300)
+VECTOR_GAMMA_GOLDEN = {
+    1e-3: "d48f4203a4dfb62106e24b0cd968669ad5c0cc2dc0376c62491c1eb3d11ab573",
+    0.5: "15383c72a2a857fd8e58b55f7071afce2eb1d51ba3d1387677ba122016ccb861",
+    0.999: "ab61bd6fc9ab41f03cd925edac2fb998b3323913b1cdebaf9034242192272709",
+    1: "fc300a5500f8a0bbc5dfeabbd1c6485bae2392b04866fc76ca5e9cdba3c8b15c",
+    1.5: "345d516f804742474f16be4c5f1668dfb384b9d5ff841432a4e4d09b79400579",
+    300: "0f37d4550d4ac370a2f5b00007a5e8a0501e3beff5cfb2c49402bbbdafffb480",
+    "mixed": "ef4653aec90d681b87980776637c7cbda856e69166c39da2dd447bad0c5fda75",
+}
+
+
+@pytest.mark.parametrize("shape", list(VECTOR_GAMMA_GOLDEN), ids=str)
+def test_vector_gamma_golden(shape):
+    if shape == "mixed":
+        out = RngHandle(43).gamma(np.tile(GAMMA_SHAPES, 300), 1800)
+    else:
+        out = RngHandle(43).gamma(shape, 2000)
+    assert _array_digest(out) == VECTOR_GAMMA_GOLDEN[shape]
+
+
+def _left_to_right_sum(row) -> float:
+    # not sum(): from Python 3.12 it compensates float round-off
+    acc = 0.0
+    for v in row:
+        acc += v
+    return acc
+
+
+def test_pick_rows_is_pick_row_by_row():
+    # weights over many scales, zero entries and a whole zero column; each
+    # row must pick what the scalar _pick picks with the twin handle's uniform
+    gen = np.random.default_rng(5)
+    for s in range(60):
+        rows, k = int(gen.integers(1, 50)), int(gen.integers(2, 10))
+        w = gen.random((rows, k)) * 10.0 ** gen.integers(-300, 4, size=(rows, k))
+        w[gen.random((rows, k)) < 0.4] = 0.0
+        zero = int(gen.integers(k))
+        w[:, zero] = 0.0
+        keep = (zero + 1 + gen.integers(k - 1, size=rows)) % k
+        w[np.arange(rows), keep] += gen.random(rows) + 1e-3
+        u = RngHandle(s).random(rows)
+        want = [samplers._pick(row, ui * _left_to_right_sum(row))
+                for row, ui in zip(w.tolist(), u.tolist())]
+        assert samplers._pick_rows(w, RngHandle(s)).tolist() == want, s
+
+
+@pytest.mark.parametrize(("k", "xi"), [(1, 2), (2, 0), (5, 0), (6, Fraction(1, 4)), (7, 1), (8, 3)])
+def test_xi_arrangements_replay_their_ranks(k, xi):
+    # the ranks come from the same uniforms by xi_order's rule, and each row
+    # must be the arrangement that replaying them gives
+    count, xif = 300, float(xi)
+    rows = xi_arrangements(k, xi, count, RngHandle(k))
+    twin = RngHandle(k)
+    ranks = [[1] for _ in range(count)]
+    for j in range(2, k + 1):
+        for r, v in zip(ranks, (twin.random(count) * (j - 1 + xif)).tolist()):
+            r.append(j if v < xif else 1 + min(int(v - xif), j - 2))
+    assert [tuple(row) for row in rows.tolist()] == [arrangement_from_ranks(r) for r in ranks]
