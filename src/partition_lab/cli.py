@@ -160,6 +160,14 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _float_arg(name: str, text: str) -> float:
+    """--name as a float; a value past the float range is a usage error."""
+    try:
+        return float(parse_scalar(text))
+    except OverflowError:
+        raise ParameterError(f"--{name} is past the float range") from None
+
+
 def _cmd_regen_set(ns: argparse.Namespace) -> int:
     if ns.model != "ordered" and ns.theta is None:
         raise ParameterError(f"pass --theta with --model {ns.model}")
@@ -167,12 +175,12 @@ def _cmd_regen_set(ns: argparse.Namespace) -> int:
         raise ParameterError("pass --alpha with --model crossbreed")
     rng = samplers.RngHandle(ns.seed)
     if ns.model == "stick":
-        iv = regen.stick_breaking_set(float(parse_scalar(ns.theta)), ns.eps, rng)
+        iv = regen.stick_breaking_set(_float_arg("theta", ns.theta), ns.eps, rng)
     elif ns.model == "compound":
-        _, iv = regen.compound_poisson_set(float(parse_scalar(ns.theta)), ns.eps, rng)
+        _, iv = regen.compound_poisson_set(_float_arg("theta", ns.theta), ns.eps, rng)
     elif ns.model == "crossbreed":
         iv = regen.crossbreed_set(
-            float(parse_scalar(ns.alpha)), float(parse_scalar(ns.theta)), ns.eps, rng
+            _float_arg("alpha", ns.alpha), _float_arg("theta", ns.theta), ns.eps, rng
         )
     else:  # ordered
         params = _params_from_args(ns)

@@ -17,6 +17,13 @@ is identical across runs and platforms (IEEE doubles):
 
 Scalar and vectorized paths follow the same algorithms but consume the
 uniform stream in different orders, so they are reproducible separately.
+The vector gamma runs the log test on every proposal of a round and the
+squeeze only where the log test fails.  In exact arithmetic the squeeze
+accepts inside the log test's region; the accept set is still the union
+of the two tests, so the stream and the output are those of testing
+both on every proposal.  The row-wise pick adds its running sums left
+to right, in cumsum's order, so each row picks what the scalar pick
+does with the same uniform.
 
 Scalar normals, exponentials and gammas draw uniforms in blocks
 (Generator.random(k) gives the same doubles as k scalar calls) and
@@ -198,21 +205,25 @@ class RngHandle:
         if not (a > 0).all():
             raise ParameterError("gamma shapes must be positive")
         small = a < 1.0
-        a_eff = np.where(small, a + 1.0, a)
-        d = a_eff - 1.0 / 3.0
+        # d and c of the pending shapes, compressed along with pending
+        d = np.where(small, a + 1.0, a) - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
         out = np.empty(a.shape[0])
         pending = np.arange(a.shape[0])
         while pending.size:
             x = self.normal(pending.size)
-            v = (1.0 + c[pending] * x) ** 3
+            v = (1.0 + c * x) ** 3
             u = self._uniforms(pending.size)
             with np.errstate(divide="ignore", invalid="ignore"):
-                slow = np.log(u) < 0.5 * x * x + d[pending] * (1.0 - v + np.log(v))
-            ok = (v > 0.0) & ((u < 1.0 - 0.0331 * x ** 4) | slow)
-            hit = pending[ok]
-            out[hit] = d[hit] * v[ok]
-            pending = pending[~ok]
+                ok = np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v))
+            # the squeeze accepts inside the log test's region in exact
+            # arithmetic, so it is computed only where the log test fails
+            miss = np.flatnonzero(~ok)
+            ok[miss] = u[miss] < 1.0 - 0.0331 * x[miss] ** 4
+            ok &= v > 0.0
+            out[pending[ok]] = d[ok] * v[ok]
+            keep = ~ok
+            pending, d, c = pending[keep], d[keep], c[keep]
         if small.any():
             u = self._uniforms(int(small.sum()))
             out[small] *= (1.0 - u) ** (1.0 / a[small])
@@ -242,11 +253,16 @@ def _pick(weights: Iterable[float], u: float) -> int | None:
 def _pick_rows(w: np.ndarray, rng: RngHandle) -> np.ndarray:
     """_pick for every row of w at once: one uniform per row, 0-based columns.
 
-    A row's total weight must be positive.
+    A row's total weight must be positive.  The running sums are built
+    one column at a time, left to right as cumsum adds them, on a
+    (columns, rows) array, so each count runs along contiguous rows.
     """
-    cum = np.cumsum(w, axis=1)
-    u = rng.random(w.shape[0]) * cum[:, -1]
-    return (cum <= u[:, None]).sum(axis=1)
+    cum = np.empty(w.shape[::-1])
+    cum[0] = w[:, 0]
+    for j in range(1, len(cum)):
+        np.add(cum[j - 1], w[:, j], out=cum[j])
+    u = rng.random(w.shape[0]) * cum[-1]
+    return (cum <= u).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +548,16 @@ def xi_arrangements(k: int, xi: Scalar, count: int, rng: RngHandle) -> np.ndarra
     if math.isinf(xi):
         return np.tile(np.arange(1, k + 1), (count, 1))
     xif = float(xi)
-    arr = np.zeros((count, k), dtype=np.int64)
-    arr[:, 0] = 1
+    # slot[e - 1] is element e's 0-based position among those inserted so far
+    slot = np.zeros((k, count), dtype=np.int64)
     for j in range(2, k + 1):
         u = rng.random(count) * (j - 1 + xif)
-        pos = np.where(u < xif, j, 1 + np.minimum((u - xif).astype(np.int64), j - 2))
-        old = arr[:, : j - 1]
-        cols = np.arange(j)[None, :]
-        p = pos[:, None] - 1
-        # slots left of p keep old[c], slots right of p take old[c - 1]
-        src = np.clip(np.where(cols < p, cols, cols - 1), 0, j - 2)
-        gathered = np.take_along_axis(old, src, axis=1)
-        arr[:, :j] = np.where(cols == p, j, gathered)
+        p = np.where(u < xif, j - 1, np.minimum((u - xif).astype(np.int64), j - 2))
+        head = slot[: j - 1]
+        head += head >= p
+        slot[j - 1] = p
+    arr = np.empty((count, k), dtype=np.int64)
+    np.put_along_axis(arr, slot.T, np.arange(1, k + 1)[None, :], axis=1)
     return arr
 
 

@@ -296,6 +296,11 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("regen-set", "--model", "compound", "--seed", "1"),
         ("regen-set", "--model", "crossbreed", "--theta", "1", "--seed", "1"),
         ("regen-set", "--model", "crossbreed", "--alpha", "1/2", "--seed", "1"),
+        # integer parameters past the float range: OverflowError tracebacks before
+        ("regen-set", "--model", "stick", "--theta", "1" + "0" * 400, "--eps", "1e-3", "--seed", "1"),
+        ("regen-set", "--model", "compound", "--theta", "1" + "0" * 400, "--eps", "1e-6", "--seed", "1"),
+        ("regen-set", "--model", "crossbreed", "--alpha", "1/2", "--theta", "1" + "0" * 400,
+         "--eps", "1e-3", "--seed", "1"),
         # the leem suite never reads --n, so only the up-front size check rejects it
         ("verify", "--suite", "leem", "--n", "0"),
         ("verify", "--suite", "leem", "--n", "-5"),

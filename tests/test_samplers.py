@@ -752,3 +752,12 @@ def test_xi_arrangements_replay_their_ranks(k, xi):
         for r, v in zip(ranks, (twin.random(count) * (j - 1 + xif)).tolist()):
             r.append(j if v < xif else 1 + min(int(v - xif), j - 2))
     assert [tuple(row) for row in rows.tolist()] == [arrangement_from_ranks(r) for r in ranks]
+
+
+def test_squeeze_power_on_a_subset_equals_the_whole_array():
+    # the vector gamma evaluates x ** 4 only at the proposals the log test
+    # rejects; its output stays byte-identical only if numpy's power gives
+    # the same doubles on a gathered subset as on the whole array
+    x = RngHandle(12).normal(4099)
+    for sub in (np.flatnonzero(x > 1.3), np.arange(1, 4099, 7), np.array([5]), np.arange(4099)):
+        assert ((x[sub] ** 4) == (x ** 4)[sub]).all()
