@@ -152,6 +152,28 @@ def test_float_decrement_csv_is_finite(capsys):
     assert "nan" not in out and "inf" not in out
 
 
+# theta = 1e300 overflows the recurrences' float products to inf; the
+# rows reach 0 without a warning on stderr
+_OVERFLOWING_ROWS = {
+    "decrement": "n,m,q\n1,1,1.0\n2,1,1.0\n2,2,6.999999999999999e-301\n3,1,1.0\n3,2,0.0\n"
+                 "3,3,0.0\n4,1,1.0\n4,2,0.0\n4,3,0.0\n4,4,0.0\n",
+    "phi": "n,m,phi_nm,q\n1,1,1.0,1.0\n2,1,2.0,1.0\n2,2,2.0,6.999999999999999e-301\n"
+           "3,1,3.0,1.0\n3,2,6.0,0.0\n3,3,3.0,0.0\n4,1,4.0,1.0\n4,2,12.0,0.0\n"
+           "4,3,12.0,0.0\n4,4,4.0,0.0\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_OVERFLOWING_ROWS))
+def test_overflowing_float_rows_print_quietly(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "partition_lab.cli", command,
+         "--alpha", "0.3", "--theta", "1e300", "--n-max", "4"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == _OVERFLOWING_ROWS[command]
+
+
 def test_phi_csv_atoms(capsys):
     rc, out, _ = run(capsys, "phi", "--atoms", "1/2:1", "--n-max", "2", "--format", "csv")
     assert rc == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -164,7 +165,7 @@ def _both_routes(params, n_max):
 
 # sha256 of dumps(M.to_json()) at n_max = 100 for (kernel route, phi route),
 # recorded from the Fraction-per-step recurrences: the kernel points of the
-# verify grid, three more exact points and two float points; theta = 0.7 is
+# verify grid, three more exact points and four float points; theta = 0.7 is
 # not dyadic, so a regrouped float sum such as theta + (n - m - 1) shows
 DECREMENT_GOLDEN = {
     (0, 1): ("be6a33770230bd589dc2417c713f0dc9ab30207173f66ee1aa333746112b6bff",) * 2,
@@ -186,6 +187,12 @@ DECREMENT_GOLDEN = {
     (0.3, 0.7): (
         "bac16d39cb2a8cc699ffcd106c95e2e0cc9f7fa8da4c78eb341a8edc244ef790",
         "8c21df04db7d8e1c084a4e0e6e3b51433d691257e4ee475c4edf843839a01feb",
+    ),
+    # float edges of the parameter range: theta = 0 and alpha = 0
+    (0.5, 0.0): ("9eeede8e5e1891175f4b322190f7eee099f8b31ecd9df60deff54bab4e0ebc09",) * 2,
+    (0.0, 2.5): (
+        "1091b2e6280661562730c54b536dbc5f47a1f35c566771695a602dbc7d6d968e",
+        "cfb8dde2596fb669032356786538bda08a1abf38197ad955870507f77088cbc9",
     ),
 }
 
@@ -225,6 +232,82 @@ def test_float_decrement_rows_stay_finite(params):
             for m in ms:
                 exact = float(decrement_entry(twin, n, m))
                 assert dm.value(n, m) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def _scalar_step(q, top, bottom):
+    return q * (top / bottom)
+
+
+# The references for the array pass: both float recurrences one entry at a
+# time, with the scale L = 1 of core._integer_scale, in their own order of
+# float operations.
+def _scalar_kernel_rows(A, T, n_max, L=1, step=_scalar_step):
+    last = step(1, 1, 1)
+    rows = [(last,)]
+    for n in range(2, n_max + 1):
+        q = step(1, (n - 1) * A + T, T + n * L - L)
+        row = [q]
+        for m in range(1, n - 1):
+            q = step(
+                q,
+                (n - m) * (m * L - A) * ((n - m - 1) * A + (m + 1) * T),
+                (m + 1) * ((n - m) * A + m * T) * (T + n * L - m * L - L),
+            )
+            row.append(q)
+        last = step(last, n * L - L - A, T + n * L - L)
+        row.append(last)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _scalar_phi_rows(A, T, n_max, L=1, step=_scalar_step):
+    rows = [[None] * n for n in range(1, n_max + 1)]
+    for j in range(n_max):
+        q = step(1, T + j * A, j * L + T) if j else step(1, 1, 1)
+        rows[j][0] = q
+        for n in range(j + 1, n_max):
+            m = n - j
+            if j == 0:
+                q = step(q, n * L - A, T + n * L)
+            else:
+                q = step(
+                    q,
+                    n * (m * L - A) * ((m + 1) * T + j * A),
+                    (m + 1) * (m * T + j * A) * (T + n * L),
+                )
+            rows[n][m] = q
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize(
+    ("alpha", "theta", "n_max"),
+    [
+        (0.0, 1.5, 300),
+        (0.4, 0.0, 300),
+        (0.999, 0.7, 300),
+        (0.3, 1e-12, 300),
+        (0.3, 1e300, 300),  # products overflow to inf; the rows go to 0 quietly
+        (0.3, 0.7, 300),
+        # mixed: the phi route keeps the Fraction, ExtParams makes both floats
+        (Fraction(1, 3), 0.5, 300),
+        (0.3, Fraction(1, 2), 300),
+        (0.3, 0.5, 1),
+        (0.3, 0.5, 2),
+    ],
+    ids=str,
+)
+def test_float_routes_are_the_scalar_loop_bit_for_bit(alpha, theta, n_max):
+    params = ExtParams.two_param(alpha, theta)
+    measure = LevyImageMeasure.alpha_theta(alpha, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel, phi = decrement_matrix(params, n_max), decrement_from_phi(measure, n_max)
+    for matrix, want in (
+        (kernel, _scalar_kernel_rows(params.alpha, params.theta, n_max)),
+        (phi, _scalar_phi_rows(measure.alpha, measure.theta, n_max)),
+    ):
+        assert matrix.rows == want
+        assert all(type(v) is float for row in matrix.rows for v in row)
 
 
 def test_float_decrement_entry_past_the_float_binomial():
