@@ -6,14 +6,15 @@ suite name (eppf, deletion, regen, order, leem) to its checks; `--suite
 all` runs every suite in that order.
 Exit codes: 0 on success, 1 when a verification suite reports a
 failure or stdout is closed before the output is written, 2 on usage
-errors.  _emit writes the whole output in one write, so under `| head`
-the code depends on timing: 0 if the write began before the reader
-closed the pipe, 1 if the reader was already gone.  All randomized
-commands take --seed and produce byte-identical output for identical
-arguments.  Rational arguments ("1/2", "2") select exact arithmetic;
-decimals float.  JSON encodes exact values as
-{"num": ..., "den": ...}; CSV always prints floats with a '.' decimal
-point.
+errors, among them `decrement` and `phi` with --n-max above MAX_N_MAX,
+which are rejected before any work.  _emit writes the whole output in
+one write, so under `| head` the code depends on timing: 0 if the
+write began before the reader closed the pipe, 1 if the reader was
+already gone.  All randomized commands take --seed and produce
+byte-identical output for identical arguments.  Rational arguments
+("1/2", "2") select exact arithmetic; decimals float.  JSON encodes
+exact values as {"num": ..., "den": ...}; CSV always prints floats with
+a '.' decimal point.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from fractions import Fraction
 from . import core, deletion, oracle, regen, samplers
 from .core import ExtParams, ParameterError, dumps, parse_scalar, scalar_to_json
 from .eppf import addition_residual, eppf
+
+# decrement and phi print n_max (n_max + 1) / 2 entries; a larger --n-max
+# exits 2 before any work.  Both routes are tested to this size.
+MAX_N_MAX = 2000
+
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=str, default=None, help="alpha in [0,1) or < 0 with --m")
@@ -103,7 +109,15 @@ def _cmd_sample(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max > MAX_N_MAX:
+        raise ParameterError(
+            f"need --n-max <= {MAX_N_MAX}, got {n_max} (the output grows as n_max**2)"
+        )
+
+
 def _cmd_decrement(ns: argparse.Namespace) -> int:
+    _check_n_max(ns.n_max)
     params = _params_from_args(ns)
     matrix = deletion.decrement_matrix(params, ns.n_max)
     lines = []
@@ -111,9 +125,9 @@ def _cmd_decrement(ns: argparse.Namespace) -> int:
         lines.append(dumps(matrix.to_json()))
     else:
         lines.append("n,m,q")
-        for n in range(1, ns.n_max + 1):
-            for m in range(1, n + 1):
-                lines.append(f"{n},{m},{_fmt_float(matrix.value(n, m))}")
+        for n, row in enumerate(matrix.rows, 1):
+            for m, q in enumerate(row, 1):
+                lines.append(f"{n},{m},{_fmt_float(q)}")
     _emit(lines, ns.out)
     return 0
 
@@ -127,6 +141,7 @@ def _parse_atoms(text: str) -> regen.LevyImageMeasure:
 
 
 def _cmd_phi(ns: argparse.Namespace) -> int:
+    _check_n_max(ns.n_max)
     if ns.atoms is not None:
         measure = _parse_atoms(ns.atoms)
     else:
@@ -150,12 +165,9 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
         lines.append(dumps(payload))
     else:
         lines.append("n,m,phi_nm,q")
-        for n in range(1, ns.n_max + 1):
-            for m in range(1, n + 1):
-                lines.append(
-                    f"{n},{m},{_fmt_float(regen.phi_nm(measure, n, m))},"
-                    f"{_fmt_float(matrix.value(n, m))}"
-                )
+        for n, row in enumerate(matrix.rows, 1):
+            for m, q in enumerate(row, 1):
+                lines.append(f"{n},{m},{_fmt_float(regen.phi_nm(measure, n, m))},{_fmt_float(q)}")
     _emit(lines, ns.out)
     return 0
 

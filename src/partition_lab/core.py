@@ -178,35 +178,63 @@ def _exact_ratio(num, den, factors) -> Fraction:
     return Fraction(top, bottom)
 
 
-def _exact_step(q: int | Fraction, top: int, bottom: int) -> Fraction:
-    return Fraction(q.numerator * top, q.denominator * bottom)
+# A chain(first, factor, ks) returns the list [q_0, q_1, ...] of a
+# decrement recurrence: q_0 = top/bottom of the pair first, and
+# q_i = q_(i-1) * top/bottom of the pair factor(k) for the i-th k of the
+# range ks.  factor is one expression in the index that works on an int
+# and on an integer array alike.
+
+def _exact_chain(
+    first: tuple[int, int], factor: Callable[[int], tuple[int, int]], ks: range
+) -> list[Fraction]:
+    q = Fraction(*first)
+    out = [q]
+    for top, bottom in map(factor, ks):
+        q = Fraction(q.numerator * top, q.denominator * bottom)
+        out.append(q)
+    return out
 
 
-def _float_step(q: Scalar, top: Scalar, bottom: Scalar) -> Scalar:
-    return q * (top / bottom)
+def _float_chain(first: tuple[Scalar, Scalar], factor: Callable, ks: range) -> list[float]:
+    import numpy as np
+
+    # A product past the float range is inf and then 0 or nan, as in
+    # Python float arithmetic, which never warns about it.
+    with np.errstate(all="ignore"):
+        top, bottom = factor(np.arange(ks.start, ks.stop))
+        steps = np.concatenate(([first[0] / first[1]], top / bottom))
+        return np.multiply.accumulate(steps).tolist()
 
 
 def _integer_scale(
     alpha: Scalar, theta: Scalar
-) -> tuple[Scalar, Scalar, Scalar, Callable[[Scalar, Scalar, Scalar], Scalar]]:
-    """(A, T, L, step) for the decrement recurrences, alpha = A/L and theta = T/L.
+) -> tuple[Scalar, Scalar, Scalar, Callable[[tuple, Callable, range], list]]:
+    """(A, T, L, chain) for the decrement recurrences, alpha = A/L and theta = T/L.
 
     For exact alpha and theta, L = lcm(den alpha, den theta), A = alpha L
     and T = theta L are integers.  Written in A, T and L, every factor of
     the recurrences is an integer, since the L's cancel between numerator
-    and denominator, and step(q, top, bottom) is the one Fraction of q's
-    numerator times top over q's denominator times bottom, reduced once.
-    Otherwise (A, T, L) = (alpha, theta, 1) and step(q, top, bottom) is
-    q * (top / bottom); a factor written term by term with L multiplied
-    in, such as T + n L - m L - L for theta + n - m - 1, then does the
-    float operations of the plain factor.  step(1, top, bottom) is the
-    quotient itself and step(1, 1, 1) is 1, in the mode of the parameters.
+    and denominator, and chain walks ks with one Fraction per entry: the
+    previous entry's numerator times top over its denominator times
+    bottom, reduced once.  Otherwise (A, T, L) = (alpha, theta, 1) and
+    chain evaluates factor once, on the integer array np.arange over ks,
+    divides top by bottom elementwise and multiplies the quotients from
+    the left with one np.multiply.accumulate.  The entries are then the
+    bits of the scalar loop q = q * (top / bottom): with L = 1 a factor
+    written term by term, such as T + n L - m L - L for
+    theta + n - m - 1, makes the plain factor's IEEE + - * / steps in
+    the same order, numpy rounds each of them as Python floats do, and
+    the accumulate is sequential.  Mixed exact and float parameters give
+    object arrays, whose elements take the same Python operations.  The
+    entries come back as Python floats (tolist), so their repr is
+    unchanged.  A chain with first = (1, 1) starts at 1 in the mode of
+    the parameters: Fraction(1) or 1.0.
     """
     if not all_exact(alpha, theta):
-        return alpha, theta, 1, _float_step
+        return alpha, theta, 1, _float_chain
     L = math.lcm(alpha.denominator, theta.denominator)
     A, T = alpha.numerator * (L // alpha.denominator), theta.numerator * (L // theta.denominator)
-    return A, T, L, _exact_step
+    return A, T, L, _exact_chain
 
 
 def _log_rising_ratio(num, den, factors) -> float:

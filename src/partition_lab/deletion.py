@@ -23,13 +23,19 @@ decrement_matrix builds each row from its neighbours in O(n) steps,
 so every factor is O(1): the matrix costs O(n_max^2), and float rows
 stay finite where the closed form's rising factorials overflow (from
 n = 172).  The last entry has its own rule because theta + n - m - 1
-vanishes at m = n - 1 when theta = 0.  decrement_matrix writes this
-recurrence once, in the A, T, L and step of core._integer_scale
-(alpha = A/L, theta = T/L).  For exact parameters L = lcm(den alpha,
-den theta), every factor is an integer, and each entry is one Fraction
-of the previous entry's numerator and denominator times the factors,
-reduced once.  Float and mixed parameters have L = 1 and multiply the
-factors as written above, in the same order.  Where decrement_entry's
+vanishes at m = n - 1 when theta = 0.  decrement_matrix writes each
+factor once, as an expression in (n, m), in the A, T, L of
+core._integer_scale (alpha = A/L, theta = T/L), and hands it to that
+scale's chain: once per row, over m, and once for the diagonal q(n, n),
+over n.  For exact parameters L = lcm(den alpha, den theta), every
+factor is an integer, and each entry is one Fraction of the previous
+entry's numerator and denominator times the factors, reduced once.
+Float and mixed parameters have L = 1: the chain evaluates the factor
+on an index array and multiplies the quotients with one sequential
+np.multiply.accumulate per row.  Each quotient takes the IEEE steps of
+the factor as written above, in the same order, and the accumulate
+multiplies left to right, so the entries are the bits of the scalar
+loop q = q * (top / bottom).  Where decrement_entry's
 float products leave the range, it takes core's one log-gamma route,
 with C(n, m) as an exact factor, and stays finite past n = 1020.
 """
@@ -37,6 +43,7 @@ with C(n, m) as an exact factor, and stays finite past n = 1020.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 from .core import (
@@ -154,21 +161,20 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
     """
     check_size("n_max", n_max, 1)
     _require_kernel_params(params)
-    A, T, L, step = _integer_scale(params.alpha, params.theta)
-    last = step(1, 1, 1)
-    rows = [(last,)]
+    A, T, L, chain = _integer_scale(params.alpha, params.theta)
+
+    def row_step(n, m):  # q(n, m + 1) / q(n, m)
+        d = n - m
+        return (
+            d * (m * L - A) * ((d - 1) * A + (m + 1) * T),
+            (m + 1) * (d * A + m * T) * (T + n * L - m * L - L),
+        )
+
+    last = chain((1, 1), lambda n: (n * L - L - A, T + n * L - L), range(2, n_max + 1))
+    rows = [(last[0],)]
     for n in range(2, n_max + 1):
-        q = step(1, (n - 1) * A + T, T + n * L - L)
-        row = [q]
-        for m in range(1, n - 1):
-            q = step(
-                q,
-                (n - m) * (m * L - A) * ((n - m - 1) * A + (m + 1) * T),
-                (m + 1) * ((n - m) * A + m * T) * (T + n * L - m * L - L),
-            )
-            row.append(q)
-        last = step(last, n * L - L - A, T + n * L - L)
-        row.append(last)
+        row = chain(((n - 1) * A + T, T + n * L - L), partial(row_step, n), range(1, n - 1))
+        row.append(last[n - 1])
         rows.append(tuple(row))
     return DecrementMatrix(n_max, tuple(rows))
 

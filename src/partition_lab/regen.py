@@ -11,6 +11,10 @@ the induced partition laws is encoded by the image Levy measure on
     phi(n, m) = C(n, m) * integral of x^m (1 - x)^(n - m),
 
 whose ratios phi(n, m)/phi(n) give the deleted-size law q(n, m).
+For the alpha_theta measure, decrement_from_phi steps along the
+diagonals j = n - m, one chain of core._integer_scale per diagonal:
+exact parameters give one reduced Fraction per entry, float parameters
+one array pass per diagonal with the bits of the per-entry float loop.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import getitem
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -245,11 +251,13 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
     starting from q(j + 1, 1) = (theta + j alpha)/(j + theta).  On the
     main diagonal q(n, n) = B(n - alpha, theta + 1)/B(1 - alpha, n + theta),
     so q(1, 1) = 1 and q(n + 1, n + 1) = q(n, n) (n - alpha)/(theta + n).
-    These steps are written once, in the A, T, L and step of
-    core._integer_scale (alpha = A/L, theta = T/L): exact parameters
-    give integer factors and one Fraction per entry, reduced once;
-    float and mixed parameters have L = 1 and multiply the factors as
-    written.
+    These steps are written once, in the A, T, L of core._integer_scale
+    (alpha = A/L, theta = T/L), and each diagonal is one call of that
+    scale's chain over m: exact parameters give integer factors and one
+    Fraction per entry, reduced once; float and mixed parameters have
+    L = 1, evaluate the factors of a whole diagonal on an index array
+    and multiply them with one sequential np.multiply.accumulate, which
+    gives the bits of the scalar loop q = q * (top / bottom).
     The kernel route steps along rows instead, a different identity,
     which keeps the comparison of the two routes a real cross-check.
     Atomic measures divide phi_nm by laplace_exponent entry by entry.
@@ -261,23 +269,23 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
             phin = laplace_exponent(measure, n)
             rows.append(tuple(exact_div(phi_nm(measure, n, m), phin) for m in range(1, n + 1)))
         return DecrementMatrix(n_max, tuple(rows))
-    A, T, L, step = _integer_scale(measure.alpha, measure.theta)
-    rows = [[None] * n for n in range(1, n_max + 1)]
-    for j in range(n_max):
-        q = step(1, T + j * A, j * L + T) if j else step(1, 1, 1)
-        rows[j][0] = q
-        for n in range(j + 1, n_max):
-            m = n - j
-            if j == 0:
-                q = step(q, n * L - A, T + n * L)
-            else:
-                q = step(
-                    q,
-                    n * (m * L - A) * ((m + 1) * T + j * A),
-                    (m + 1) * (m * T + j * A) * (T + n * L),
-                )
-            rows[n][m] = q
-    return DecrementMatrix(n_max, tuple(tuple(r) for r in rows))
+    A, T, L, chain = _integer_scale(measure.alpha, measure.theta)
+
+    def diagonal_step(j, m):  # q(n + 1, m + 1) / q(n, m) with n = m + j
+        n = m + j
+        return (
+            n * (m * L - A) * ((m + 1) * T + j * A),
+            (m + 1) * (m * T + j * A) * (T + n * L),
+        )
+
+    # diagonals[j][i] = q(j + i + 1, i + 1), so row n reads diagonals n, n - 1, ..., 0
+    diagonals = [chain((1, 1), lambda n: (n * L - A, T + n * L), range(1, n_max))]
+    diagonals += (
+        chain((T + j * A, j * L + T), partial(diagonal_step, j), range(1, n_max - j))
+        for j in range(1, n_max)
+    )
+    rows = tuple(tuple(map(getitem, diagonals[n::-1], range(n + 1))) for n in range(n_max))
+    return DecrementMatrix(n_max, rows)
 
 
 # ---------------------------------------------------------------------------

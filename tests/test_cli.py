@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from partition_lab.cli import main
+from partition_lab.cli import MAX_N_MAX, main
 
 
 def run(capsys, *args):
@@ -336,6 +336,24 @@ def test_domain_errors_exit_2(capsys, args):
     rc, out, err = run(capsys, *args)
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("decrement", "--alpha", "0.3", "--theta", "0.5"),
+        ("phi", "--alpha", "1/3", "--theta", "0.5"),
+        ("phi", "--atoms", "1/2:1"),
+        # the bound is checked before the parameters, so nothing is built
+        ("decrement", "--coupon", "4"),
+    ],
+)
+def test_n_max_past_the_bound_exits_2(capsys, args):
+    assert MAX_N_MAX >= 2000  # both routes are tested to n_max = 2000
+    for n_max in (MAX_N_MAX + 1, 10**9):
+        rc, out, err = run(capsys, *args, "--n-max", str(n_max))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: need --n-max <= {MAX_N_MAX}, got {n_max}")
 
 
 def test_hopeless_compound_set_exits_2_at_once(capsys):

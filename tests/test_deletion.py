@@ -289,8 +289,8 @@ def _scalar_phi_rows(A, T, n_max, L=1, step=_scalar_step):
         (0.3, 1e300, 300),  # products overflow to inf; the rows go to 0 quietly
         (0.3, 0.7, 300),
         # mixed: the phi route keeps the Fraction, ExtParams makes both floats
-        (Fraction(1, 3), 0.5, 300),
-        (0.3, Fraction(1, 2), 300),
+        (Fraction(1, 3), 0.5, 120),
+        (0.3, Fraction(1, 2), 120),
         (0.3, 0.5, 1),
         (0.3, 0.5, 2),
     ],
