@@ -278,7 +278,8 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
             (m + 1) * (m * T + j * A) * (T + n * L),
         )
 
-    # diagonals[j][i] = q(j + i + 1, i + 1), so row n reads diagonals n, n - 1, ..., 0
+    # diagonals[j][i] = q(j + i + 1, i + 1), so rows[n] (0-based) is
+    # diagonals[n][0], diagonals[n - 1][1], ..., diagonals[0][n]
     diagonals = [chain((1, 1), lambda n: (n * L - A, T + n * L), range(1, n_max))]
     diagonals += (
         chain((T + j * A, j * L + T), partial(diagonal_step, j), range(1, n_max - j))
