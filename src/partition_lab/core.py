@@ -23,6 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
@@ -195,13 +196,15 @@ def _exact_chain(
     return out
 
 
-def _float_chain(first: tuple[Scalar, Scalar], factor: Callable, ks: range) -> list[float]:
+def _float_chain(
+    first: tuple[Scalar, Scalar], factor: Callable, ks: range, dtype=None
+) -> list[float]:
     import numpy as np
 
     # A product past the float range is inf and then 0 or nan, as in
     # Python float arithmetic, which never warns about it.
     with np.errstate(all="ignore"):
-        top, bottom = factor(np.arange(ks.start, ks.stop))
+        top, bottom = factor(np.arange(ks.start, ks.stop, dtype=dtype))
         steps = np.concatenate(([first[0] / first[1]], top / bottom))
         return np.multiply.accumulate(steps).tolist()
 
@@ -224,14 +227,19 @@ def _integer_scale(
     written term by term, such as T + n L - m L - L for
     theta + n - m - 1, makes the plain factor's IEEE + - * / steps in
     the same order, numpy rounds each of them as Python floats do, and
-    the accumulate is sequential.  Mixed exact and float parameters give
-    object arrays, whose elements take the same Python operations.  The
+    the accumulate is sequential.  With one exact and one float
+    parameter the index array holds Python ints (dtype=object), since an
+    exact parameter, or its product with an index, may lie past int64
+    (theta = 10**19); each factor is then the scalar loop's Python
+    operations, element by element.  The
     entries come back as Python floats (tolist), so their repr is
     unchanged.  A chain with first = (1, 1) starts at 1 in the mode of
     the parameters: Fraction(1) or 1.0.
     """
-    if not all_exact(alpha, theta):
+    if not (is_exact(alpha) or is_exact(theta)):
         return alpha, theta, 1, _float_chain
+    if not all_exact(alpha, theta):
+        return alpha, theta, 1, partial(_float_chain, dtype=object)
     L = math.lcm(alpha.denominator, theta.denominator)
     A, T = alpha.numerator * (L // alpha.denominator), theta.numerator * (L // theta.denominator)
     return A, T, L, _exact_chain

@@ -291,6 +291,9 @@ def _scalar_phi_rows(A, T, n_max, L=1, step=_scalar_step):
         # mixed: the phi route keeps the Fraction, ExtParams makes both floats
         (Fraction(1, 3), 0.5, 120),
         (0.3, Fraction(1, 2), 120),
+        # mixed with an integer theta: (m + 1) theta is past int64
+        (0.3, 10**18, 30),
+        (0.3, 10**19, 30),
         (0.3, 0.5, 1),
         (0.3, 0.5, 2),
     ],
