@@ -287,8 +287,9 @@ def test_leem_check_handles_ties_and_validates():
 
 # sha256 of one line per call, "<case>: <result type> <repr>" or the error,
 # recorded from the SetPartition-keyed, per-pair Fraction checks (the xi
-# family from the per-step Fraction product); pins the exact values, their
-# types and the float bits
+# family from the per-step Fraction product, the record family from the
+# integer numerators of the oracle's private pick-order walk); pins the
+# exact values, their types and the float bits
 _FLOAT_POINTS = (
     ExtParams.two_param(0.3, 0.5),
     ExtParams.two_param(0.5, 0.5),
@@ -299,7 +300,8 @@ CHECK_GOLDEN = {
     "grid": "ca7ff8fd5d32b156e85e4f5a61452475eedd5722642cadd62cf5e2db283b1b31",
     "perturbed": "e6ef188cb01014a281e8ceb58a527339dc9e392f1ad3e68ae83c12e7e9db67bc",
     "leem": "65f1749ada36fab2f4ba1fba866f7181faccd861570898ab73232a368272855c",
-    "errors": "f2b912cc6641d9e2e8c3d7bbc35c0b64942898883ce6592735be3109bca70841",
+    "record": "66056a8fe8154f3ad5c3cb93b92a63998e35a2c385f809c71c23d719465d2c54",
+    "errors":"f2b912cc6641d9e2e8c3d7bbc35c0b64942898883ce6592735be3109bca70841",
     "xi": "bf0b4b9335ffe1d2473bb7e3e0cb0cd92f9db5c6c3ad883dc0413d355bd64c3d",
 }
 
@@ -340,6 +342,15 @@ def _golden_lines(family):
         for tau in _LEEM_TAUS:
             yield f"leem_check ties {tau!r}", leem_check, (0.25, 0.25, 0.5), tau
             yield f"leem_check ints {tau!r}", leem_check, (1, 2, 3, 4), tau
+    elif family == "record":
+        for k in range(1, 6):
+            total = k * (k + 1) // 2
+            for x in (tuple(Fraction(i, total) for i in range(1, k + 1)),
+                      tuple(i / total for i in range(1, k + 1)),
+                      tuple(range(1, k + 1)), tuple(range(k, 0, -1)),
+                      tuple(1 / (i + 1.5) for i in range(k))):
+                yield f"record_independence_residual {x}", record_independence_residual, x
+        yield "record_independence_residual ties", record_independence_residual, (0.25, 0.25, 0.5)
     elif family == "xi":
         for xi in (0, Fraction(1, 2), 1, 2, 3, Fraction(7, 3), 0.0, 0.5, 2.0, math.inf):
             for k in range(1, 8):
