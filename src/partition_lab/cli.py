@@ -174,10 +174,7 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
 
 def _float_arg(name: str, text: str) -> float:
     """--name as a float; a value past the float range is a usage error."""
-    try:
-        return float(parse_scalar(text))
-    except OverflowError:
-        raise ParameterError(f"--{name} is past the float range") from None
+    return core.float_param(f"--{name}", parse_scalar(text))
 
 
 def _cmd_regen_set(ns: argparse.Namespace) -> int:

@@ -371,7 +371,7 @@ class ExtParams(JsonRecord):
     @classmethod
     def two_param(cls, alpha: Scalar, theta: Scalar) -> "ExtParams":
         if isinstance(alpha, float) or isinstance(theta, float):
-            alpha, theta = float(alpha), float(theta)
+            alpha, theta = float_param("alpha", alpha), float_param("theta", theta)
         if not (0 <= alpha < 1):
             raise ParameterError(f"need 0 <= alpha < 1, got {alpha}")
         if not (theta > -alpha):
@@ -709,6 +709,14 @@ def check_finite(name: str, value: Scalar) -> None:
     # isfinite would raise OverflowError on a Fraction past the float range
     if isinstance(value, float) and not math.isfinite(value):
         raise ParameterError(f"need finite {name}, got {value}")
+
+
+def float_param(name: str, value: Scalar) -> float:
+    """float(value); an exact value past the float range is a ParameterError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is past the float range") from None
 
 
 def check_size(name: str, value: int, least: int) -> None:

@@ -64,7 +64,7 @@ from .core import (
     delete_block,
     scalar_from_json,
 )
-from .samplers import RngHandle, _pick, tau_pick_law
+from .samplers import RngHandle, _pick
 import math
 
 
@@ -79,12 +79,7 @@ def _require_kernel_params(params: ExtParams) -> None:
         raise UnsupportedKernelError("deletion kernel undefined at alpha = theta = 0")
 
 
-def deletion_kernel(
-    parts: Composition | Iterable[int],
-    j: int,
-    params: ExtParams | None = None,
-    tau: Scalar | None = None,
-) -> Scalar:
+def deletion_kernel(parts: Composition | Iterable[int], j: int, params: ExtParams) -> Scalar:
     """Probability that the deletion kernel removes part j (1-based).
 
     With parameters (alpha, theta), both nonnegative and not both zero,
@@ -93,17 +88,11 @@ def deletion_kernel(
                        / (n (theta + alpha (k - 1))).
 
     The kernel depends on (alpha, theta) only through
-    tau = alpha/(alpha + theta), which may be passed directly instead.
+    tau = alpha/(alpha + theta): it is samplers.tau_pick_law(parts, tau)[j - 1].
     """
     lam = Composition.of(parts)
     if not (1 <= j <= lam.k):
         raise ParameterError(f"part index {j} out of range 1..{lam.k}")
-    if (params is None) == (tau is None):
-        raise ParameterError("pass exactly one of params or tau")
-    if tau is not None:
-        if not (0 <= tau <= 1):
-            raise ParameterError(f"need 0 <= tau <= 1, got {tau}")
-        return tau_pick_law(lam.parts, tau)[j - 1]
     _require_kernel_params(params)
     if lam.k == 1:
         return 1 if params.is_exact_mode else 1.0
@@ -222,12 +211,7 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-def tau_delete(
-    pi: SetPartition,
-    rng: RngHandle,
-    params: ExtParams | None = None,
-    tau: Scalar | None = None,
-) -> tuple[int, int, SetPartition]:
+def tau_delete(pi: SetPartition, rng: RngHandle, params: ExtParams) -> tuple[int, int, SetPartition]:
     """Delete one block of pi by the deletion kernel.
 
     Returns (block index, block size, relabeled remainder); the
@@ -236,10 +220,7 @@ def tau_delete(
     if pi.k == 0:
         raise ParameterError("cannot delete from the empty partition")
     sizes = pi.block_sizes()
-    law = [
-        float(deletion_kernel(sizes, j, params=params, tau=tau))
-        for j in range(1, pi.k + 1)
-    ]
+    law = [float(deletion_kernel(sizes, j, params)) for j in range(1, pi.k + 1)]
     j = _pick(law, rng.random())
     pick = pi.k if j is None else j + 1
     return pick, sizes.parts[pick - 1], delete_block(pi, pick)

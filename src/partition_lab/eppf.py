@@ -17,7 +17,8 @@ are exact, except stick_b_shape and stick_float_laws, which give the
 float stick laws.  Every sampler that breaks GEM sticks draws them from
 stick_float_laws: gem_sample, stick_fraction_matrix, the bulk harness's
 stick block, stick_breaking_set and stage one of crossbreed_set (at
-alpha = 0).  Only crossbreed_set's (alpha, 0) stage draws its own.
+alpha = 0); crossbreed_set's (alpha, 0) stage takes its shapes from
+stick_b_shape.
 """
 
 from __future__ import annotations

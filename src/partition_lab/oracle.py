@@ -309,18 +309,16 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
                           range(1, n + 1), lambda m: decrement_entry(params, n, m), lambda: params)
 
 
-def _pick_orders(
-    x: Sequence[Scalar], tau: Scalar
-) -> tuple[list[tuple[int, ...]], list[Scalar], int | None]:
-    """Every pick order of x under tau-biased picks, with its probability.
+def tau_perm_law(x: Sequence[Scalar], tau: Scalar) -> dict[tuple[int, ...], Scalar]:
+    """Law of the tau-biased pick order of weights x, every order at once.
 
-    Returns the orders (permutations of 1..k in lexicographic order), their
-    probabilities and a denominator.  One `tau_pick_law` per remaining
-    subset serves every order that reaches it, and each probability is the
-    product of its picks in pick order, as `tau_perm_probability` takes it.
-    When every pick probability is exact the probabilities are integer
-    numerators over the returned denominator; otherwise that is None and
-    they equal `tau_perm_probability`'s values bit for bit.
+    Maps each permutation of 1..k, in lexicographic order, to the chance
+    that `tau_biased_perm` picks in that order.  One `tau_pick_law` per
+    remaining subset serves every order that reaches it, and each
+    probability is the product of its picks in pick order, as
+    `tau_perm_probability` takes it: exact weights and tau give Fractions,
+    multiplied as integer numerators over one denominator, and otherwise
+    the floats are `tau_perm_probability`'s bit for bit.
     """
     k = len(x)
     everyone = tuple(range(1, k + 1))
@@ -330,24 +328,21 @@ def _pick_orders(
     if den is not None:
         it = iter(flat)
         laws = {sub: [next(it) for _ in law] for sub, law in laws.items()}
-    orders: list[tuple[int, ...]] = []
-    probs: list[Scalar] = []
+    law: dict[tuple[int, ...], Scalar] = {}
 
     def rec(prefix: tuple[int, ...], remaining: tuple[int, ...], prob: Scalar) -> None:
         if not remaining:
-            orders.append(prefix)
-            probs.append(prob)
+            law[prefix] = prob
             return
-        law = laws[remaining]
+        picks = laws[remaining]
         for i, target in enumerate(remaining):
-            rec(prefix + (target,), remaining[:i] + remaining[i + 1:], prob * law[i])
+            rec(prefix + (target,), remaining[:i] + remaining[i + 1:], prob * picks[i])
 
     rec((), everyone, 1)
-    return orders, probs, None if den is None else den ** k
-
-
-def _as_values(values: list[Scalar], den: int | None) -> list[Scalar]:
-    return values if den is None else [Fraction(v, den) for v in values]
+    if den is not None:
+        den **= k
+        law = {perm: Fraction(num, den) for perm, num in law.items()}
+    return law
 
 
 def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
@@ -367,17 +362,18 @@ def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
     if not (0 <= tau <= 1):
         raise ParameterError(f"need 0 <= tau <= 1, got {tau}")
     xi = math.inf if tau == 0 else exact_div(1 - tau, tau)
-    perms, sb, sb_den = _pick_orders(x, 0)
-    _, lhs, lhs_den = _pick_orders(x, tau)
+    sb_law = tau_perm_law(x, 0)
+    lhs = tau_perm_law(x, tau).values()
     if tau == 0:
-        rhs, rhs_den = sb, sb_den
+        rhs = list(sb_law.values())
     else:
-        ops, op_den = _over_common_denominator([order_probability(xi, w) for w in perms])
-        if sb_den is None or op_den is None:
-            sb, ops = _as_values(sb, sb_den), _as_values(ops, op_den)
-            rhs_den = None
-        else:
-            rhs_den = sb_den * op_den
+        perms, sb = list(sb_law), list(sb_law.values())
+        ops = [order_probability(xi, w) for w in perms]
+        sb_num, sb_den = _over_common_denominator(sb)
+        op_num, op_den = _over_common_denominator(ops)
+        exact = sb_den is not None and op_den is not None
+        if exact:
+            sb, ops = sb_num, op_num
         op_of = dict(zip(perms, ops))
         # positions, 1-based, of each element in each size-biased order
         invs = []
@@ -392,8 +388,10 @@ def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
             for inv, p in zip(invs, sb):
                 total = total + p * op_of[tuple(map(inv.__getitem__, pi))]
             rhs.append(total)
+        if exact:
+            rhs = [Fraction(total, sb_den * op_den) for total in rhs]
     worst: Scalar = 0
-    for left, right in zip(_as_values(lhs, lhs_den), _as_values(rhs, rhs_den)):
+    for left, right in zip(lhs, rhs):
         dev = abs(left - right)
         worst = dev if dev > worst else worst
     return worst
@@ -405,13 +403,14 @@ def record_independence_residual(x: Sequence[Scalar]) -> Scalar:
     Under the size-biased order of x, event A_j says index j is picked
     before all of j+1, ..., k.  The A_j are independent with
     P(A_j) = x_j / (x_j + ... + x_k); checked for every subset of
-    events by enumeration.
+    events by enumeration, with exact sums over integer numerators.
     """
     k = len(x)
-    perms, sb, den = _pick_orders(x, 0)
+    law = tau_perm_law(x, 0)
+    sb, den = _over_common_denominator(list(law.values()))
     tail = [sum(x[j:]) for j in range(k)]
     singles = [exact_div(x[j], tail[j]) for j in range(k)]
-    positions = [{v: i for i, v in enumerate(sigma)} for sigma in perms]
+    positions = [{v: i for i, v in enumerate(sigma)} for sigma in law]
     worst: Scalar = 0
     for subset in itertools.product([False, True], repeat=k):
         prob: Scalar = 0

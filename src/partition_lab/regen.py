@@ -46,6 +46,7 @@ from .core import (
     check_size,
     delete_block,
     exact_div,
+    float_param,
     is_exact,
     rising_ratio,
     _integer_scale,
@@ -53,7 +54,7 @@ from .core import (
     scalar_from_json,
 )
 from .deletion import DecrementMatrix
-from .eppf import stick_float_laws
+from .eppf import stick_b_shape, stick_float_laws
 from .samplers import RngHandle, _paint, crp_assignments, xi_order
 
 ALPHA_THETA = "alpha_theta"
@@ -85,6 +86,8 @@ class LevyImageMeasure(JsonRecord):
         if not (theta >= 0):
             raise ParameterError(f"need theta >= 0, got {theta}")
         check_finite("theta", theta)
+        if isinstance(alpha, float):  # the float rows take theta into float steps
+            float_param("theta", theta)
         if alpha == 0 and theta == 0:
             raise ParameterError("alpha and theta cannot both be 0")
         return cls(ALPHA_THETA, alpha=alpha, theta=theta)
@@ -392,10 +395,9 @@ def _alpha_zero_lengths(alpha: float, eps: float, rng: RngHandle) -> tuple[list[
 
     def draws() -> Iterator[float]:
         chunk = 64
+        b = stick_b_shape(ExtParams.two_param(alpha, 0))
         for k in itertools.count(1, chunk):
-            x = rng.gamma(1.0 - alpha, size=chunk)
-            y = rng.gamma(alpha * np.arange(k, k + chunk, dtype=float), size=chunk)
-            yield from (x / (x + y)).tolist()
+            yield from rng.beta(1.0 - alpha, b(np.arange(k, k + chunk)), size=chunk).tolist()
 
     lengths, rem = break_sticks(draws(), eps)
     # xi = 0 arrangement: uniform order on sticks 2..K, stick 1 rightmost

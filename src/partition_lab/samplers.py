@@ -475,7 +475,10 @@ def tau_biased_perm(x: Sequence[Scalar], tau: Scalar, rng: RngHandle) -> tuple[i
 
 
 def tau_perm_probability(x: Sequence[Scalar], tau: Scalar, perm: Sequence[int]) -> Scalar:
-    """Exact probability that tau_biased_perm produces the given pick order."""
+    """Exact probability that tau_biased_perm produces the given pick order.
+
+    The per-order reference; oracle.tau_perm_law gives every order at once.
+    """
     k = len(x)
     if sorted(perm) != list(range(1, k + 1)):
         raise ParameterError(f"{perm} is not a permutation of 1..{k}")

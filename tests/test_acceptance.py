@@ -6,7 +6,6 @@ of a failure) and asserts the same condition.  Seeds and tolerances are
 pinned so the whole module is deterministic.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -30,6 +29,7 @@ from partition_lab.oracle import (
     iter_partitions,
     ks_two_sample,
     leem_check,
+    tau_perm_law,
     tau_regen_check,
     xi_order_enumeration_residual,
 )
@@ -45,7 +45,6 @@ from partition_lab.samplers import (
     crp_assignments,
     size_biased_perms,
     stick_fraction_matrix,
-    tau_perm_probability,
     xi_arrangements,
 )
 
@@ -157,11 +156,8 @@ def test_criterion_06_pick_order_identity():
     for t in range(k - 1):
         idx += (composed[:, t + 1 :] < composed[:, t : t + 1]).sum(axis=1) * fact[t]
     counts = np.bincount(idx, minlength=math.factorial(k))
-    xf = [float(v) for v in x]
-    probs = [
-        tau_perm_probability(xf, float(tau), perm)
-        for perm in itertools.permutations(range(1, k + 1))
-    ]
+    # the law's orders are lexicographic, the order the Lehmer index counts
+    probs = list(tau_perm_law([float(v) for v in x], float(tau)).values())
     stat, dof, pval = chi_square(counts, probs)
     ok = ok and pval > 1e-3
     _verdict("06", ok, f"exact k<=5; k=8 MC chi2 p={pval:.4f}")

@@ -323,6 +323,12 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("regen-set", "--model", "compound", "--theta", "1" + "0" * 400, "--eps", "1e-6", "--seed", "1"),
         ("regen-set", "--model", "crossbreed", "--alpha", "1/2", "--theta", "1" + "0" * 400,
          "--eps", "1e-3", "--seed", "1"),
+        # a float alpha with an exact theta past the float range: OverflowError tracebacks before
+        ("eppf", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--lambda", "2,1"),
+        ("decrement", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n-max", "3"),
+        ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n-max", "3"),
+        ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400 + "/3", "--n-max", "3"),
+        ("verify", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n", "3"),
         # the leem suite never reads --n, so only the up-front size check rejects it
         ("verify", "--suite", "leem", "--n", "0"),
         ("verify", "--suite", "leem", "--n", "-5"),
@@ -336,6 +342,13 @@ def test_domain_errors_exit_2(capsys, args):
     rc, out, err = run(capsys, *args)
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["eppf", "decrement", "phi", "verify"])
+def test_float_alpha_with_exact_theta_inside_the_float_range_runs(capsys, command):
+    size = {"eppf": ("--lambda", "2,1"), "verify": ("--n", "3")}.get(command, ("--n-max", "3"))
+    rc, out, err = run(capsys, command, "--alpha", "0.3", "--theta", str(10 ** 19), *size)
+    assert rc == 0 and out and not err
 
 
 @pytest.mark.parametrize(

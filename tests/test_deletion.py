@@ -32,7 +32,7 @@ from partition_lab.deletion import (
 from partition_lab.eppf import eppf
 from partition_lab.oracle import chi_square
 from partition_lab.regen import LevyImageMeasure, decrement_from_phi, laplace_exponent, phi_nm
-from partition_lab.samplers import RngHandle
+from partition_lab.samplers import RngHandle, tau_pick_law
 
 TWO_PARAM_GRID = (
     ExtParams.two_param(0, 1),
@@ -66,9 +66,7 @@ def test_kernel_depends_only_on_tau():
         assert deletion_kernel((3, 2, 2), j, params=a) == deletion_kernel(
             (3, 2, 2), j, params=b
         )
-        assert deletion_kernel((3, 2, 2), j, params=a) == deletion_kernel(
-            (3, 2, 2), j, tau=Fraction(1, 3)
-        )
+        assert deletion_kernel((3, 2, 2), j, params=a) == tau_pick_law((3, 2, 2), Fraction(1, 3))[j - 1]
 
 
 def test_kernel_rows_normalize():
@@ -93,11 +91,7 @@ def test_single_block_values_keep_the_arithmetic_mode():
 
 def test_kernel_argument_validation():
     with pytest.raises(ParameterError):
-        deletion_kernel((2, 1), 3, tau=0)
-    with pytest.raises(ParameterError):
-        deletion_kernel((2, 1), 1)  # neither params nor tau
-    with pytest.raises(ParameterError):
-        deletion_kernel((2, 1), 1, params=ExtParams.two_param(0, 1), tau=0)
+        deletion_kernel((2, 1), 3, params=ExtParams.two_param(0, 1))
     with pytest.raises(UnsupportedKernelError):
         deletion_kernel((2, 1), 1, params=ExtParams.coupon(3))
 

@@ -18,6 +18,7 @@ from partition_lab.core import (
     partition_from_assignment,
 )
 from partition_lab.eppf import eppf
+from partition_lab.samplers import tau_perm_probability
 from partition_lab.oracle import (
     ExactLaw,
     _remainder_word,
@@ -31,6 +32,7 @@ from partition_lab.oracle import (
     ks_two_sample,
     leem_check,
     record_independence_residual,
+    tau_perm_law,
     tau_regen_check,
     xi_order_enumeration_residual,
 )
@@ -274,6 +276,24 @@ def test_checks_on_a_copied_word_list(check, perturb, params, monkeypatch):
 @pytest.mark.parametrize("tau", [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])
 def test_leem_check_zero_exact(tau):
     assert leem_check((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), tau) == 0
+
+
+@pytest.mark.parametrize("tau", [0, Fraction(1, 4), Fraction(1, 2), 1, 0.25], ids=repr)
+def test_tau_perm_law_is_tau_perm_probability(tau):
+    # every order at once, with the per-order reference's values: equal
+    # Fractions for exact weights, the same float bits otherwise
+    for k in range(1, 6):
+        total = k * (k + 1) // 2
+        for x in (tuple(Fraction(i, total) for i in range(1, k + 1)),
+                  tuple(i / total for i in range(1, k + 1)), tuple(range(k, 0, -1))):
+            law = tau_perm_law(x, tau)
+            assert list(law) == list(itertools.permutations(range(1, k + 1)))
+            for perm, p in law.items():
+                want = tau_perm_probability(x, tau, perm)
+                if isinstance(want, float):
+                    assert type(p) is float and p.hex() == want.hex()
+                else:
+                    assert type(p) is Fraction and p == want
 
 
 def test_leem_check_handles_ties_and_validates():

@@ -19,7 +19,7 @@ from partition_lab.core import (
     stick_breaking,
 )
 from partition_lab.eppf import eppf
-from partition_lab.oracle import chi_square, enumerate_partitions
+from partition_lab.oracle import chi_square, enumerate_partitions, tau_perm_law
 from partition_lab.samplers import (
     RngHandle,
     arrangement_from_ranks,
@@ -470,21 +470,16 @@ def test_tau_pick_law_rejects():
 
 def test_tau_perm_probability_frozen_and_normalized():
     assert tau_perm_probability((1, 2), Fraction(1, 4), (1, 2)) == Fraction(5, 12)
-    import itertools
-
     x = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
     for tau in (0, Fraction(1, 4), 1):
-        total = sum(tau_perm_probability(x, tau, p) for p in itertools.permutations((1, 2, 3)))
-        assert total == 1
+        assert sum(tau_perm_law(x, tau).values()) == 1
 
 
 def test_tau_biased_perm_matches_exact_law():
-    import itertools
-
     x = (1, 2, 4)
     tau = Fraction(1, 4)
-    perms = list(itertools.permutations((1, 2, 3)))
-    probs = [tau_perm_probability(x, tau, p) for p in perms]
+    law = tau_perm_law(x, tau)
+    perms, probs = list(law), list(law.values())
     index = {p: i for i, p in enumerate(perms)}
     rng = RngHandle(31)
     counts = np.zeros(len(perms), dtype=np.int64)
@@ -505,11 +500,9 @@ def test_tau_biased_pick_is_first_step_of_perm():
 
 
 def test_size_biased_perms_match_tau_zero():
-    import itertools
-
     x = (0.2, 0.3, 0.5)
-    perms = list(itertools.permutations((1, 2, 3)))
-    probs = [tau_perm_probability(x, 0, p) for p in perms]
+    law = tau_perm_law(x, 0)
+    perms, probs = list(law), list(law.values())
     index = {p: i for i, p in enumerate(perms)}
     draws = size_biased_perms(x, 5000, RngHandle(17))
     counts = np.zeros(len(perms), dtype=np.int64)
