@@ -1,5 +1,6 @@
 """Partition probabilities, moments, and the first-block laws."""
 
+import hashlib
 import importlib
 import itertools
 import math
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partition_lab.core import Composition, ConvergenceError, ExtParams, ParameterError
+from partition_lab.cli import _VERIFY_GRID
+from partition_lab.core import COUPON, Composition, ConvergenceError, ExtParams, ParameterError, rising_ratio
 from partition_lab.eppf import (
     BetaParams,
     addition_residual,
@@ -103,6 +105,53 @@ def test_float_eppf_frozen_reprs(alpha, theta, reprs):
     # in range, float eppf is the plain product, so its bytes are pinned
     params = ExtParams.two_param(alpha, theta)
     assert tuple(repr(eppf(params, c)) for c in FROZEN_COMPOSITIONS) == reprs
+
+
+def _reference_eppf(params, parts):
+    """eppf by one rising_ratio call, the route it took before its integer quotient."""
+    n, k = sum(parts), len(parts)
+    if params.max_blocks is not None and k > params.max_blocks:
+        return 0
+    if params.kind == COUPON:
+        return Fraction(math.perm(params.m, k), params.m ** n)
+    alpha, theta = params.alpha, params.theta
+    return rising_ratio([(1 - alpha, p - 1) for p in parts], ((theta + 1, n - 1),),
+                        [theta + i * alpha for i in range(1, k)])
+
+
+def _compositions(n_max):
+    for n in range(1, n_max + 1):
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            parts, size = [], 1
+            for cut in cuts:
+                if cut:
+                    parts.append(size)
+                    size = 0
+                size += 1
+            yield tuple(parts + [size])
+
+
+# Every exact verify-grid point, a negative theta (T < 0 in the integer
+# scale) and int parameters; neg_alpha(-1, 3) past 3 blocks gives int 0.
+EXACT_POINTS = tuple(p for p in _VERIFY_GRID if p.is_exact_mode) + (
+    ExtParams.two_param(Fraction(1, 2), Fraction(-1, 4)),
+)
+EXACT_CASES = tuple(itertools.product(EXACT_POINTS, (*_compositions(8), (60, 40))))
+
+# sha256 of "<type name> <repr>" per line for eppf over EXACT_CASES, in order
+EXACT_EPPF_GOLDEN = "ac1821242efdf64bc0afedf2326dd78a612b1cb46c74a1cd8fcd737cc6890b23"
+
+
+def test_exact_eppf_golden():
+    lines = [f"{type(v).__name__} {v!r}" for v in (eppf(p, c) for p, c in EXACT_CASES)]
+    assert len(lines) == len(EXACT_POINTS) * 256
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_EPPF_GOLDEN
+
+
+def test_exact_eppf_is_the_rising_ratio_route():
+    for params, parts in EXACT_CASES:
+        got, want = eppf(params, parts), _reference_eppf(params, parts)
+        assert (type(got), got) == (type(want), want), (params, parts)
 
 
 def test_eppf_is_symmetric_in_parts():
