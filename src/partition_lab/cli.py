@@ -148,6 +148,9 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
         if ns.alpha is None or ns.theta is None:
             raise ParameterError("pass --alpha/--theta or --atoms")
         measure = regen.LevyImageMeasure.alpha_theta(parse_scalar(ns.alpha), parse_scalar(ns.theta))
+        # phi values print as floats, and ScaledBeta floats theta + n for lgamma:
+        # a theta past the float range is rejected before the matrix is built
+        core.float_param("--theta", measure.theta)
     matrix = regen.decrement_from_phi(measure, ns.n_max)
     lines = []
     if ns.format == "json":
@@ -156,7 +159,7 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
             "phi": [
                 {
                     "n": n,
-                    "phi_n": float(regen.laplace_exponent(measure, n)),
+                    "phi_n": core.float_param("phi_n", regen.laplace_exponent(measure, n)),
                     "q": [scalar_to_json(v) for v in matrix.row(n)],
                 }
                 for n in range(1, ns.n_max + 1)
@@ -167,7 +170,8 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
         lines.append("n,m,phi_nm,q")
         for n, row in enumerate(matrix.rows, 1):
             for m, q in enumerate(row, 1):
-                lines.append(f"{n},{m},{_fmt_float(regen.phi_nm(measure, n, m))},{_fmt_float(q)}")
+                phi = core.float_param("phi(n, m)", regen.phi_nm(measure, n, m))
+                lines.append(f"{n},{m},{phi!r},{_fmt_float(q)}")
     _emit(lines, ns.out)
     return 0
 

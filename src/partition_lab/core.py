@@ -9,6 +9,10 @@ with a float falls through to float, matching Python semantics.
 Ratios of rising factorials go through rising_ratio: one integer
 quotient, reduced once, when every operand is exact; otherwise the plain
 product, and log-gamma only when a float product leaves its range.
+Exact eppf, the (alpha, theta) decrement recurrences and
+eppf.stick_b_shape take their exact/float split from _integer_scale
+instead: in its integers A, T, L the powers of L cancel, so exact eppf
+is one integer quotient with no Fraction per factor.
 _log_rising_ratio is the one route past the float range: float eppf,
 decrement_entry, ScaledBeta and first_color_tail take it, so
 decrement_entry and ScaledBeta ratios stay finite past n = 1020.

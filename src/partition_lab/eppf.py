@@ -146,6 +146,16 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
     The sizes are taken in order of appearance; the value is symmetric
     in them.  Compositions with more blocks than the bounded ranges
     allow get probability 0.
+
+    Exact parameters take their split from core._integer_scale: with
+    alpha = A/L and theta = T/L the value is the one integer quotient
+
+        prod_{i<k} (T + i A) prod_j prod_{i<n_j-1} (L - A + i L)
+            / prod_{i<n-1} (T + L + i L),
+
+    since the k - 1 + (n - k) factors of L above cancel the n - 1 below;
+    Fraction reduces it once.  Float parameters go through rising_ratio:
+    the plain product, and log-gamma when it leaves the float range.
     """
     lam = Composition.of(parts)
     n, k = lam.n, lam.k
@@ -156,6 +166,13 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
     if params.kind == COUPON:
         return Fraction(math.perm(params.m, k), params.m ** n)
     alpha, theta = params.alpha, params.theta
+    if is_exact(alpha) and is_exact(theta):
+        A, T, L, _ = _integer_scale(alpha, theta)
+        top = math.prod(range(T + A, T + k * A, A)) if A else T ** (k - 1)
+        for p in lam.parts:
+            if p > 1:
+                top *= math.prod(range(L - A, p * L - A, L))
+        return Fraction(top, math.prod(range(T + L, T + n * L, L)))
     shape = 1 - alpha
     return rising_ratio([(shape, p - 1) for p in lam.parts], ((theta + 1, n - 1),),
                         [theta + i * alpha for i in range(1, k)])

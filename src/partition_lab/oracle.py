@@ -9,7 +9,10 @@ public `ExactLaw.probs` mapping is read.  The words of [n] and their
 block sizes are enumerated once per n <= 10, by `_word_table`, and kept
 for the process.  Deviations are returned as numbers, 0 in exact
 arithmetic when a claimed identity holds; the perturbation hooks
-confirm that the checks actually reject wrong laws.
+confirm that the checks actually reject wrong laws.  The exact gap
+loops (remainder laws, xi orders) cross-multiply: each word's integer
+numerators are compared with its target's, and a Fraction deviation is
+built only where the gap is nonzero.
 
 Both deletion characterizations run on one walk, `_deletion_walk`, that
 deletes a block by a given row and compares the deleted size and the
@@ -202,6 +205,9 @@ def _remainder_distance(joint: dict[bytes, Scalar], mass: Scalar, den: int | Non
     joint maps remainder words to their mass (numerators over den when
     den is not None, so the quotient needs no den); words of [r] it lacks
     have conditional mass 0.  The target eppf is memoized by block sizes.
+    With den set and an exact target t, a word is tested by the integer
+    gap |v t.den - t.num mass|, and only a nonzero gap builds its
+    Fraction deviation, gap / |mass t.den|.
     """
     worst: Scalar = 0
     for word, sizes in zip(*_word_table(r)):
@@ -209,11 +215,17 @@ def _remainder_distance(joint: dict[bytes, Scalar], mass: Scalar, den: int | Non
         if target is None:
             target = memo[sizes] = eppf(params, sizes)
         v = joint.get(word)
-        if v is None:
-            cond: Scalar = 0
+        if den is not None and is_exact(target):
+            gap = abs((v or 0) * target.denominator - target.numerator * mass)
+            if not gap:
+                continue
+            dev = Fraction(gap, abs(mass) * target.denominator)
         else:
-            cond = Fraction(v, mass) if den is not None else exact_div(v, mass)
-        dev = abs(cond - target)
+            if v is None:
+                cond: Scalar = 0
+            else:
+                cond = Fraction(v, mass) if den is not None else exact_div(v, mass)
+            dev = abs(cond - target)
         worst = dev if dev > worst else worst
     return worst
 
@@ -444,7 +456,8 @@ def xi_order_enumeration_residual(k: int, xi: Scalar) -> Scalar:
     j) or q (any other rank) over p + (j - 1) q, so each rank sequence
     weighs p^records q^(k - 1 - records) over the common denominator
     D = (p + q)(p + 2q) ... (p + (k - 1) q).  Each arrangement's sum is
-    compared with order_probability through one cross-multiplied Fraction.
+    compared with order_probability by the cross-multiplied integer gap,
+    and only a nonzero gap builds its Fraction.
     A float xi multiplies the step probabilities in turn.
     """
     from .samplers import arrangement_from_ranks
@@ -468,9 +481,10 @@ def xi_order_enumeration_residual(k: int, xi: Scalar) -> Scalar:
         worst: Scalar = Fraction(gap, den) if k > 1 else gap
         for arr in itertools.permutations(range(1, k + 1)):
             target = order_probability(xi, arr)
-            dev = Fraction(abs(sums.get(arr, 0) * target.denominator - target.numerator * den),
-                           den * target.denominator)
-            worst = dev if dev > worst else worst
+            gap = abs(sums.get(arr, 0) * target.denominator - target.numerator * den)
+            if gap:
+                dev = Fraction(gap, den * target.denominator)
+                worst = dev if dev > worst else worst
         return worst
     accum: dict[tuple[int, ...], Scalar] = {}
     for ranks in itertools.product(*ranges):

@@ -326,16 +326,19 @@ def compound_poisson_set(
     drawn (waiting time first, then size) until the uncovered terminal
     mass e^-S drops to eps, or ConvergenceError after JUMP_BUDGET jumps.
     The jumps needed number 1 + Poisson(theta ln(1/eps)), so a mean of
-    2 JUMP_BUDGET or more, which would spend the budget with chance
-    above 1 - e^(-3e6), raises ConvergenceError before any draw.
+    JUMP_BUDGET + 10 sqrt(JUMP_BUDGET) or more, ten standard deviations
+    past the budget, which would spend it with chance above 1 - 1e-23,
+    raises ConvergenceError before any draw.
     """
     if not (theta > 0):
         raise ParameterError(f"need theta > 0, got {theta}")
     check_finite("theta", theta)
     check_eps(eps)
-    if theta >= 2 * JUMP_BUDGET / -math.log(eps):  # divided, as theta * ln may overflow
+    limit = JUMP_BUDGET + 10 * math.sqrt(JUMP_BUDGET)
+    if theta >= limit / -math.log(eps):  # divided, as theta * ln may overflow
         raise ConvergenceError(f"theta={theta} at eps={eps} expects theta*ln(1/eps) >= "
-                               f"{2 * JUMP_BUDGET} jumps, twice the budget {JUMP_BUDGET}")
+                               f"{limit:.0f} jumps, ten standard deviations past the "
+                               f"budget {JUMP_BUDGET}")
     times, jumps, lengths = [], [], []
     t = 0.0
     remaining = 1.0

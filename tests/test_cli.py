@@ -329,6 +329,11 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n-max", "3"),
         ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400 + "/3", "--n-max", "3"),
         ("verify", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n", "3"),
+        # exact parameters, or an atom weight, past the float range: phi values print as floats
+        ("phi", "--alpha", "1/3", "--theta", "1" + "0" * 400, "--n-max", "3"),
+        ("phi", "--alpha", "1/3", "--theta", "1" + "0" * 400, "--n-max", "3", "--format", "json"),
+        ("phi", "--atoms", "1/2:1" + "0" * 400, "--n-max", "3"),
+        ("phi", "--atoms", "1/2:1" + "0" * 400, "--n-max", "3", "--format", "json"),
         # the leem suite never reads --n, so only the up-front size check rejects it
         ("verify", "--suite", "leem", "--n", "0"),
         ("verify", "--suite", "leem", "--n", "-5"),
@@ -376,7 +381,18 @@ def test_hopeless_compound_set_exits_2_at_once(capsys):
                        "--eps", "1e-6", "--seed", "1")
     assert time.perf_counter() - start < 1
     assert rc == 2 and out == ""
-    assert err.startswith("error:") and "twice the budget" in err
+    assert err.startswith("error:") and "past the budget" in err
+
+
+def test_compound_set_expecting_more_jumps_than_the_budget_exits_2_at_once(capsys):
+    # theta ln(1/eps) ~ 1.38e7 lies below twice the 10**7-jump budget, so this
+    # ran the whole jump loop before it exited 2
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "regen-set", "--model", "compound", "--theta", "1e6",
+                       "--eps", "1e-6", "--seed", "1")
+    assert time.perf_counter() - start < 2
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "past the budget" in err
 
 
 def test_usage_errors_exit_2():

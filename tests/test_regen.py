@@ -237,11 +237,13 @@ def test_exhausted_budgets_raise_convergence_error(monkeypatch):
 
 
 def test_compound_poisson_set_rejects_a_hopeless_jump_count(monkeypatch):
-    # 1 + Poisson(theta ln(1/eps)) jumps are needed: a mean of twice the
-    # budget or more fails before any draw
+    # 1 + Poisson(theta ln(1/eps)) jumps are needed: a mean ten standard
+    # deviations past the budget or more fails before any draw
     rng = RngHandle(3)
-    for theta in (1e308, Fraction(10 ** 400), 2 * regen.JUMP_BUDGET / math.log(1e6)):
-        with pytest.raises(ConvergenceError, match="twice the budget"):
+    limit = regen.JUMP_BUDGET + 10 * math.sqrt(regen.JUMP_BUDGET)
+    for theta in (1e308, Fraction(10 ** 400), 2 * regen.JUMP_BUDGET / math.log(1e6),
+                  1e6, limit / math.log(1e6)):
+        with pytest.raises(ConvergenceError, match="past the budget"):
             compound_poisson_set(theta, 1e-6, rng)
     assert rng.exponential(1.0) == RngHandle(3).exponential(1.0)
     # below that the loop's own budget still stops a run that needs more jumps
