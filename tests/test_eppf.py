@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from partition_lab.cli import _VERIFY_GRID
 from partition_lab.core import COUPON, Composition, ConvergenceError, ExtParams, ParameterError, rising_ratio
+from partition_lab.deletion import _compositions
 from partition_lab.eppf import (
     BetaParams,
     addition_residual,
@@ -119,27 +120,16 @@ def _reference_eppf(params, parts):
                         [theta + i * alpha for i in range(1, k)])
 
 
-def _compositions(n_max):
-    for n in range(1, n_max + 1):
-        for cuts in itertools.product((False, True), repeat=n - 1):
-            parts, size = [], 1
-            for cut in cuts:
-                if cut:
-                    parts.append(size)
-                    size = 0
-                size += 1
-            yield tuple(parts + [size])
-
-
 # Every exact verify-grid point, a negative theta (T < 0 in the integer
 # scale) and int parameters; neg_alpha(-1, 3) past 3 blocks gives int 0.
 EXACT_POINTS = tuple(p for p in _VERIFY_GRID if p.is_exact_mode) + (
     ExtParams.two_param(Fraction(1, 2), Fraction(-1, 4)),
 )
-EXACT_CASES = tuple(itertools.product(EXACT_POINTS, (*_compositions(8), (60, 40))))
+COMPOSITIONS = [c for n in range(1, 9) for c in _compositions(n)] + [(60, 40)]
+EXACT_CASES = tuple(itertools.product(EXACT_POINTS, COMPOSITIONS))
 
 # sha256 of "<type name> <repr>" per line for eppf over EXACT_CASES, in order
-EXACT_EPPF_GOLDEN = "ac1821242efdf64bc0afedf2326dd78a612b1cb46c74a1cd8fcd737cc6890b23"
+EXACT_EPPF_GOLDEN = "9e51c9c146e9537532ff1d9d724be431d1db3bd1c175d52e23b2959d55a21b8b"
 
 
 def test_exact_eppf_golden():
