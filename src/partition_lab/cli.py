@@ -6,15 +6,15 @@ suite name (eppf, deletion, regen, order, leem) to its checks; `--suite
 all` runs every suite in that order.
 Exit codes: 0 on success, 1 when a verification suite reports a
 failure or stdout is closed before the output is written, 2 on usage
-errors, among them `decrement` and `phi` with --n-max above MAX_N_MAX,
-which are rejected before any work.  _emit writes the whole output in
-one write, so under `| head` the code depends on timing: 0 if the
-write began before the reader closed the pipe, 1 if the reader was
-already gone.  All randomized commands take --seed and produce
-byte-identical output for identical arguments.  Rational arguments
-("1/2", "2") select exact arithmetic; decimals float.  JSON encodes
-exact values as {"num": ..., "den": ...}; CSV always prints floats with
-a '.' decimal point.
+errors, among them `decrement` and `phi` with --n-max, and `verify` with
+--n, above MAX_N_MAX, which are rejected before any work.  _emit
+writes the whole output in one write, so under `| head` the code
+depends on timing: 0 if the write began before the reader closed the
+pipe, 1 if the reader was already gone.  All randomized commands take
+--seed and produce byte-identical output for identical arguments.
+Rational arguments ("1/2", "2") select exact arithmetic; decimals
+float.  JSON encodes exact values as {"num": ..., "den": ...}; CSV
+always prints floats with a '.' decimal point.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from . import core, deletion, oracle, regen, samplers
 from .core import ExtParams, ParameterError, dumps, parse_scalar, scalar_to_json
 from .eppf import addition_residual, eppf
 
-# decrement and phi print n_max (n_max + 1) / 2 entries; a larger --n-max
-# exits 2 before any work.  Both routes are tested to this size.
+# decrement and phi print n_max (n_max + 1) / 2 entries, and the verify
+# suite regen builds both routes to --n; a larger --n-max or --n exits 2
+# before any work.  Both routes are tested to this size.
 MAX_N_MAX = 2000
 
 
@@ -109,15 +110,13 @@ def _cmd_sample(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _check_n_max(n_max: int) -> None:
-    if n_max > MAX_N_MAX:
-        raise ParameterError(
-            f"need --n-max <= {MAX_N_MAX}, got {n_max} (the output grows as n_max**2)"
-        )
+def _check_n_max(flag: str, value: int, why: str) -> None:
+    if value > MAX_N_MAX:
+        raise ParameterError(f"need {flag} <= {MAX_N_MAX}, got {value} ({why})")
 
 
 def _cmd_decrement(ns: argparse.Namespace) -> int:
-    _check_n_max(ns.n_max)
+    _check_n_max("--n-max", ns.n_max, "the output grows as n_max**2")
     params = _params_from_args(ns)
     matrix = deletion.decrement_matrix(params, ns.n_max)
     lines = []
@@ -141,7 +140,7 @@ def _parse_atoms(text: str) -> regen.LevyImageMeasure:
 
 
 def _cmd_phi(ns: argparse.Namespace) -> int:
-    _check_n_max(ns.n_max)
+    _check_n_max("--n-max", ns.n_max, "the output grows as n_max**2")
     if ns.atoms is not None:
         measure = _parse_atoms(ns.atoms)
     else:
@@ -314,6 +313,7 @@ _VERIFY_SUITES = {
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     core.check_size("--n", ns.n, 1)  # the leem suite fixes k = 4 and never reads n
+    _check_n_max("--n", ns.n, "the regen suite builds two decrement matrices to n")
     if not 0 <= ns.tol < math.inf:  # a negative or nan --tol fails every float check
         raise ParameterError(f"need finite --tol >= 0, got {ns.tol}")
     if ns.alpha is not None or ns.coupon is not None:

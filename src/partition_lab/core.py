@@ -491,12 +491,6 @@ class Composition(JsonRecord):
             out.append(out[-1] + p)
         return tuple(reversed(out))
 
-    def sorted_desc(self) -> "Composition":
-        return Composition(tuple(sorted(self.parts, reverse=True)))
-
-    def drop_first(self) -> "Composition":
-        return Composition(self.parts[1:])
-
     @classmethod
     def from_json(cls, d: dict) -> "Composition":
         return cls(tuple(d["parts"]))
@@ -751,20 +745,6 @@ def break_sticks(
         if w == 1 or (eps is not None and remaining <= eps):
             break
     return lengths, remaining
-
-
-def stick_breaking(fractions: "ResidualFractions | Iterable[Scalar]") -> FrequencyVector:
-    """Map residual fractions to frequencies P_i = W_i * prod_{j<i} (1 - W_j).
-
-    The leftover product after the stored fractions becomes the residual
-    (zero when the sequence terminated in a 1).
-    """
-    if not isinstance(fractions, ResidualFractions):
-        fractions = ResidualFractions.from_raw(fractions)
-    entries, remaining = break_sticks(fractions.fractions)
-    if fractions.terminated:
-        remaining = 0
-    return FrequencyVector(tuple(entries), dust=0, residual=remaining)
 
 
 def rank(freq: FrequencyVector) -> RankedFrequencies:

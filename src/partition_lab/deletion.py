@@ -59,9 +59,7 @@ from .core import (
     check_size,
     exact_div,
     rising_ratio,
-    SetPartition,
     UnsupportedKernelError,
-    delete_block,
     scalar_from_json,
 )
 from .samplers import RngHandle, _pick
@@ -168,39 +166,6 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
     return DecrementMatrix(n_max, tuple(rows))
 
 
-def f1_consistency(params: ExtParams, n: int, lam1: int) -> Scalar:
-    """Worst deviation of the kernel-and-EPPF route to q(n, lam1).
-
-    For every composition lambda of n with first part lam1,
-
-        d(lambda; 1) C(n, lam1) (1 - alpha)_{lam1 - 1}
-        (theta + (k - 1) alpha) / (theta + n - lam1)_{lam1}
-
-    must equal q(n, lam1) regardless of the remaining parts.  Returns
-    the largest absolute deviation over all such compositions (0
-    expected).
-    """
-    _require_kernel_params(params)
-    if not (1 <= lam1 <= n):
-        raise ParameterError(f"need 1 <= lam1 <= n, got {lam1}")
-    target = decrement_entry(params, n, lam1)
-    alpha, theta = params.alpha, params.theta
-    worst: Scalar = 0
-    for rest in _compositions(n - lam1):
-        lam = Composition((lam1,) + rest)
-        d = deletion_kernel(lam, 1, params=params)
-        if lam1 == n:
-            # (theta + (k-1) alpha) / (theta)_n reduces at k = 1
-            top, den = 1, (theta + 1, n - 1)
-        else:
-            top, den = theta + (lam.k - 1) * alpha, (theta + n - lam1, lam1)
-        val = rising_ratio([(1 - alpha, lam1 - 1)], [den], [d * math.comb(n, lam1), top])
-        dev = abs(val - target)
-        if dev > worst:
-            worst = dev
-    return worst
-
-
 def _compositions(n: int):
     """All compositions of n into positive parts; () for n = 0."""
     if n == 0:
@@ -209,21 +174,6 @@ def _compositions(n: int):
     for first in range(1, n + 1):
         for rest in _compositions(n - first):
             yield (first,) + rest
-
-
-def tau_delete(pi: SetPartition, rng: RngHandle, params: ExtParams) -> tuple[int, int, SetPartition]:
-    """Delete one block of pi by the deletion kernel.
-
-    Returns (block index, block size, relabeled remainder); the
-    remainder is a partition of [n - size].
-    """
-    if pi.k == 0:
-        raise ParameterError("cannot delete from the empty partition")
-    sizes = pi.block_sizes()
-    law = [float(deletion_kernel(sizes, j, params)) for j in range(1, pi.k + 1)]
-    j = _pick(law, rng.random())
-    pick = pi.k if j is None else j + 1
-    return pick, sizes.parts[pick - 1], delete_block(pi, pick)
 
 
 def bulk_delete(freq: FrequencyVector, rng: RngHandle) -> tuple[int, FrequencyVector]:

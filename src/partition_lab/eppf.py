@@ -387,19 +387,3 @@ def derived_eppf(
         f"first-block sum did not reach tolerance {tol} within {TERM_BUDGET} terms"
     )
 
-
-def factorization_check(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
-    """p(lambda) - q(n : lambda_1) * p_shifted(lambda_2, ...), zero for the family.
-
-    The first factor is the law of the trace of the block of 1, the
-    second the shifted-parameter probability of the rest.
-    """
-    lam = Composition.of(parts)
-    if lam.k == 0:
-        raise ParameterError("need at least one part")
-    q = q_first_block(params, lam.n, lam.parts[0])
-    if lam.k == 1:
-        rest: Scalar = 1
-    else:
-        rest = eppf(params.shifted(), lam.drop_first())
-    return eppf(params, lam) - q * rest

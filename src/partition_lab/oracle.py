@@ -297,6 +297,11 @@ def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -
     absolute deviation across both claims (0 for the family; pass a
     perturbed law to see the check fail).
 
+    Per composition this is the factorization of p: the pair (size m,
+    remainder rho) has mass C(n-1, m-1) p(m, rho), so the two claims
+    together say p(lambda) = q(n : lambda_1) p'(lambda_2, ...) for every
+    composition lambda of n, with p' the EPPF at the shifted parameters.
+
     The deletion row is [1] on block 1, empty when that block is all of [n].
     """
     if law is None:
@@ -313,6 +318,11 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
     deleted size must follow the decrement row q(n, .), and conditional
     on size m < n the relabeled remainder must follow the same family
     on [n - m].  Returns the largest absolute deviation (0 expected).
+
+    Per composition this is the first-block consistency of the kernel:
+    the pair (size m, remainder rho) has mass C(n, m) p(m, rho) d(m, rho; 1),
+    with d the kernel's chance of deleting the block of size m, and both
+    claims together say that it equals q(n, m) p(rho).
     """
     if law is None:
         law = exact_law(params, n)

@@ -417,20 +417,6 @@ def _check_weights(x: Sequence[Scalar]) -> None:
             raise ParameterError(f"weight {v} is not a finite nonnegative number")
 
 
-def size_biased_pick(x: Sequence[Scalar], rng: RngHandle) -> int | None:
-    """Pick index j (1-based) with probability x_j; None with the leftover mass.
-
-    The weights must be nonnegative with sum at most 1 (up to float
-    round-off); the leftover 1 - sum(x) is the chance of picking none.
-    """
-    _check_weights(x)
-    total = sum(float(v) for v in x)
-    if total > 1.0 + 1e-9:
-        raise ParameterError(f"weights sum to {total} > 1")
-    j = _pick(map(float, x), rng.random())
-    return None if j is None else j + 1
-
-
 def tau_pick_law(x: Sequence[Scalar], tau: Scalar) -> list[Scalar]:
     """Probabilities of the tau-biased pick from positive weights x.
 

@@ -364,14 +364,17 @@ def test_float_alpha_with_exact_theta_inside_the_float_range_runs(capsys, comman
         ("phi", "--atoms", "1/2:1"),
         # the bound is checked before the parameters, so nothing is built
         ("decrement", "--coupon", "4"),
+        # --n: the regen suite builds both routes to n, and ran for minutes at 2001
+        ("verify", "--suite", "regen"),
     ],
 )
 def test_n_max_past_the_bound_exits_2(capsys, args):
     assert MAX_N_MAX >= 2000  # both routes are tested to n_max = 2000
+    flag = "--n" if args[0] == "verify" else "--n-max"
     for n_max in (MAX_N_MAX + 1, 10**9):
-        rc, out, err = run(capsys, *args, "--n-max", str(n_max))
+        rc, out, err = run(capsys, *args, flag, str(n_max))
         assert rc == 2 and out == ""
-        assert err.startswith(f"error: need --n-max <= {MAX_N_MAX}, got {n_max}")
+        assert err.startswith(f"error: need {flag} <= {MAX_N_MAX}, got {n_max}")
 
 
 def test_hopeless_compound_set_exits_2_at_once(capsys):

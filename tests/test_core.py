@@ -31,7 +31,6 @@ from partition_lab.core import (
     rising_ratio,
     scalar_from_json,
     scalar_to_json,
-    stick_breaking,
 )
 from partition_lab.samplers import RngHandle
 
@@ -194,8 +193,6 @@ def test_composition_basics():
     c = Composition((2, 1, 3))
     assert c.n == 6 and c.k == 3
     assert c.tail_sums() == (6, 4, 3, 0)  # trailing 0 is the empty tail
-    assert c.sorted_desc() == Composition((3, 2, 1))
-    assert c.drop_first() == Composition((1, 3))
     assert Composition.of([2, 1]) == Composition.of(Composition((2, 1)))
     with pytest.raises(ParameterError):
         Composition((2, 0))
@@ -247,16 +244,8 @@ def test_residual_fractions_termination_rules():
     assert rf.terminated and rf.fractions == (Fraction(1, 2), 1)
 
 
-def test_stick_breaking_exact():
-    fv = stick_breaking([Fraction(1, 2), Fraction(1, 3)])
-    assert fv.entries == (Fraction(1, 2), Fraction(1, 6))
-    assert fv.residual == Fraction(1, 3)
-    done = stick_breaking(ResidualFractions((Fraction(1, 2), 1), terminated=True))
-    assert done.entries == (Fraction(1, 2), Fraction(1, 2))
-    assert done.residual == 0
-
-
 def test_break_sticks_stopping_rules():
+    assert break_sticks([Fraction(1, 2), Fraction(1, 3)]) == ([Fraction(1, 2), Fraction(1, 6)], Fraction(1, 3))
     assert break_sticks([Fraction(1, 2), 1, Fraction(1, 3)]) == ([Fraction(1, 2), Fraction(1, 2)], 0)
     assert break_sticks(iter([0.5, 0.5, 0.5]), eps=0.25) == ([0.5, 0.25], 0.25)
     # without eps a leftover that underflows to 0.0 does not end the loop

@@ -17,7 +17,6 @@ from partition_lab.core import (
     ParameterError,
     ResidualPickError,
     UnsupportedKernelError,
-    canonicalize,
     dumps,
     exact_div,
 )
@@ -26,8 +25,6 @@ from partition_lab.deletion import (
     decrement_entry,
     decrement_matrix,
     deletion_kernel,
-    f1_consistency,
-    tau_delete,
 )
 from partition_lab.eppf import eppf
 from partition_lab.oracle import chi_square
@@ -371,34 +368,7 @@ def test_decrement_routes_match_closed_forms_large_denominators(alpha, theta, n_
 
 
 # ---------------------------------------------------------------------------
-# kernel-times-EPPF route (second route to the decrement row)
-
-@pytest.mark.parametrize("params", TWO_PARAM_GRID, ids=str)
-def test_f1_consistency_zero(params):
-    if params.alpha == 0 and params.theta == 0:
-        return
-    for n, lam1 in ((3, 1), (4, 2), (5, 1), (5, 5)):
-        assert f1_consistency(params, n, lam1) == 0
-
-
-# ---------------------------------------------------------------------------
 # samplers
-
-def test_tau_delete_matches_kernel_law():
-    pi = canonicalize([[1, 2], [3], [4, 5, 6]])
-    params = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
-    sizes = pi.block_sizes()
-    probs = [deletion_kernel(sizes, j, params=params) for j in (1, 2, 3)]
-    rng = RngHandle(3)
-    counts = np.zeros(3, dtype=np.int64)
-    for _ in range(3000):
-        j, size, rest = tau_delete(pi, rng, params=params)
-        assert size == sizes.parts[j - 1]
-        assert rest.n == 6 - size
-        counts[j - 1] += 1
-    stat, dof, pval = chi_square(counts, probs)
-    assert pval > 1e-3
-
 
 def test_bulk_delete_trivial_and_law():
     fv = FrequencyVector((Fraction(1, 2), Fraction(1, 2)))

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_lab.cli import _VERIFY_GRID
-from partition_lab.core import COUPON, Composition, ConvergenceError, ExtParams, ParameterError, rising_ratio
+from partition_lab.core import COUPON, ConvergenceError, ExtParams, ParameterError, rising_ratio
 from partition_lab.deletion import _compositions
 from partition_lab.eppf import (
     BetaParams,
@@ -19,7 +19,6 @@ from partition_lab.eppf import (
     derived_eppf,
     eppf,
     eppf_from_moments,
-    factorization_check,
     first_color_count_law,
     first_color_tail,
     q_first_block,
@@ -308,12 +307,6 @@ def test_derived_eppf_raises_when_tolerance_unreachable(monkeypatch):
     monkeypatch.setattr(eppf_module, "TERM_BUDGET", 1024)
     with pytest.raises(ConvergenceError):
         derived_eppf(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), (40,))
-
-
-@pytest.mark.parametrize("params", GRID, ids=str)
-@pytest.mark.parametrize("parts", [(1,), (2, 1), (2, 2, 1), (3, 1)])
-def test_factorization_check_zero(params, parts):
-    assert factorization_check(params, parts) == 0
 
 
 def test_eppf_rejects_bad_parts():

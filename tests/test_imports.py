@@ -3,9 +3,11 @@
 Names listed in __all__ count as used (re-exports), and an import line
 marked ``# noqa: F401`` is skipped.  Every module-level private name
 (one leading underscore, not a dunder) is read by the library outside
-its own definition; tests and perfbench do not count as readers.  Also:
-importing the library and running an exact CLI command leave scipy
-unloaded.
+its own definition; tests and perfbench do not count as readers.  Every
+module-level public function or class is read by the library or by the
+perfbench scripts, save a short allow-list of references and criteria,
+and every name in ``__all__`` resolves on the package.  Also: importing
+the library and running an exact CLI command leave scipy unloaded.
 """
 
 import ast
@@ -16,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "partition_lab"
+import partition_lab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "partition_lab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,8 +54,8 @@ def test_library_modules_have_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions, classes and constants that no module reads.
+def _definitions_and_reads(sources: dict[str, str]) -> tuple[list[tuple[str, str, bool]], set[str]]:
+    """Module-level (module, name, is function or class) definitions, and every name read.
 
     A read is a name or attribute access; one inside the name's own
     definition (a recursive call) does not count.
@@ -59,16 +64,15 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     reads = set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def:
                 names = {stmt.name}
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = {t.id for t in targets if isinstance(t, ast.Name)}
             else:
                 names = set()
-            defined.extend(
-                (module, name) for name in sorted(names) if name.startswith("_") and not name.startswith("__")
-            )
+            defined.extend((module, name, is_def) for name in sorted(names))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     read = node.id
@@ -78,7 +82,27 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                     continue
                 if read not in names:
                     reads.add(read)
-    return [f"{module}.{name}" for module, name in defined if name not in reads]
+    return defined, reads
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module reads."""
+    defined, reads = _definitions_and_reads(sources)
+    return [
+        f"{module}.{name}"
+        for module, name, _ in defined
+        if name.startswith("_") and not name.startswith("__") and name not in reads
+    ]
+
+
+def uncalled_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes of sources that neither sources nor readers read."""
+    defined, reads = _definitions_and_reads({**sources, **readers})
+    return [
+        f"{module}.{name}"
+        for module, name, is_def in defined
+        if module in sources and is_def and not name.startswith("_") and name not in reads
+    ]
 
 
 def test_unread_private_names_are_found():
@@ -92,6 +116,29 @@ def test_unread_private_names_are_found():
 def test_library_private_names_are_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_uncalled_public_names_are_found():
+    sources = {"a": "LIMIT = 1\ndef walk(n):\n    return walk(n - 1) if n else helper()\ndef helper(): pass\nclass Spare: pass\n"}
+    assert uncalled_public_names(sources, {}) == ["a.walk", "a.Spare"]
+    assert uncalled_public_names(sources, {"bench": "import a\na.walk(3)\n"}) == ["a.Spare"]
+
+
+# Public names that no library module or perfbench script reads, kept on purpose
+KEPT_WITHOUT_CALLER = {
+    "deletion.bulk_delete": "frequency-level deletion, the abstract's second result",
+    "eppf.eppf_from_moments": "the stick-moment route that tests check eppf against",
+    "eppf.first_color_count_law": "acceptance criterion 11",
+    "eppf.residual_moment_family": "the moments behind eppf_from_moments",
+    "oracle.record_independence_residual": "the closed-form check of tau_perm_law(x, 0), golden-pinned",
+}
+
+
+def test_public_names_have_a_caller():
+    assert [name for name in partition_lab.__all__ if not hasattr(partition_lab, name)] == []
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {f"perfbench/{path.stem}": path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert sorted(uncalled_public_names(sources, readers)) == sorted(KEPT_WITHOUT_CALLER)
 
 
 def test_import_and_exact_cli_do_not_load_scipy():

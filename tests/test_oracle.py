@@ -168,13 +168,13 @@ def test_exact_law_repr_golden_n8():
 
 @pytest.mark.parametrize("params", GRID, ids=str)
 def test_deletion_law_check_zero(params):
-    for n in (2, 4, 5):
+    for n in (1, 2, 3, 4, 5):
         assert deletion_law_check(params, n) == 0
 
 
 @pytest.mark.parametrize("params", GRID[:5], ids=str)
 def test_tau_regen_check_zero(params):
-    for n in (2, 4, 5):
+    for n in (2, 3, 4, 5):
         assert tau_regen_check(params, n) == 0
 
 

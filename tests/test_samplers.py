@@ -16,7 +16,6 @@ from partition_lab.core import (
     IntervalSet,
     ParameterError,
     canonicalize,
-    stick_breaking,
 )
 from partition_lab.eppf import eppf
 from partition_lab.oracle import chi_square, enumerate_partitions, tau_perm_law
@@ -30,7 +29,6 @@ from partition_lab.samplers import (
     paintbox_sample,
     right_record_count,
     size_biased_perms,
-    size_biased_pick,
     stick_fraction_matrix,
     tau_biased_perm,
     tau_biased_pick,
@@ -271,7 +269,7 @@ def test_gem_sample_terminating_ranges_are_exact():
 def test_gem_sample_truncation_contract(monkeypatch):
     rf, fv = gem_sample(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), RngHandle(4), eps=1e-3)
     assert 0 <= fv.residual <= 1e-3
-    assert fv == stick_breaking(rf)
+    assert (list(fv.entries), fv.residual) == core.break_sticks(rf.fractions)
     monkeypatch.setattr(core, "STICK_BUDGET", 30)
     with pytest.raises(ConvergenceError):
         # residual decays like k**-1 here; 30 sticks cannot reach 1e-6
@@ -371,7 +369,6 @@ def test_size_biased_perms_rejects_empty_weights():
 
 
 WEIGHTED_CALLS = {
-    "size_biased_pick": lambda x, r: size_biased_pick(x, r),
     "tau_biased_perm": lambda x, r: tau_biased_perm(x, Fraction(1, 4), r),
     "size_biased_perms": lambda x, r: size_biased_perms(x, 2, r),
 }
@@ -437,16 +434,6 @@ def test_paintbox_matches_eppf_law():
 
 # ---------------------------------------------------------------------------
 # biased picks
-
-def test_size_biased_pick_uses_leftover_as_none():
-    x = (Fraction(1, 2), Fraction(1, 4))
-    rng = RngHandle(13)
-    draws = [size_biased_pick(x, rng) for _ in range(3000)]
-    freq_none = draws.count(None) / 3000
-    assert freq_none == pytest.approx(0.25, abs=4 * (0.25 * 0.75 / 3000) ** 0.5)
-    with pytest.raises(ParameterError):
-        size_biased_pick((0.7, 0.7), rng)
-
 
 @pytest.mark.parametrize(
     ("x", "tau", "law"),
