@@ -17,10 +17,13 @@ from partition_lab.core import (
     ParameterError,
     ResidualPickError,
     UnsupportedKernelError,
+    canonicalize,
+    delete_block,
     dumps,
     exact_div,
 )
 from partition_lab.deletion import (
+    _compositions,
     bulk_delete,
     decrement_entry,
     decrement_matrix,
@@ -29,7 +32,7 @@ from partition_lab.deletion import (
 from partition_lab.eppf import eppf
 from partition_lab.oracle import chi_square
 from partition_lab.regen import LevyImageMeasure, decrement_from_phi, laplace_exponent, phi_nm
-from partition_lab.samplers import RngHandle, tau_pick_law
+from partition_lab.samplers import RngHandle, tau_biased_pick, tau_pick_law
 
 TWO_PARAM_GRID = (
     ExtParams.two_param(0, 1),
@@ -365,6 +368,38 @@ def test_decrement_routes_match_closed_forms_large_denominators(alpha, theta, n_
     if alpha == 0 and theta == 0:
         theta = 1
     _assert_routes_match_closed_forms(alpha, theta, n_max)
+
+
+# ---------------------------------------------------------------------------
+# kernel-times-EPPF route (second route to the decrement row)
+
+@pytest.mark.parametrize("params", TWO_PARAM_GRID, ids=str)
+def test_first_block_deletion_matches_decrement_entry(params):
+    # C(n, m) p(m, rho) d(m, rho; 1) = q(n, m) p(rho) for every composition rho of n - m
+    if params.alpha == 0 and params.theta == 0:
+        return
+    for n, m in ((3, 1), (4, 2), (5, 1), (5, 5)):
+        q = decrement_entry(params, n, m)
+        for rest in _compositions(n - m):
+            lam = (m,) + rest
+            mass = math.comb(n, m) * eppf(params, lam) * deletion_kernel(lam, 1, params=params)
+            assert mass == q * (eppf(params, rest) if rest else 1)
+
+
+def test_tau_biased_pick_then_delete_block_matches_kernel_law():
+    pi = canonicalize([[1, 2], [3], [4, 5, 6]])
+    params = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
+    sizes = pi.block_sizes()
+    probs = [deletion_kernel(sizes, j, params=params) for j in (1, 2, 3)]
+    rng = RngHandle(3)
+    counts = np.zeros(3, dtype=np.int64)
+    for _ in range(3000):
+        j = tau_biased_pick(sizes.parts, params.tau(), rng)
+        rest = delete_block(pi, j)
+        assert rest.n == 6 - sizes.parts[j - 1]
+        counts[j - 1] += 1
+    stat, dof, pval = chi_square(counts, probs)
+    assert pval > 1e-3
 
 
 # ---------------------------------------------------------------------------

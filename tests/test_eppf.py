@@ -309,6 +309,14 @@ def test_derived_eppf_raises_when_tolerance_unreachable(monkeypatch):
         derived_eppf(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), (40,))
 
 
+@pytest.mark.parametrize("params", GRID, ids=str)
+@pytest.mark.parametrize("parts", [(1,), (2, 1), (2, 2, 1), (3, 1)])
+def test_eppf_factorizes_at_the_first_block(params, parts):
+    # p(lambda) = q(n : lambda_1) p'(lambda_2, ...), with p' the eppf at the shifted parameters
+    rest = eppf(params.shifted(), parts[1:]) if len(parts) > 1 else 1
+    assert eppf(params, parts) == q_first_block(params, sum(parts), parts[0]) * rest
+
+
 def test_eppf_rejects_bad_parts():
     with pytest.raises(ParameterError):
         eppf(ExtParams.two_param(0, 1), ())

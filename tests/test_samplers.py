@@ -371,6 +371,7 @@ def test_size_biased_perms_rejects_empty_weights():
 WEIGHTED_CALLS = {
     "tau_biased_perm": lambda x, r: tau_biased_perm(x, Fraction(1, 4), r),
     "size_biased_perms": lambda x, r: size_biased_perms(x, 2, r),
+    "tau_biased_pick": lambda x, r: tau_biased_pick(x, Fraction(1, 4), r),
 }
 
 
@@ -700,6 +701,13 @@ def _left_to_right_sum(row) -> float:
     for v in row:
         acc += v
     return acc
+
+
+def test_pick_returns_none_past_the_total():
+    # the leftover 1 - sum(x) is the chance of no pick, as bulk_delete reads it
+    x = (0.5, 0.25)
+    assert [samplers._pick(x, u) for u in (0.0, 0.49, 0.5, 0.74, 0.75, 0.99)] == [0, 0, 1, 1, None, None]
+    assert samplers._pick((), 0.0) is None
 
 
 def test_pick_rows_is_pick_row_by_row():
