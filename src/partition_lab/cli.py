@@ -7,7 +7,9 @@ all` runs every suite in that order.
 Exit codes: 0 on success, 1 when a verification suite reports a
 failure or stdout is closed before the output is written, 2 on usage
 errors, among them `decrement` and `phi` with --n-max, and `verify` with
---n, above MAX_N_MAX, which are rejected before any work.  _emit
+--n, above MAX_N_MAX, which are rejected before any work; so is `verify`
+with --n above oracle.MAX_TYPE_N (20) when the eppf or deletion suite
+runs, as those sum over the integer partitions of n.  _emit
 writes the whole output in one write, so under `| head` the code
 depends on timing: 0 if the write began before the reader closed the
 pipe, 1 if the reader was already gone.  All randomized commands take
@@ -275,7 +277,7 @@ _VERIFY_SUITES = {
         task
         for p in grid
         for task in (
-            ("eppf_normalization", _params_label(p), n, lambda p=p: abs(oracle.exact_law(p, n).total() - 1)),
+            ("eppf_normalization", _params_label(p), n, lambda p=p: abs(oracle.eppf_total(p, n) - 1)),
             (
                 "eppf_addition",
                 _params_label(p),
@@ -314,6 +316,9 @@ _VERIFY_SUITES = {
 def _cmd_verify(ns: argparse.Namespace) -> int:
     core.check_size("--n", ns.n, 1)  # the leem suite fixes k = 4 and never reads n
     _check_n_max("--n", ns.n, "the regen suite builds two decrement matrices to n")
+    if ns.suite in ("all", "eppf", "deletion") and ns.n > oracle.MAX_TYPE_N:
+        raise ParameterError(f"need --n <= {oracle.MAX_TYPE_N} with the eppf and deletion suites, "
+                             f"got {ns.n} (they sum over the integer partitions of n)")
     if not 0 <= ns.tol < math.inf:  # a negative or nan --tol fails every float check
         raise ParameterError(f"need finite --tol >= 0, got {ns.tol}")
     if ns.alpha is not None or ns.coupon is not None:

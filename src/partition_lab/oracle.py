@@ -1,23 +1,35 @@
 """Independent verification routes: exact enumeration and test statistics.
 
-Everything here recomputes laws by brute force (enumerating set
-partitions, permutations, or rank sequences) so the closed-form modules
-can be checked against a second, slower route.  A set partition of [n]
-is enumerated as its restricted-growth assignment word: `exact_law`
-keys its law by word and builds `SetPartition` objects only when the
-public `ExactLaw.probs` mapping is read.  The words of [n] and their
-block sizes are enumerated once per n <= 10, by `_word_table`, and kept
-for the process.  Deviations are returned as numbers, 0 in exact
-arithmetic when a claimed identity holds; the perturbation hooks
-confirm that the checks actually reject wrong laws.  The exact gap
-loops (remainder laws, xi orders) cross-multiply: each word's integer
-numerators are compared with its target's, and a Fraction deviation is
-built only where the gap is nonzero.
+Everything here recomputes laws by a second, slower route (enumerating
+set partitions, integer partitions, permutations, or rank sequences) so
+the closed-form modules can be checked against it.  Deviations are
+returned as numbers, 0 in exact arithmetic when a claimed identity
+holds; the perturbation hooks confirm that the checks actually reject
+wrong laws.
 
-Both deletion characterizations run on one walk, `_deletion_walk`, that
-deletes a block by a given row and compares the deleted size and the
-remainder with their laws.  scipy is imported inside `chi_square` and
-`ks_two_sample`, so importing the library does not load it.
+The partition law of an exchangeable family gives a set partition of
+[n] a probability p(lambda) that depends only on its block sizes
+lambda.  So the family's own checks (`deletion_law_check`,
+`tau_regen_check` and `eppf_total`) sum over the integer partitions
+lambda of n, each weighted by N(lambda), the number of set partitions
+of [n] with those block sizes: 627 types at n = 20, where [10] alone
+has 115,975 set partitions.  `_type_table` lists the types of each
+n <= MAX_TYPE_N once per process, and `_type_walk` runs both deletion
+rules over them.
+
+A law passed in as an `ExactLaw` (a perturbed law, which need not be
+exchangeable) is checked set partition by set partition, on the word
+walk `_deletion_walk`; it is also the reference the type walk is
+tested against for n <= 8.  A set partition of [n] is enumerated as its
+restricted-growth assignment word: `exact_law` keys its law by word and
+builds `SetPartition` objects only when the public `ExactLaw.probs`
+mapping is read.  The words of [n] and their block sizes are
+enumerated once per n <= 10, by `_word_table`, and kept for the
+process.  The word walk's exact gap loops (remainder laws, xi orders)
+cross-multiply: each word's integer numerators are compared with its
+target's, and a Fraction deviation is built only where the gap is
+nonzero.  scipy is imported inside `chi_square` and `ks_two_sample`,
+so importing the library does not load it.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -46,6 +59,7 @@ from .samplers import order_probability, tau_pick_law
 
 MAX_ENUM_N = 12
 MAX_EXACT_N = 10  # exact_law's bound, and the largest n whose word table is kept
+MAX_TYPE_N = 20  # the type walk's bound, and the largest n whose type table is kept
 MIN_EXPECTED = 5.0  # chi_square pools cells expected below this count
 
 
@@ -287,6 +301,110 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
     return worst
 
 
+def _integer_partitions(r: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Integer partitions of r into parts <= largest, parts descending, reverse lexicographic."""
+    if r == 0:
+        yield ()
+        return
+    for first in range(min(r, largest), 0, -1):
+        for rest in _integer_partitions(r - first, first):
+            yield (first,) + rest
+
+
+_TYPE_TABLES: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+
+
+def _type_table(r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(lambda, N(lambda)) for each integer partition lambda of r.
+
+    lambda lists its parts in descending order, and
+
+        N(lambda) = r! / (prod_i lambda_i! prod_j m_j!),
+
+    with m_j the number of parts equal to j, is the number of set
+    partitions of [r] with block sizes lambda.  Built once per
+    r <= MAX_TYPE_N and kept for the process; a larger r is built afresh
+    on each call and never kept.
+    """
+    table = _TYPE_TABLES.get(r)
+    if table is None:
+        table = tuple(
+            (lam, math.factorial(r)
+             // math.prod(map(math.factorial, lam + tuple(Counter(lam).values()))))
+            for lam in _integer_partitions(r, r)
+        )
+        if r <= MAX_TYPE_N:
+            _TYPE_TABLES[r] = table
+    return table
+
+
+def _check_type_n(n: int) -> None:
+    if not (isinstance(n, int) and 1 <= n <= MAX_TYPE_N):
+        raise ParameterError(f"need 1 <= n <= {MAX_TYPE_N}, got {n}")
+
+
+def eppf_total(params: ExtParams, n: int) -> Scalar:
+    """Total mass sum_lambda N(lambda) p(lambda) of the partition law on [n], n <= 20.
+
+    The value of `exact_law(params, n).total()`, summed over the integer
+    partitions of n instead of the Bell(n) set partitions.
+    """
+    _check_type_n(n)
+    return sum(count * eppf(params, lam) for lam, count in _type_table(n))
+
+
+def _type_walk(p: Callable[[tuple[int, ...]], Scalar], n: int,
+               weight: Callable[[tuple[int, ...]], Scalar], deleted_sizes: range,
+               size_target: Callable[[int], Scalar], remainder_params: Callable[[], ExtParams]) -> Scalar:
+    """Worst deviation of a block deletion from its targets, over integer partitions.
+
+    The law on [n] gives each set partition of block sizes lambda the
+    probability p(lambda), as an exchangeable law does.  A set partition
+    of sizes (m, *mu) loses its block of size m and leaves the remainder
+    word of one set partition of [n - m], of sizes mu.  weight((m, *mu))
+    is the number of set partitions that leave a given remainder word
+    times the chance of deleting that block; it must depend only on m and
+    on the number of blocks, and is called once per pair.  So each
+    remainder word of sizes mu has mass weight((m, *mu)) p(m u mu), and
+    the N(mu) words of sizes mu share it.  For m in deleted_sizes, the
+    mass of deleting size m, the sum of those masses, must be
+    size_target(m); given m < n with mass, each remainder word must have
+    the conditional mass eppf(remainder_params(), mu), and that is called
+    only then, as some parameters cannot shift.  p is read once per
+    integer partition of n, in descending order.  These are the
+    deviations that `_deletion_walk` finds on the law's words.
+    """
+    worst: Scalar = 0
+    target = None
+    p_of: dict[tuple[int, ...], Scalar] = {}
+    weight_of: dict[tuple[int, int], Scalar] = {}
+    for m in deleted_sizes:
+        table = _type_table(n - m)
+        joint = []
+        mass: Scalar = 0
+        for mu, count in table:
+            lam = tuple(sorted((m, *mu), reverse=True))
+            pv = p_of.get(lam)
+            if pv is None:
+                pv = p_of[lam] = p(lam)
+            w = weight_of.get((m, len(mu)))
+            if w is None:
+                w = weight_of[m, len(mu)] = weight((m, *mu))
+            v = w * pv
+            joint.append(v)
+            mass = mass + count * v
+        dev = abs(mass - size_target(m))
+        worst = dev if dev > worst else worst
+        if m == n or mass == 0:
+            continue
+        if target is None:
+            target = remainder_params()
+        for (mu, _), v in zip(table, joint):
+            dev = abs(exact_div(v, mass) - eppf(target, mu))
+            worst = dev if dev > worst else worst
+    return worst
+
+
 def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> Scalar:
     """Worst deviation in the delete-first-block characterization.
 
@@ -302,13 +420,21 @@ def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -
     together say p(lambda) = q(n : lambda_1) p'(lambda_2, ...) for every
     composition lambda of n, with p' the EPPF at the shifted parameters.
 
-    The deletion row is [1] on block 1, empty when that block is all of [n].
+    Without a law, the family's own law is checked over the integer
+    partitions of n <= MAX_TYPE_N, where every remainder word of sizes mu
+    has mass C(n-1, m-1) p(m, mu).  A passed-in law is checked word by
+    word, with the deletion row [1] on block 1, empty when that block is
+    all of [n].
     """
-    if law is None:
-        law = exact_law(params, n)
-    return _deletion_walk(law, n, lambda sizes: [1] if len(sizes) > 1 else [], range(1, n),
-                          lambda m: math.comb(n - 1, m - 1) * q_first_block(params, n, m),
-                          params.shifted)
+    def size_target(m):
+        return math.comb(n - 1, m - 1) * q_first_block(params, n, m)
+
+    if law is not None:
+        return _deletion_walk(law, n, lambda sizes: [1] if len(sizes) > 1 else [], range(1, n),
+                              size_target, params.shifted)
+    _check_type_n(n)
+    return _type_walk(functools.partial(eppf, params), n, lambda sizes: math.comb(n - 1, sizes[0] - 1),
+                      range(1, n), size_target, params.shifted)
 
 
 def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> Scalar:
@@ -323,12 +449,22 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
     the pair (size m, remainder rho) has mass C(n, m) p(m, rho) d(m, rho; 1),
     with d the kernel's chance of deleting the block of size m, and both
     claims together say that it equals q(n, m) p(rho).
+
+    Without a law, the family's own law is checked over the integer
+    partitions of n <= MAX_TYPE_N: d depends only on m, n and the number
+    of blocks, so every remainder word of sizes mu has that mass.  A
+    passed-in law is checked word by word, each block deleted with its
+    kernel chance.
     """
-    if law is None:
-        law = exact_law(params, n)
-    return _deletion_walk(law, n, lambda sizes: [deletion_kernel(sizes, j, params=params)
-                                                 for j in range(1, len(sizes) + 1)],
-                          range(1, n + 1), lambda m: decrement_entry(params, n, m), lambda: params)
+    size_target = functools.partial(decrement_entry, params, n)
+    if law is not None:
+        return _deletion_walk(law, n, lambda sizes: [deletion_kernel(sizes, j, params=params)
+                                                     for j in range(1, len(sizes) + 1)],
+                              range(1, n + 1), size_target, lambda: params)
+    _check_type_n(n)
+    return _type_walk(functools.partial(eppf, params), n,
+                      lambda sizes: math.comb(n, sizes[0]) * deletion_kernel(sizes, 1, params=params),
+                      range(1, n + 1), size_target, lambda: params)
 
 
 def tau_perm_law(x: Sequence[Scalar], tau: Scalar) -> dict[tuple[int, ...], Scalar]:

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from partition_lab.core import ExtParams
 from partition_lab.deletion import decrement_matrix

@@ -255,8 +255,13 @@ def test_verify_leem_suite(capsys):
         # the default grid at n = 6, as the benchmark's verify-grid op runs it
         ((), "09f7b5babd4350de8ae0ceccf73e4cdcf00449b8f46d42d78e6cdb8cc58c01a4"),
         (("--n", "7"), "1e28c9ad384054873396a9abe3fe847d849e40b28a0b804c44ef71934a281a47"),
+        # the type walk's bound, as CI pins them
+        (("--suite", "eppf", "--n", "20", "--exact"),
+         "5f819c0fcc713df4730e3c3854649af60a07a77f228029cf10ce8fb1e691fe45"),
+        (("--suite", "deletion", "--n", "20", "--exact"),
+         "41e2a9f5edff97ce61622ed985f5941d99cea539ae6f8895d5aee232d34a88a1"),
     ],
-    ids=["n6", "n7"],
+    ids=["n6", "n7", "eppf-n20", "deletion-n20"],
 )
 def test_verify_stdout_frozen(capsys, args, digest):
     rc, out, err = run(capsys, "verify", *args)
@@ -375,6 +380,22 @@ def test_n_max_past_the_bound_exits_2(capsys, args):
         rc, out, err = run(capsys, *args, flag, str(n_max))
         assert rc == 2 and out == ""
         assert err.startswith(f"error: need {flag} <= {MAX_N_MAX}, got {n_max}")
+
+
+@pytest.mark.parametrize("suite", [(), ("--suite", "all"), ("--suite", "eppf"), ("--suite", "deletion")],
+                         ids=lambda a: a[-1] if a else "default")
+def test_verify_type_suites_past_their_bound_exit_2(capsys, suite):
+    # the eppf and deletion suites sum over the integer partitions of n <= 20
+    rc, out, err = run(capsys, "verify", *suite, "--n", "21")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: need --n <= 20") and "got 21" in err
+
+
+def test_verify_other_suites_keep_the_n_max_bound(capsys):
+    for suite in ("regen", "order", "leem"):
+        rc, out, err = run(capsys, "verify", "--suite", suite, "--n", "21")
+        assert rc == 0 and err == ""
+        assert json.loads(out.splitlines()[-1])["failures"] == 0
 
 
 def test_hopeless_compound_set_exits_2_at_once(capsys):

@@ -1,4 +1,4 @@
-"""Lint: every name a library module imports is used by that module.
+"""Lint: every name a library or test module imports is used by that module.
 
 Names listed in __all__ count as used (re-exports), and an import line
 marked ``# noqa: F401`` is skipped.  Every module-level private name
@@ -49,7 +49,9 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os (line 1)", "pi (line 2)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# the test modules too: their file names (test_*.py) never clash with the library's
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: p.name)
 def test_library_modules_have_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -22,11 +22,13 @@ from partition_lab.samplers import tau_perm_probability
 from partition_lab.oracle import (
     ExactLaw,
     _remainder_word,
+    _type_table,
     _word_table,
     _words,
     chi_square,
     deletion_law_check,
     enumerate_partitions,
+    eppf_total,
     exact_law,
     iter_partitions,
     ks_two_sample,
@@ -309,7 +311,9 @@ def test_leem_check_handles_ties_and_validates():
 # recorded from the SetPartition-keyed, per-pair Fraction checks (the xi
 # family from the per-step Fraction product, the record family from the
 # integer numerators of the oracle's private pick-order walk); pins the
-# exact values, their types and the float bits
+# exact values, their types and the float bits.  The grid family's float
+# lines and the errors family's n bounds were re-recorded when the checks
+# without a law moved to the type walk; its exact lines did not move.
 _FLOAT_POINTS = (
     ExtParams.two_param(0.3, 0.5),
     ExtParams.two_param(0.5, 0.5),
@@ -317,11 +321,11 @@ _FLOAT_POINTS = (
 )
 _LEEM_TAUS = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, 0.25, 0.0, 1.0)
 CHECK_GOLDEN = {
-    "grid": "ca7ff8fd5d32b156e85e4f5a61452475eedd5722642cadd62cf5e2db283b1b31",
+    "grid": "0d688d29dda52eb45492ecf4f30199ea492f03acca2ea51e5413bb13e1342388",
     "perturbed": "e6ef188cb01014a281e8ceb58a527339dc9e392f1ad3e68ae83c12e7e9db67bc",
     "leem": "65f1749ada36fab2f4ba1fba866f7181faccd861570898ab73232a368272855c",
     "record": "66056a8fe8154f3ad5c3cb93b92a63998e35a2c385f809c71c23d719465d2c54",
-    "errors":"f2b912cc6641d9e2e8c3d7bbc35c0b64942898883ce6592735be3109bca70841",
+    "errors": "0384bcc6c9b9e5c8d4ed89c76424bde71007cb452c0500232218acfe054d2240",
     "xi": "bf0b4b9335ffe1d2473bb7e3e0cb0cd92f9db5c6c3ad883dc0413d355bd64c3d",
 }
 
@@ -380,7 +384,7 @@ def _golden_lines(family):
                        ((-1, 2), Fraction(1, 2)), ((1, math.inf), 0.5), ((1, math.nan), 0.5),
                        ((1, 2), math.nan), ((1, 2), -0.5)]:
             yield f"leem_check {x} {tau!r}", leem_check, x, tau
-        for check, params, n in [(deletion_law_check, _CRP, 0), (deletion_law_check, _CRP, 11),
+        for check, params, n in [(deletion_law_check, _CRP, 0), (deletion_law_check, _CRP, 21),
                                  (tau_regen_check, _CRP, 0), (tau_regen_check, ExtParams.neg_alpha(-1, 3), 4),
                                  (tau_regen_check, ExtParams.coupon(4), 3),
                                  (tau_regen_check, ExtParams.two_param(Fraction(1, 2), Fraction(-1, 4)), 4)]:
@@ -392,6 +396,107 @@ def test_check_outputs_golden(family):
     lines = [f"{case}: {_outcome(fn, *args)}" for case, fn, *args in _golden_lines(family)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CHECK_GOLDEN[family], "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# the type walk: integer partitions of n, each weighted by its set partitions
+
+def test_type_table_counts_the_set_partitions():
+    for n in range(9):
+        words, keys = _word_table(n)
+        table = _type_table(n)
+        want = {}
+        for key in keys:
+            lam = tuple(sorted(key, reverse=True))
+            want[lam] = want.get(lam, 0) + 1
+        assert dict(table) == want and len(table) == len(want)
+        assert [lam for lam, _ in table] == sorted(want, reverse=True)
+    # the number of integer partitions of 20, and Bell(20) set partitions
+    assert len(_type_table(20)) == 627
+    assert sum(count for _, count in _type_table(20)) == 51724158235372
+    assert _type_table(20) is _type_table(20)
+
+
+def test_type_table_keeps_no_n_past_the_bound(monkeypatch):
+    monkeypatch.setattr(oracle, "_TYPE_TABLES", {})
+    monkeypatch.setattr(oracle, "MAX_TYPE_N", 3)
+    first, again = _type_table(4), _type_table(4)
+    assert first == again and first is not again
+    assert list(oracle._TYPE_TABLES) == []
+    assert _type_table(3) is _type_table(3) and list(oracle._TYPE_TABLES) == [3]
+
+
+@pytest.mark.parametrize("params", _VERIFY_GRID + _FLOAT_POINTS, ids=str)
+def test_eppf_total_is_the_exact_law_total(params):
+    for n in range(1, 9):
+        got, want = eppf_total(params, n), exact_law(params, n).total()
+        if params.is_exact_mode:
+            assert got == want == 1 and type(got) is type(want)
+        else:
+            # the word total drifts from 1 by up to 6.4e-14 at n = 8
+            assert abs(got - 1) <= 4 * 2 ** -52 and abs(got - want) <= 1e-13
+    if params.is_exact_mode:
+        assert eppf_total(params, 20) == 1
+    for n in (0, 21):
+        with pytest.raises(ParameterError, match="need 1 <= n <= 20"):
+            eppf_total(params, n)
+
+
+@pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
+@pytest.mark.parametrize("params", _VERIFY_GRID + _FLOAT_POINTS, ids=str)
+def test_type_walk_matches_the_word_walk(check, params):
+    # without a law the check sums over integer partitions; the word walk
+    # on the family's exact law is the reference: equal values of equal
+    # type (or the same error) at exact parameters.  In floats the type
+    # walk stays within an ulp of 1 of the true 0, while the word walk's
+    # sums over Bell(n) words drift, to 2.0e-14 at (0.3, 0.5), n = 8.
+    for n in range(1, 9):
+        got = _outcome(check, params, n)
+        want = _outcome(lambda: check(params, n, exact_law(params, n)))
+        if params.is_exact_mode:
+            assert got == want
+        else:
+            got, want = check(params, n), check(params, n, exact_law(params, n))
+            assert 0 <= got <= 2 ** -53
+            assert abs(got - want) <= (1e-14 if n <= 7 else 3e-14)
+
+
+@pytest.mark.parametrize("move", ["two types", "one block"])
+@pytest.mark.parametrize("n", [7, 12])
+@pytest.mark.parametrize("params", [_HALF, _VERIFY_GRID[3], _VERIFY_GRID[4]], ids=str)
+def test_type_walk_sees_mass_moved_between_types(params, n, move, monkeypatch):
+    # 1e-4 of mass moves between types of [n], each holding more than that:
+    # from (3, 1, ..., 1) to (2, 2, 1, ..., 1), which moves the deleted
+    # sizes and the remainders; or from one block to every other type in
+    # proportion, which moves only the deleted sizes, as the remainders'
+    # conditional laws keep their ratios.  Only p on [n] changes, so the
+    # remainder targets stay the family's and both deletion rules must see
+    # the move: at n = 7 with the word walk's values on the moved law,
+    # exactly; n = 12 lies past the word tables.
+    amount = Fraction(1, 10 ** 4)
+    counts = dict(_type_table(n))
+    source, dest = (3,) + (1,) * (n - 3), (2, 2) + (1,) * (n - 4)
+    scale = 1 + amount / (1 - eppf(params, (n,)))
+
+    def p(params, sizes):
+        lam = tuple(sorted(sizes, reverse=True))
+        value = eppf(params, lam)
+        if sum(lam) != n:
+            return value
+        if move == "one block":
+            return value - amount if lam == (n,) else value * scale
+        return value + {source: -amount / counts[source], dest: amount / counts[dest]}.get(lam, 0)
+
+    assert deletion_law_check(params, n) == tau_regen_check(params, n) == 0
+    monkeypatch.setattr(oracle, "eppf", p)
+    assert sum(count * p(params, lam) for lam, count in counts.items()) == 1
+    assert min(p(params, lam) for lam in counts) >= 0
+    for check in (deletion_law_check, tau_regen_check):
+        got = check(params, n)
+        assert got > 0
+        if n <= oracle.MAX_EXACT_N:
+            words, keys = _word_table(n)
+            assert got == check(params, n, ExactLaw(n, words, [p(params, key) for key in keys]))
 
 
 def test_record_independence_residual_zero():
