@@ -67,7 +67,7 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    payload = "".join(line + "\n" for line in lines)
+    payload = "\n".join(lines) + "\n" if lines else ""  # --count 0 prints nothing
     if out is None:
         sys.stdout.write(payload)
     else:
@@ -126,9 +126,9 @@ def _cmd_decrement(ns: argparse.Namespace) -> int:
         lines.append(dumps(matrix.to_json()))
     else:
         lines.append("n,m,q")
-        for n, row in enumerate(matrix.rows, 1):
-            for m, q in enumerate(row, 1):
-                lines.append(f"{n},{m},{_fmt_float(q)}")
+        lines += [
+            f"{n},{m},{float(q)!r}" for n, row in enumerate(matrix.rows, 1) for m, q in enumerate(row, 1)
+        ]
     _emit(lines, ns.out)
     return 0
 
@@ -169,10 +169,11 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
         lines.append(dumps(payload))
     else:
         lines.append("n,m,phi_nm,q")
-        for n, row in enumerate(matrix.rows, 1):
-            for m, q in enumerate(row, 1):
-                phi = core.float_param("phi(n, m)", regen.phi_nm(measure, n, m))
-                lines.append(f"{n},{m},{phi!r},{_fmt_float(q)}")
+        lines += [
+            f"{n},{m},{core.float_param('phi(n, m)', regen.phi_nm(measure, n, m))!r},{float(q)!r}"
+            for n, row in enumerate(matrix.rows, 1)
+            for m, q in enumerate(row, 1)
+        ]
     _emit(lines, ns.out)
     return 0
 

@@ -183,11 +183,31 @@ def _exact_ratio(num, den, factors) -> Fraction:
     return Fraction(top, bottom)
 
 
-# A chain(first, factor, ks) returns the list [q_0, q_1, ...] of a
-# decrement recurrence: q_0 = top/bottom of the pair first, and
-# q_i = q_(i-1) * top/bottom of the pair factor(k) for the i-th k of the
-# range ks.  factor is one expression in the index that works on an int
-# and on an integer array alike.
+# A triangle(first, step, last, n_max, diagonal_lanes) returns the rows
+# (q(n, 1), ..., q(n, n)), n = 1..n_max, of a decrement recurrence whose
+# factors are (top, bottom) pairs, each one expression in its indices
+# that works on ints and on integer arrays alike:
+#   q(1, 1) = 1 and q(n, n) = q(n - 1, n - 1) * last(n) along the diagonal;
+#   q(n, 1) = first(n) for n >= 2, the start of a lane, which runs
+#   along its row, q(n, m + 1) = q(n, m) * step(n, m), m <= n - 2, or,
+#   with diagonal_lanes, along its diagonal n - m,
+#   q(n + 1, m + 1) = q(n, m) * step(n, m), m < n < n_max.
+# Each lane multiplies its factors in turn: q = q * (top / bottom).
+
+def _exact_triangle(first, step, last, n_max: int, diagonal_lanes: bool = False):
+    """triangle of the comment above in Fractions, one _exact_chain per lane."""
+    diagonal = _exact_chain((1, 1), last, range(2, n_max + 1))
+    if diagonal_lanes:
+        lanes = [
+            iter(_exact_chain(first(j + 1), lambda m, j=j: step(m + j, m), range(1, n_max - j)))
+            for j in range(1, n_max)
+        ]
+        # row n takes the next entry of the diagonals n - 1, n - 2, ..., 1
+        inner = (map(next, lanes[n - 2::-1]) for n in range(2, n_max + 1))
+    else:
+        inner = (_exact_chain(first(n), partial(step, n), range(1, n - 1)) for n in range(2, n_max + 1))
+    return ((diagonal[0],),) + tuple((*row, q) for row, q in zip(inner, diagonal[1:]))
+
 
 def _exact_chain(
     first: tuple[int, int], factor: Callable[[int], tuple[int, int]], ks: range
@@ -200,53 +220,94 @@ def _exact_chain(
     return out
 
 
-def _float_chain(
-    first: tuple[Scalar, Scalar], factor: Callable, ks: range, dtype=None
-) -> list[float]:
+# Rows per array pass of _float_triangle: a pass's arrays hold at most
+# _ROW_BLOCK * n_max cells, whatever n_max is.
+_ROW_BLOCK = 128
+
+
+def _float_triangle(first, step, last, n_max: int, diagonal_lanes: bool = False, dtype=None):
+    """triangle of the comment above in floats, one array pass per block of rows.
+
+    Row n of a block takes n cells of a 2-D grid, in order: the lane
+    start q(n, 1), the n - 2 step cells, then q(n, n).  Rows start at the
+    left edge, and a row lane accumulates along axis 1.  With
+    diagonal_lanes rows end at the right edge, so that a diagonal is a
+    column; it accumulates along axis 0, and each block goes on from the
+    last row of the block before.  step is evaluated once per block on
+    the broadcast (row, cell) indices, and only the step cells divide
+    top by bottom: every other cell holds 1.0, which multiplies exactly,
+    and no cell divides where the scalar loop would not.  q(n, n) comes
+    from its own accumulate and is written in after the block's.
+    """
     import numpy as np
 
     # A product past the float range is inf and then 0 or nan, as in
     # Python float arithmetic, which never warns about it.
     with np.errstate(all="ignore"):
-        top, bottom = factor(np.arange(ks.start, ks.stop, dtype=dtype))
-        steps = np.concatenate(([first[0] / first[1]], top / bottom))
-        return np.multiply.accumulate(steps).tolist()
+        top, bottom = last(np.arange(2, n_max + 1, dtype=dtype))
+        diagonal = np.multiply.accumulate(np.concatenate(([1 / 1], top / bottom)))
+        rows: list[tuple] = []
+        for n0 in range(1, n_max + 1, _ROW_BLOCK):
+            ns = np.arange(n0, min(n0 + _ROW_BLOCK, n_max + 1))
+            width = int(ns[-1])
+            if diagonal_lanes:
+                start = width - ns  # the column of q(n, 1)
+                at = np.arange(width) - start[:, None]  # 0 at q(n, 1), n - 1 at q(n, n)
+                before = ns - 1  # the row of the entry a step multiplies
+            else:
+                start = np.zeros_like(ns)
+                at = np.arange(width)
+                before = ns
+            grid = np.full((len(ns), width), 1.0, dtype=diagonal.dtype)
+            top, bottom = step(np.asarray(before[:, None], dtype), np.asarray(at, dtype))
+            np.divide(top, bottom, out=grid, where=(at >= 1) & (at <= ns[:, None] - 2))
+            lead = ns >= 2
+            top, bottom = first(np.asarray(ns[lead], dtype))
+            grid[lead, start[lead]] = top / bottom
+            if diagonal_lanes and n0 > 1:
+                grid[0, width - len(carry) :] *= carry
+            np.multiply.accumulate(grid, axis=0 if diagonal_lanes else 1, out=grid)
+            grid[np.arange(len(ns)), start + ns - 1] = diagonal[ns - 1]
+            carry = grid[-1]
+            for row, i, n in zip(grid, start.tolist(), ns.tolist()):
+                rows.append(tuple(row[i : i + n].tolist()))
+    return tuple(rows)
 
 
 def _integer_scale(
     alpha: Scalar, theta: Scalar
-) -> tuple[Scalar, Scalar, Scalar, Callable[[tuple, Callable, range], list]]:
-    """(A, T, L, chain) for the decrement recurrences, alpha = A/L and theta = T/L.
+) -> tuple[Scalar, Scalar, Scalar, Callable[..., tuple[tuple[Scalar, ...], ...]]]:
+    """(A, T, L, triangle) for the decrement recurrences, alpha = A/L and theta = T/L.
 
     For exact alpha and theta, L = lcm(den alpha, den theta), A = alpha L
     and T = theta L are integers.  Written in A, T and L, every factor of
     the recurrences is an integer, since the L's cancel between numerator
-    and denominator, and chain walks ks with one Fraction per entry: the
-    previous entry's numerator times top over its denominator times
-    bottom, reduced once.  Otherwise (A, T, L) = (alpha, theta, 1) and
-    chain evaluates factor once, on the integer array np.arange over ks,
-    divides top by bottom elementwise and multiplies the quotients from
-    the left with one np.multiply.accumulate.  The entries are then the
-    bits of the scalar loop q = q * (top / bottom): with L = 1 a factor
-    written term by term, such as T + n L - m L - L for
-    theta + n - m - 1, makes the plain factor's IEEE + - * / steps in
+    and denominator, and triangle walks each lane with one Fraction per
+    entry: the previous entry's numerator times top over its denominator
+    times bottom, reduced once.  Otherwise (A, T, L) = (alpha, theta, 1)
+    and triangle makes one array pass per block of rows: it evaluates
+    step once on the block's 2-D index grid, divides top by bottom
+    elementwise in the step cells and multiplies each lane from its
+    start with one np.multiply.accumulate over the block's grid.  The
+    entries are then the bits of the scalar loop q = q * (top / bottom):
+    with L = 1 a factor written term by term, such as T + n L - m L - L
+    for theta + n - m - 1, makes the plain factor's IEEE + - * / steps in
     the same order, numpy rounds each of them as Python floats do, and
-    the accumulate is sequential.  With one exact and one float
-    parameter the index array holds Python ints (dtype=object), since an
-    exact parameter, or its product with an index, may lie past int64
-    (theta = 10**19); each factor is then the scalar loop's Python
-    operations, element by element.  The
-    entries come back as Python floats (tolist), so their repr is
-    unchanged.  A chain with first = (1, 1) starts at 1 in the mode of
-    the parameters: Fraction(1) or 1.0.
+    the accumulate runs through each lane in order.  With one exact and
+    one float parameter the index arrays hold Python ints (dtype=object),
+    since an exact parameter, or its product with an index, may lie past
+    int64 (theta = 10**19); each factor is then the scalar loop's Python
+    operations, element by element.  The entries come back as Python
+    floats (tolist), so their repr is unchanged, and q(1, 1) is 1 in the
+    mode of the parameters: Fraction(1) or 1.0.
     """
     if not (is_exact(alpha) or is_exact(theta)):
-        return alpha, theta, 1, _float_chain
+        return alpha, theta, 1, _float_triangle
     if not all_exact(alpha, theta):
-        return alpha, theta, 1, partial(_float_chain, dtype=object)
+        return alpha, theta, 1, partial(_float_triangle, dtype=object)
     L = math.lcm(alpha.denominator, theta.denominator)
     A, T = alpha.numerator * (L // alpha.denominator), theta.numerator * (L // theta.denominator)
-    return A, T, L, _exact_chain
+    return A, T, L, _exact_triangle
 
 
 def _log_rising_ratio(num, den, factors) -> float:

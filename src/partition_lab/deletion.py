@@ -25,17 +25,18 @@ stay finite where the closed form's rising factorials overflow (from
 n = 172).  The last entry has its own rule because theta + n - m - 1
 vanishes at m = n - 1 when theta = 0.  decrement_matrix writes each
 factor once, as an expression in (n, m), in the A, T, L of
-core._integer_scale (alpha = A/L, theta = T/L), and hands it to that
-scale's chain: once per row, over m, and once for the diagonal q(n, n),
-over n.  For exact parameters L = lcm(den alpha, den theta), every
-factor is an integer, and each entry is one Fraction of the previous
-entry's numerator and denominator times the factors, reduced once.
-Float and mixed parameters have L = 1: the chain evaluates the factor
-on an index array and multiplies the quotients with one sequential
-np.multiply.accumulate per row.  Each quotient takes the IEEE steps of
-the factor as written above, in the same order, and the accumulate
-multiplies left to right, so the entries are the bits of the scalar
-loop q = q * (top / bottom).  Where decrement_entry's
+core._integer_scale (alpha = A/L, theta = T/L), and hands the three to
+that scale's triangle, with the rows as lanes.  For exact parameters
+L = lcm(den alpha, den theta), every factor is an integer, and each
+entry is one Fraction of the previous entry's numerator and denominator
+times the factors, reduced once, row by row.  Float and mixed
+parameters have L = 1: the triangle evaluates each factor once per block
+of rows, on the block's 2-D index grid, and multiplies along the rows
+with one np.multiply.accumulate(axis=1) per block, and down the
+diagonal q(n, n) with one more.  Each quotient takes
+the IEEE steps of the factor as written above, in the same order, and
+the accumulate multiplies each row left to right, so the entries are the
+bits of the scalar loop q = q * (top / bottom).  Where decrement_entry's
 float products leave the range, it takes core's one log-gamma route,
 with C(n, m) as an exact factor, and stays finite past n = 1020.
 """
@@ -43,7 +44,6 @@ with C(n, m) as an exact factor, and stays finite past n = 1020.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
 from .core import (
@@ -148,7 +148,7 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
     """
     check_size("n_max", n_max, 1)
     _require_kernel_params(params)
-    A, T, L, chain = _integer_scale(params.alpha, params.theta)
+    A, T, L, triangle = _integer_scale(params.alpha, params.theta)
 
     def row_step(n, m):  # q(n, m + 1) / q(n, m)
         d = n - m
@@ -157,13 +157,13 @@ def decrement_matrix(params: ExtParams, n_max: int) -> DecrementMatrix:
             (m + 1) * (d * A + m * T) * (T + n * L - m * L - L),
         )
 
-    last = chain((1, 1), lambda n: (n * L - L - A, T + n * L - L), range(2, n_max + 1))
-    rows = [(last[0],)]
-    for n in range(2, n_max + 1):
-        row = chain(((n - 1) * A + T, T + n * L - L), partial(row_step, n), range(1, n - 1))
-        row.append(last[n - 1])
-        rows.append(tuple(row))
-    return DecrementMatrix(n_max, tuple(rows))
+    rows = triangle(
+        lambda n: ((n - 1) * A + T, T + n * L - L),
+        row_step,
+        lambda n: (n * L - L - A, T + n * L - L),
+        n_max,
+    )
+    return DecrementMatrix(n_max, rows)
 
 
 def _compositions(n: int):

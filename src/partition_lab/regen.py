@@ -12,9 +12,10 @@ the induced partition laws is encoded by the image Levy measure on
 
 whose ratios phi(n, m)/phi(n) give the deleted-size law q(n, m).
 For the alpha_theta measure, decrement_from_phi steps along the
-diagonals j = n - m, one chain of core._integer_scale per diagonal:
+diagonals j = n - m, as the lanes of core._integer_scale's triangle:
 exact parameters give one reduced Fraction per entry, float parameters
-one array pass per diagonal with the bits of the per-entry float loop.
+one array pass per block of rows with the bits of the per-entry float
+loop.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from operator import getitem
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -255,12 +254,15 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
     main diagonal q(n, n) = B(n - alpha, theta + 1)/B(1 - alpha, n + theta),
     so q(1, 1) = 1 and q(n + 1, n + 1) = q(n, n) (n - alpha)/(theta + n).
     These steps are written once, in the A, T, L of core._integer_scale
-    (alpha = A/L, theta = T/L), and each diagonal is one call of that
-    scale's chain over m: exact parameters give integer factors and one
-    Fraction per entry, reduced once; float and mixed parameters have
-    L = 1, evaluate the factors of a whole diagonal on an index array
-    and multiply them with one sequential np.multiply.accumulate, which
-    gives the bits of the scalar loop q = q * (top / bottom).
+    (alpha = A/L, theta = T/L), and that scale's triangle runs them with
+    the diagonals as lanes: exact parameters give integer factors and
+    one Fraction per entry, reduced once, diagonal by diagonal; float and
+    mixed parameters have L = 1 and a grid whose rows end at its right
+    edge, so that each diagonal is a column.  The factors of a whole block
+    of rows are evaluated at once, and one sequential
+    np.multiply.accumulate(axis=0) per block, taken on from the block
+    before, gives the bits of the scalar loop q = q * (top / bottom)
+    with the rows already in place.
     The kernel route steps along rows instead, a different identity,
     which keeps the comparison of the two routes a real cross-check.
     Atomic measures divide phi_nm by laplace_exponent entry by entry.
@@ -272,23 +274,22 @@ def decrement_from_phi(measure: LevyImageMeasure, n_max: int) -> DecrementMatrix
             phin = laplace_exponent(measure, n)
             rows.append(tuple(exact_div(phi_nm(measure, n, m), phin) for m in range(1, n + 1)))
         return DecrementMatrix(n_max, tuple(rows))
-    A, T, L, chain = _integer_scale(measure.alpha, measure.theta)
+    A, T, L, triangle = _integer_scale(measure.alpha, measure.theta)
 
-    def diagonal_step(j, m):  # q(n + 1, m + 1) / q(n, m) with n = m + j
-        n = m + j
+    def diagonal_step(n, m):  # q(n + 1, m + 1) / q(n, m)
+        j = n - m
         return (
             n * (m * L - A) * ((m + 1) * T + j * A),
             (m + 1) * (m * T + j * A) * (T + n * L),
         )
 
-    # diagonals[j][i] = q(j + i + 1, i + 1), so rows[n] (0-based) is
-    # diagonals[n][0], diagonals[n - 1][1], ..., diagonals[0][n]
-    diagonals = [chain((1, 1), lambda n: (n * L - A, T + n * L), range(1, n_max))]
-    diagonals += (
-        chain((T + j * A, j * L + T), partial(diagonal_step, j), range(1, n_max - j))
-        for j in range(1, n_max)
+    rows = triangle(
+        lambda n: (T + (n - 1) * A, (n - 1) * L + T),
+        diagonal_step,
+        lambda n: ((n - 1) * L - A, T + (n - 1) * L),
+        n_max,
+        diagonal_lanes=True,
     )
-    rows = tuple(tuple(map(getitem, diagonals[n::-1], range(n + 1))) for n in range(n_max))
     return DecrementMatrix(n_max, rows)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from partition_lab import cli
 from partition_lab.core import (
+    _ROW_BLOCK,
     ExtParams,
     FrequencyVector,
     ParameterError,
@@ -290,6 +291,11 @@ def _scalar_phi_rows(A, T, n_max, L=1, step=_scalar_step):
         (0.3, 10**19, 30),
         (0.3, 0.5, 1),
         (0.3, 0.5, 2),
+        # the first rows with one and two inner steps
+        (0.3, 0.5, 3),
+        (0.3, 0.5, 4),
+        # one row past the first block: lanes go on from the block before
+        (0.3, 0.5, _ROW_BLOCK + 1),
     ],
     ids=str,
 )
@@ -305,6 +311,33 @@ def test_float_routes_are_the_scalar_loop_bit_for_bit(alpha, theta, n_max):
     ):
         assert matrix.rows == want
         assert all(type(v) is float for row in matrix.rows for v in row)
+
+
+def ulps(x: float, exact: Fraction) -> float:
+    """|x - exact| in units in the last place of the float nearest exact."""
+    return float(abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact))))
+
+
+# The exact route at Fraction(alpha), Fraction(theta), the floats' own
+# values, is the true value of every float entry.  Each bound is twice the
+# worst error the routes had when this gate was added: at (1/3, 1/7)
+# 162.1 ulp at q(82, 81) on the kernel route and 41.4 ulp at q(64, 63) on
+# the phi route; at (0.3, 0.7) 101.8 ulp at q(64, 63) and 37.9 ulp at q(80, 42).
+@pytest.mark.parametrize(
+    ("alpha", "theta", "kernel_bound", "phi_bound"),
+    [(1 / 3, 1 / 7, 2 * 162.1, 2 * 41.4), (0.3, 0.7, 2 * 101.8, 2 * 37.9)],
+    ids=str,
+)
+def test_float_routes_against_their_exact_twin(alpha, theta, kernel_bound, phi_bound):
+    # exact, both routes give the closed form (test_decrement_routes_match_closed_forms),
+    # so one twin serves both
+    twin = decrement_matrix(ExtParams.two_param(Fraction(alpha), Fraction(theta)), 100)
+    for matrix, bound in (
+        (decrement_matrix(ExtParams.two_param(alpha, theta), 100), kernel_bound),
+        (decrement_from_phi(LevyImageMeasure.alpha_theta(alpha, theta), 100), phi_bound),
+    ):
+        errors = [ulps(x, q) for row, exact in zip(matrix.rows, twin.rows) for x, q in zip(row, exact)]
+        assert max(errors) <= bound
 
 
 def test_float_decrement_entry_past_the_float_binomial():
