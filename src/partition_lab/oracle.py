@@ -148,7 +148,10 @@ class ExactLaw:
         return f"{type(self).__qualname__}(n={self.n!r}, probs={self.probs!r})"
 
     def total(self) -> Scalar:
-        return sum(self.values)
+        """The sum of the values: exact for an exact law, math.fsum's correctly rounded sum otherwise."""
+        if all(map(is_exact, self.values)):
+            return sum(self.values)
+        return math.fsum(self.values)
 
     def perturbed(self, pi: SetPartition, amount: Scalar) -> "ExactLaw":
         """Add mass to one partition and renormalize; breaks exactness claims."""
@@ -257,9 +260,11 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
     once per size vector, p read per word (a passed-in law need not be a
     function of the sizes).  The walk reads the law's words and values and
     keys remainders by assignment word, so it builds no `SetPartition`;
-    exact masses add as integer numerators over the law's denominator
-    times the rows'.  A law on the kept word table of [n] (every
-    `exact_law` and its `perturbed` laws) reuses the table's block sizes.
+    the masses are collected per key and added once: exact ones as integer
+    numerators over the law's denominator times the rows', float ones by
+    math.fsum, so their sums do not drift with Bell(n).  A law on the kept
+    word table of [n] (every `exact_law` and its `perturbed` laws) reuses
+    the table's block sizes.
     """
     if law.n != n:
         raise ParameterError(f"law is on [{law.n}], check needs [{n}]")
@@ -277,14 +282,16 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
         rows = {key: [next(it) for _ in r] for key, r in rows.items()}
     # (block, size, chance) per size vector, zipped once, not per partition
     picks = {key: list(zip(itertools.count(1), key, r)) for key, r in rows.items()}
-    joint: dict[bytes, Scalar] = {}
-    size_mass: dict[int, Scalar] = {}
+    size_terms: dict[int, list[Scalar]] = {}
+    joint_terms: dict[bytes, list[Scalar]] = {}
     for word, key, p in zip(law.words, keys, probs):
         for j, m, d in picks[key]:
             w = p * d
-            size_mass[m] = size_mass.get(m, 0) + w
-            rem = _remainder_word(word, j)
-            joint[rem] = joint.get(rem, 0) + w
+            size_terms.setdefault(m, []).append(w)
+            joint_terms.setdefault(_remainder_word(word, j), []).append(w)
+    add = sum if den is not None else math.fsum
+    size_mass = {m: add(t) for m, t in size_terms.items()}
+    joint = {rem: add(t) for rem, t in joint_terms.items()}
     worst: Scalar = 0
     target = None
     memo: dict[tuple[int, ...], Scalar] = {}

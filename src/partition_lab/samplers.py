@@ -29,11 +29,13 @@ Scalar normals, exponentials and gammas draw uniforms in blocks
 (Generator.random(k) gives the same doubles as k scalar calls) and
 compute every exponential term and the normal of every adjacent pair of
 the block in one array pass; they then read the block in stream order.
-A scalar random() reads what is left of the block, then draws directly,
-and never refills it; a vector call uses up the unread block first and
-draws fresh uniforms after it.  Uniforms are therefore consumed exactly
-as if each were drawn on its own, and every seeded output is the same as
-with no block.
+The scalar gamma reads the block's uniforms and normals in stream order
+itself and refills the block where normal() would.  A scalar random()
+reads what is left of the block, then draws directly, and never refills
+it; a vector call uses up the unread block first and draws fresh
+uniforms after it.  Uniforms are therefore consumed exactly as if each
+were drawn on its own, and every seeded output is the same as with no
+block.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .core import (
     check_eps,
     check_size,
     exact_div,
-    partition_from_assignment,
     canonicalize,
     rising_factorial,
 )
@@ -104,24 +105,16 @@ class RngHandle:
         return RngHandle(_splitmix64(self.seed ^ _splitmix64(index & _MASK64)))
 
     # -- the uniform stream ------------------------------------------------
-    def _refill(self) -> int:
-        """Draw the next block behind the unread uniforms; returns the new read position 0."""
+    def _refill(self, i: int) -> int:
+        """Draw the next block behind the uniforms unread from i; returns the new read position 0."""
         u = self._gen.random(self._k)
-        if self._i < len(self._u):
-            u = np.concatenate((self._u[self._i:], u))
+        if i < len(self._u):
+            u = np.concatenate((self._u[i:], u))
         e, z = _block_terms(u)
         self._u, self._e, self._z = u.tolist(), e.tolist(), z.tolist()
         self._i = 0
         self._k = min(2 * self._k, BLOCK_CAP)
         return 0
-
-    def _uniform(self) -> float:
-        """The next uniform of the block, refilling it when it runs out."""
-        i = self._i
-        if i >= len(self._u):
-            i = self._refill()
-        self._i = i + 1
-        return self._u[i]
 
     def _uniforms(self, size: int) -> np.ndarray:
         """The next `size` uniforms: the unread block first, then fresh draws."""
@@ -150,7 +143,7 @@ class RngHandle:
         if size is None:
             i = self._i
             if i + 1 >= len(self._u):
-                i = self._refill()
+                i = self._refill(i)
             self._i = i + 2
             return self._z[i]
         u1 = self._uniforms(size)
@@ -163,7 +156,7 @@ class RngHandle:
         if size is None:
             i = self._i
             if i >= len(self._u):
-                i = self._refill()
+                i = self._refill(i)
             self._i = i + 1
             return self._e[i] / rate
         return -np.log1p(-self._uniforms(size)) / rate
@@ -176,29 +169,49 @@ class RngHandle:
 
     def beta(self, a, b, size: int | None = None):
         """beta(a, b) as a ratio of two gammas drawn in that order."""
-        x = self.gamma(a, size)
-        y = self.gamma(b, size)
+        if size is None:
+            x, y = self._gamma_scalar(float(a)), self._gamma_scalar(float(b))
+        else:
+            x, y = self.gamma(a, size), self.gamma(b, size)
         return x / (x + y)
 
     def _gamma_scalar(self, a: float) -> float:
+        """One Marsaglia-Tsang gamma, reading the block's uniforms and normals in stream order.
+
+        A uniform is read at position i and a normal, the pair (u_i, u_{i+1}),
+        at i with i + 1; the block is refilled when it holds fewer than the
+        one or two uniforms a read needs, as normal() refills it.
+        """
         if not a > 0:
             raise ParameterError(f"gamma shape must be positive, got {a}")
+        u_, z_, i = self._u, self._z, self._i
         boost = 1.0
         if a < 1.0:
-            u = self._uniform()
-            boost = (1.0 - u) ** (1.0 / a)
+            if i >= len(u_):
+                i = self._refill(i)
+                u_, z_ = self._u, self._z
+            boost = (1.0 - u_[i]) ** (1.0 / a)
+            i += 1
             a = a + 1.0
         d = a - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         while True:
-            x = self.normal()
+            if i + 1 >= len(u_):
+                i = self._refill(i)
+                u_, z_ = self._u, self._z
+            x = z_[i]
+            i += 2
             v = (1.0 + c * x) ** 3
             if v <= 0.0:
                 continue
-            u = self._uniform()
-            if u < 1.0 - 0.0331 * x ** 4:
-                return boost * d * v
-            if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+            if i >= len(u_):
+                i = self._refill(i)
+                u_, z_ = self._u, self._z
+            u = u_[i]
+            i += 1
+            if u < 1.0 - 0.0331 * x ** 4 or (
+                    u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v))):
+                self._i = i
                 return boost * d * v
 
     def _gamma_vec(self, a: np.ndarray) -> np.ndarray:
@@ -275,27 +288,32 @@ def crp_sample(params: ExtParams, n: int, rng: RngHandle) -> SetPartition:
     (s - alpha)/(i + theta) and opens a new block with probability
     (theta + k alpha)/(i + theta); the coupon range instead picks one of
     m colours uniformly, i.e. each seen block with probability 1/m.
+    Elements are seated straight into blocks kept in appearance order,
+    with one uniform per seat, and alpha, theta and m are converted to
+    floats once per call.
     """
     check_size("n", n, 1)
-    word = [1]
-    sizes = [1]
-    for i in range(1, n):
-        k = len(sizes)
-        if params.kind == COUPON:
-            weights = [1.0] * k + [float(params.m - k)]
-            total = float(params.m)
+    blocks = [[1]]
+    if n > 1:  # element 1 needs no draw, so n = 1 converts nothing
+        coupon = params.kind == COUPON
+        if coupon:
+            m = float(params.m)
         else:
             alpha, theta = float(params.alpha), float(params.theta)
-            weights = [s - alpha for s in sizes] + [theta + k * alpha]
-            total = i + theta
-        pick = _pick(weights, rng.random() * total)
-        if pick is None or pick == k:
-            pick = k
-            sizes.append(1)
-        else:
-            sizes[pick] += 1
-        word.append(pick + 1)
-    return partition_from_assignment(word)
+        for i in range(1, n):
+            k = len(blocks)
+            if coupon:
+                weights = [1.0] * k + [m - k]
+                total = m
+            else:
+                weights = [len(b) - alpha for b in blocks] + [theta + k * alpha]
+                total = i + theta
+            pick = _pick(weights, rng.random() * total)
+            if pick is None or pick == k:
+                blocks.append([i + 1])
+            else:
+                blocks[pick].append(i + 1)
+    return SetPartition(n, tuple(map(tuple, blocks)))
 
 
 def crp_assignments(params: ExtParams, n: int, count: int, rng: RngHandle) -> np.ndarray:
@@ -515,16 +533,13 @@ def xi_order(k: int, xi: Scalar, rng: RngHandle) -> XiOrder:
     check_size("k", k, 1)
     if not (xi >= 0):
         raise ParameterError(f"need xi >= 0, got {xi}")
-    ranks = [1]
-    for j in range(2, k + 1):
-        if math.isinf(xi):
-            ranks.append(j)
-            continue
-        u = rng.random() * (j - 1 + float(xi))
-        if u < float(xi):
-            ranks.append(j)
-        else:
-            ranks.append(1 + min(int(u - float(xi)), j - 2))
+    ranks = list(range(1, k + 1))  # every element rightmost, the order at xi = inf
+    xif = float(xi) if k > 1 else math.inf  # k = 1 needs no draw and converts nothing
+    if not math.isinf(xif):
+        for j in range(2, k + 1):
+            u = rng.random() * (j - 1 + xif)
+            if u >= xif:
+                ranks[j - 1] = 1 + min(int(u - xif), j - 2)
     return XiOrder(k, tuple(ranks), arrangement_from_ranks(ranks))
 
 

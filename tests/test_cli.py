@@ -157,9 +157,10 @@ def test_float_decrement_csv_is_finite(capsys):
 _OVERFLOWING_ROWS = {
     "decrement": "n,m,q\n1,1,1.0\n2,1,1.0\n2,2,6.999999999999999e-301\n3,1,1.0\n3,2,0.0\n"
                  "3,3,0.0\n4,1,1.0\n4,2,0.0\n4,3,0.0\n4,4,0.0\n",
-    "phi": "n,m,phi_nm,q\n1,1,1.0,1.0\n2,1,2.0,1.0\n2,2,2.0,6.999999999999999e-301\n"
-           "3,1,3.0,1.0\n3,2,6.0,0.0\n3,3,3.0,0.0\n4,1,4.0,1.0\n4,2,12.0,0.0\n"
-           "4,3,12.0,0.0\n4,4,4.0,0.0\n",
+    # phi(n, 1) = n Gamma(0.7) theta^-0.7 to within 1e-13; the rest underflow
+    "phi": "n,m,phi_nm,q\n1,1,1.2980553326476818e-210,1.0\n2,1,2.5961106652953635e-210,1.0\n"
+           "2,2,0.0,6.999999999999999e-301\n3,1,3.894165997943045e-210,1.0\n3,2,0.0,0.0\n"
+           "3,3,0.0,0.0\n4,1,5.192221330590727e-210,1.0\n4,2,0.0,0.0\n4,3,0.0,0.0\n4,4,0.0,0.0\n",
 }
 
 

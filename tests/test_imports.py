@@ -2,11 +2,12 @@
 
 Names listed in __all__ count as used (re-exports), and an import line
 marked ``# noqa: F401`` is skipped.  Every module-level private name
-(one leading underscore, not a dunder) is read by the library outside
-its own definition; tests and perfbench do not count as readers.  Every
-module-level public function or class is read by the library or by the
-perfbench scripts, save a short allow-list of references and criteria,
-and every name in ``__all__`` resolves on the package.  Also: importing
+(one leading underscore, not a dunder), and every private method of a
+module-level class, is read by the library outside its own definition;
+tests and perfbench do not count as readers.  Every module-level public
+function or class is read by the library or by the perfbench scripts,
+save a short allow-list of references and criteria, and every name in
+``__all__`` resolves on the package.  Also: importing
 the library and running an exact CLI command leave scipy unloaded.
 """
 
@@ -56,14 +57,32 @@ def test_library_modules_have_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _definitions_and_reads(sources: dict[str, str]) -> tuple[list[tuple[str, str, bool]], set[str]]:
-    """Module-level (module, name, is function or class) definitions, and every name read.
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
-    A read is a name or attribute access; one inside the name's own
-    definition (a recursive call) does not count.
+
+def _definitions_and_reads(sources: dict[str, str]) -> tuple[list[tuple[str, str, bool]], set[str]]:
+    """Definitions as (module, name, is function or class), and every name read.
+
+    The definitions are the module-level names and the private methods of
+    module-level classes, named Class._method.  A read is a name or
+    attribute access; one inside the name's own definition (a recursive
+    call) does not count.
     """
     defined = []
     reads = set()
+
+    def read(tree: ast.AST, own: set[str]) -> None:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in own:
+                reads.add(name)
+
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -75,25 +94,24 @@ def _definitions_and_reads(sources: dict[str, str]) -> tuple[list[tuple[str, str
             else:
                 names = set()
             defined.extend((module, name, is_def) for name in sorted(names))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read = node.id
-                elif isinstance(node, ast.Attribute):
-                    read = node.attr
-                else:
-                    continue
-                if read not in names:
-                    reads.add(read)
+            if not isinstance(stmt, ast.ClassDef):
+                read(stmt, names)
+                continue
+            for part in (*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body):
+                method = isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(part.name)
+                if method:
+                    defined.append((module, f"{stmt.name}.{part.name}", True))
+                read(part, names | {part.name} if method else names)
     return defined, reads
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions, classes and constants that no module reads."""
+    """Module-level private functions, classes and constants, and private methods, that no module reads."""
     defined, reads = _definitions_and_reads(sources)
     return [
         f"{module}.{name}"
         for module, name, _ in defined
-        if name.startswith("_") and not name.startswith("__") and name not in reads
+        if _is_private(short := name.rsplit(".", 1)[-1]) and short not in reads
     ]
 
 
@@ -103,7 +121,7 @@ def uncalled_public_names(sources: dict[str, str], readers: dict[str, str]) -> l
     return [
         f"{module}.{name}"
         for module, name, is_def in defined
-        if module in sources and is_def and not name.startswith("_") and name not in reads
+        if module in sources and is_def and not name.startswith("_") and "." not in name and name not in reads
     ]
 
 
@@ -111,8 +129,13 @@ def test_unread_private_names_are_found():
     sources = {
         "a": "_K = 1\n__version__ = '1'\ndef _walk(n):\n    return _walk(n - 1) if n else _K\nclass _Spare: pass\n",
         "b": "from a import _helper\nimport a\ndef f():\n    return a._K\n",
+        "c": ("class Rng:\n    def __init__(self):\n        self._i = 0\n"
+              "    def draw(self):\n        return self._next()\n"
+              "    def _next(self):\n        return self._i\n"
+              "    def _spin(self, n):\n        return self._spin(n - 1) if n else 0\n"
+              "    def _spare(self): pass\n"),
     }
-    assert unread_private_names(sources) == ["a._walk", "a._Spare"]
+    assert unread_private_names(sources) == ["a._walk", "a._Spare", "c.Rng._spin", "c.Rng._spare"]
 
 
 def test_library_private_names_are_read():

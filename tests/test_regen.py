@@ -88,6 +88,61 @@ def test_scaled_beta_arithmetic():
         ScaledBeta(1, 0, 1)
 
 
+# B(x, y) on a quarter-decade grid of y from 10 to 1e300, and past the float
+# range; from y = 1024 max(x, 2) the float takes the series in 1/y
+_BETA_XS = (Fraction(3, 10), Fraction(2, 3), 1, Fraction(5, 2))
+_BETA_YS = [10.0 ** (k / 4) for k in range(4, 1201)] + [10 ** 400, Fraction(10 ** 400, 3)]
+# below that, lgamma(y) - lgamma(x + y) keeps the bytes of the pinned phi
+# rows (y up to 2000.5) and errs by up to 2.2e-12 on this grid
+_LGAMMA_ROUTE_REL = 3e-12
+
+
+def _series_route(x, y) -> bool:
+    return y >= 1024 * max(x, 2)
+
+
+@pytest.mark.parametrize("x", _BETA_XS, ids=str)
+def test_scaled_beta_float_matches_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
+    x = Fraction(x)
+    for y in _BETA_YS:
+        y_mp = Fraction(y)
+        with mpmath.workdps(40 + len(str(y_mp.numerator))):
+            want = mpmath.beta(mpmath.mpf(x.numerator) / x.denominator,
+                               mpmath.mpf(y_mp.numerator) / y_mp.denominator)
+            got = float(ScaledBeta(1, x, y))
+            if want < 2.2250738585072014e-308:  # below the normal doubles
+                assert got < 2.2250738585072014e-308, y
+                continue
+            rel = abs(mpmath.mpf(got) / want - 1)
+        assert rel <= (1e-12 if _series_route(x, y) else _LGAMMA_ROUTE_REL), y
+
+
+def test_scaled_beta_float_keeps_the_shift_identity():
+    # B(x, y) / B(x, y + 1) = (x + y) / y, which needs no mpmath
+    for x in _BETA_XS:
+        for y in _BETA_YS:
+            lo, hi = float(ScaledBeta(1, x, y)), float(ScaledBeta(1, x, y + 1))
+            if hi < 2.2250738585072014e-308:
+                continue
+            bound = 1e-12 if _series_route(x, y) else _LGAMMA_ROUTE_REL
+            assert lo / hi == pytest.approx(float((x + y) / y), rel=bound, abs=0), (x, y)
+
+
+@pytest.mark.parametrize(("theta", "phi_1"), [
+    ("1e6", 1.354117187139157816e-4),
+    ("1e10", 2.9173586629326545984e-7),
+    ("1e15", 1.3541179394263996647e-10),
+    ("1e300", 1.3541179394264004169e-200),
+])
+def test_phi_cli_with_a_large_theta(capsys, theta, phi_1):
+    # phi(1) = B(2/3, 1 + theta), by mpmath at 40 digits, where
+    # lgamma(1 + theta) - lgamma(5/3 + theta) would cancel
+    assert cli.main(["phi", "--alpha", "1/3", "--theta", theta, "--n-max", "1", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["phi"][0]["phi_n"]
+    assert got == pytest.approx(phi_1, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize(("alpha", "theta"), [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 7))])
 def test_float_scaled_beta_ratio_past_171(alpha, theta):
     # offsets near 200 overflow the plain float products; at (1/3, 1/7) the

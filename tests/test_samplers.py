@@ -749,3 +749,135 @@ def test_squeeze_power_on_a_subset_equals_the_whole_array():
     x = RngHandle(12).normal(4099)
     for sub in (np.flatnonzero(x > 1.3), np.arange(1, 4099, 7), np.array([5]), np.arange(4099)):
         assert ((x[sub] ** 4) == (x ** 4)[sub]).all()
+
+
+# ---------------------------------------------------------------------------
+# the scalar object path against its earlier formulations, kept here as the
+# references: a per-seat word turned into a partition, a per-step xi
+# conversion, and a gamma built from normal() and a block-uniform read
+
+def _crp_by_word(params, n, rng):
+    word, sizes = [1], [1]
+    for i in range(1, n):
+        k = len(sizes)
+        if params.kind == core.COUPON:
+            weights = [1.0] * k + [float(params.m - k)]
+            total = float(params.m)
+        else:
+            alpha, theta = float(params.alpha), float(params.theta)
+            weights = [s - alpha for s in sizes] + [theta + k * alpha]
+            total = i + theta
+        pick = samplers._pick(weights, rng.random() * total)
+        if pick is None or pick == k:
+            pick = k
+            sizes.append(1)
+        else:
+            sizes[pick] += 1
+        word.append(pick + 1)
+    return core.partition_from_assignment(word)
+
+
+def _xi_order_per_step(k, xi, rng):
+    ranks = [1]
+    for j in range(2, k + 1):
+        if math.isinf(xi):
+            ranks.append(j)
+            continue
+        u = rng.random() * (j - 1 + float(xi))
+        ranks.append(j if u < float(xi) else 1 + min(int(u - float(xi)), j - 2))
+    return samplers.XiOrder(k, tuple(ranks), arrangement_from_ranks(ranks))
+
+
+def _block_uniform(r):
+    i = r._i
+    if i >= len(r._u):
+        i = r._refill(i)
+    r._i = i + 1
+    return r._u[i]
+
+
+def _gamma_by_calls(r, a):
+    boost = 1.0
+    if a < 1.0:
+        boost = (1.0 - _block_uniform(r)) ** (1.0 / a)
+        a = a + 1.0
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = r.normal()
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = _block_uniform(r)
+        if u < 1.0 - 0.0331 * x ** 4:
+            return boost * d * v
+        if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+            return boost * d * v
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)),
+        ExtParams.two_param(0.3, 1.7),
+        ExtParams.two_param(0, Fraction(3, 2)),
+        ExtParams.two_param(0.0, 0.25),
+        ExtParams.neg_alpha(-1, 3),
+        ExtParams.neg_alpha(-0.5, 4),
+        ExtParams.coupon(4),
+        ExtParams.coupon(1),
+    ],
+    ids=str,
+)
+def test_crp_sample_matches_the_word_formulation(params):
+    # the same partitions from the same uniforms, and the stream left where
+    # the reference leaves it
+    for seed in range(200):
+        r, twin = RngHandle(seed), RngHandle(seed)
+        for n in range(1, 13):
+            assert crp_sample(params, n, r) == _crp_by_word(params, n, twin), (seed, n)
+        assert r.random() == twin.random()
+
+
+@pytest.mark.parametrize("xi", [0, Fraction(1, 4), 1, 2.5, math.inf], ids=repr)
+def test_xi_order_matches_the_per_step_formulation(xi):
+    for seed in range(100):
+        r, twin = RngHandle(seed), RngHandle(seed)
+        for k in range(1, 10):
+            assert xi_order(k, xi, r) == _xi_order_per_step(k, xi, twin), (seed, k)
+        assert r.random() == twin.random()
+
+
+SCALAR_GAMMA_SHAPES = (1e-3, 0.5, 1.0, 7.0, 300.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scalar_gamma_and_beta_match_normal_and_block_uniform_reads(seed):
+    # scalar gammas and betas of every shape between vector draws and
+    # scalar random() calls, so that refills and leftover blocks of every
+    # length are crossed; each output, each refill and the final stream
+    # must agree
+    r, twin = RngHandle(seed), RngHandle(seed)
+    script = random.Random(seed)
+    for step in range(4000):
+        p = script.random()
+        if p < 0.4:
+            a = script.choice(SCALAR_GAMMA_SHAPES)
+            assert r.gamma(a) == _gamma_by_calls(twin, a), step
+        elif p < 0.6:
+            a, b = script.choice(SCALAR_GAMMA_SHAPES), script.choice(SCALAR_GAMMA_SHAPES[1:])
+            x, y = _gamma_by_calls(twin, a), _gamma_by_calls(twin, b)
+            assert r.beta(a, b) == x / (x + y), step
+        elif p < 0.75:
+            assert r.random() == twin.random()
+        elif p < 0.85:
+            assert r.normal() == twin.normal()
+        else:
+            size, method = script.randint(1, 40), script.choice(("random", "normal", "gamma"))
+            args = (script.choice(SCALAR_GAMMA_SHAPES),) if method == "gamma" else ()
+            want = getattr(twin, method)(*args, size=size)
+            assert getattr(r, method)(*args, size=size).tolist() == want.tolist(), step
+        # the block is refilled at the same reads
+        assert (r._i, len(r._u)) == (twin._i, len(twin._u)), step
+    assert (r._i, r._u) == (twin._i, twin._u)
+    assert r.random(5).tolist() == twin.random(5).tolist()
