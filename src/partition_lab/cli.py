@@ -149,8 +149,6 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
         if ns.alpha is None or ns.theta is None:
             raise ParameterError("pass --alpha/--theta or --atoms")
         measure = regen.LevyImageMeasure.alpha_theta(parse_scalar(ns.alpha), parse_scalar(ns.theta))
-        # a theta past the float range exits 2 before the matrix is built
-        core.float_param("--theta", measure.theta)
     matrix = regen.decrement_from_phi(measure, ns.n_max)
     lines = []
     if ns.format == "json":

@@ -808,12 +808,6 @@ def break_sticks(
     return lengths, remaining
 
 
-def rank(freq: FrequencyVector) -> RankedFrequencies:
-    """Sort frequencies nonincreasing; dust and residual pool into the deficit."""
-    entries = tuple(sorted(freq.entries, reverse=True))
-    return RankedFrequencies(entries, deficit=freq.dust + freq.residual)
-
-
 # ---------------------------------------------------------------------------
 # interval sets
 

@@ -19,17 +19,15 @@ rules over them.
 
 A law passed in as an `ExactLaw` (a perturbed law, which need not be
 exchangeable) is checked set partition by set partition, on the word
-walk `_deletion_walk`; it is also the reference the type walk is
-tested against for n <= 8.  A set partition of [n] is enumerated as its
-restricted-growth assignment word: `exact_law` keys its law by word and
-builds `SetPartition` objects only when the public `ExactLaw.probs`
-mapping is read.  The words of [n] and their block sizes are
-enumerated once per n <= 10, by `_word_table`, and kept for the
-process.  The word walk's exact gap loops (remainder laws, xi orders)
-cross-multiply: each word's integer numerators are compared with its
-target's, and a Fraction deviation is built only where the gap is
-nonzero.  scipy is imported inside `chi_square` and `ks_two_sample`,
-so importing the library does not load it.
+walk `_deletion_walk`, the plain reference the type walk is tested
+against for n <= 8: each remainder word's mass, divided by the mass of
+its deleted size, is compared with its target.  A set partition of [n]
+is enumerated as its restricted-growth assignment word: `exact_law`
+keys its law by word and builds `SetPartition` objects only when the
+public `ExactLaw.probs` mapping is read.  The words of [n] and their
+block sizes are enumerated once per n <= 10, by `_word_table`, and kept
+for the process.  scipy is imported inside `chi_square` and
+`ks_two_sample`, so importing the library does not load it.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .samplers import order_probability, tau_pick_law
 
 MAX_ENUM_N = 12
 MAX_EXACT_N = 10  # exact_law's bound, and the largest n whose word table is kept
-MAX_TYPE_N = 20  # the type walk's bound, and the largest n whose type table is kept
+MAX_TYPE_N = 20  # the type walk's bound
 MIN_EXPECTED = 5.0  # chi_square pools cells expected below this count
 
 
@@ -215,62 +213,27 @@ def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[Scalar], in
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _remainder_distance(joint: dict[bytes, Scalar], mass: Scalar, den: int | None,
-                        r: int, params: ExtParams, memo: dict[tuple[int, ...], Scalar]) -> Scalar:
-    """Worst gap between joint / mass and the law of params on [r].
-
-    joint maps remainder words to their mass (numerators over den when
-    den is not None, so the quotient needs no den); words of [r] it lacks
-    have conditional mass 0.  The target eppf is memoized by block sizes.
-    With den set and an exact target t, a word is tested by the integer
-    gap |v t.den - t.num mass|, and only a nonzero gap builds its
-    Fraction deviation, gap / |mass t.den|.
-    """
-    worst: Scalar = 0
-    for word, sizes in zip(*_word_table(r)):
-        target = memo.get(sizes)
-        if target is None:
-            target = memo[sizes] = eppf(params, sizes)
-        v = joint.get(word)
-        if den is not None and is_exact(target):
-            gap = abs((v or 0) * target.denominator - target.numerator * mass)
-            if not gap:
-                continue
-            dev = Fraction(gap, abs(mass) * target.denominator)
-        else:
-            if v is None:
-                cond: Scalar = 0
-            else:
-                cond = Fraction(v, mass) if den is not None else exact_div(v, mass)
-            dev = abs(cond - target)
-        worst = dev if dev > worst else worst
-    return worst
-
-
 def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[Scalar]],
                    deleted_sizes: range, size_target: Callable[[int], Scalar],
                    remainder_params: Callable[[], ExtParams]) -> Scalar:
-    """Worst deviation of a block deletion from its targets.
+    """Worst deviation of a block deletion from its targets, word by word.
 
     A partition with block sizes b loses block j with chance row(b)[j - 1]
     (blocks past the row's end stay).  For m in deleted_sizes, the mass of
-    deleting size m must be size_target(m), and given m < n with mass, the
-    relabeled remainder must follow remainder_params() on [n - m]; that is
-    called only then, as some parameters cannot shift.  Rows are built
-    once per size vector, p read per word (a passed-in law need not be a
-    function of the sizes).  The walk reads the law's words and values and
-    keys remainders by assignment word, so it builds no `SetPartition`;
-    the masses are collected per key and added once: exact ones as integer
-    numerators over the law's denominator times the rows', float ones by
-    math.fsum, so their sums do not drift with Bell(n).  A law on the kept
-    word table of [n] (every `exact_law` and its `perturbed` laws) reuses
-    the table's block sizes.
+    deleting size m must be size_target(m), and given m < n with mass, each
+    relabeled remainder word of [n - m] must have the conditional mass
+    eppf(remainder_params(), sizes); that is called only then, as some
+    parameters cannot shift.  Rows are built once per size vector, p read
+    per word (a passed-in law need not be a function of the sizes).  The
+    walk reads the law's words and values and keys remainders by
+    assignment word, so it builds no `SetPartition`.  The masses are
+    collected per key and added once: exact ones as integer numerators
+    over the law's denominator times the rows', float ones by math.fsum,
+    so their sums do not drift with Bell(n).
     """
     if law.n != n:
         raise ParameterError(f"law is on [{law.n}], check needs [{n}]")
-    words, keys = _WORD_TABLES.get(n, (None, None))
-    if law.words is not words:
-        keys = list(map(_block_sizes, law.words))
+    keys = list(map(_block_sizes, law.words))
     rows = {key: row(key) for key in dict.fromkeys(keys)}
     probs = law.values
     law_num, law_den = _over_common_denominator(probs)
@@ -289,7 +252,7 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
             w = p * d
             size_terms.setdefault(m, []).append(w)
             joint_terms.setdefault(_remainder_word(word, j), []).append(w)
-    add = sum if den is not None else math.fsum
+    add = math.fsum if den is None else lambda terms: Fraction(sum(terms), den)
     size_mass = {m: add(t) for m, t in size_terms.items()}
     joint = {rem: add(t) for rem, t in joint_terms.items()}
     worst: Scalar = 0
@@ -297,14 +260,19 @@ def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[
     memo: dict[tuple[int, ...], Scalar] = {}
     for m in deleted_sizes:
         mass = size_mass.get(m, 0)
-        dev = abs((mass if den is None else Fraction(mass, den)) - size_target(m))
+        dev = abs(mass - size_target(m))
         worst = dev if dev > worst else worst
         if m == n or mass == 0:
             continue
         if target is None:
             target = remainder_params()
-        dev = _remainder_distance(joint, mass, den, n - m, target, memo)
-        worst = dev if dev > worst else worst
+        for word, sizes in zip(*_word_table(n - m)):
+            t = memo.get(sizes)
+            if t is None:
+                t = memo[sizes] = eppf(target, sizes)
+            v = joint.get(word)
+            dev = abs((0 if v is None else exact_div(v, mass)) - t)
+            worst = dev if dev > worst else worst
     return worst
 
 
@@ -318,9 +286,7 @@ def _integer_partitions(r: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-_TYPE_TABLES: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
-
-
+@functools.cache
 def _type_table(r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(lambda, N(lambda)) for each integer partition lambda of r.
 
@@ -329,20 +295,14 @@ def _type_table(r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         N(lambda) = r! / (prod_i lambda_i! prod_j m_j!),
 
     with m_j the number of parts equal to j, is the number of set
-    partitions of [r] with block sizes lambda.  Built once per
-    r <= MAX_TYPE_N and kept for the process; a larger r is built afresh
-    on each call and never kept.
+    partitions of [r] with block sizes lambda.  Built once per r and kept
+    for the process; every caller has checked r <= MAX_TYPE_N.
     """
-    table = _TYPE_TABLES.get(r)
-    if table is None:
-        table = tuple(
-            (lam, math.factorial(r)
-             // math.prod(map(math.factorial, lam + tuple(Counter(lam).values()))))
-            for lam in _integer_partitions(r, r)
-        )
-        if r <= MAX_TYPE_N:
-            _TYPE_TABLES[r] = table
-    return table
+    return tuple(
+        (lam, math.factorial(r)
+         // math.prod(map(math.factorial, lam + tuple(Counter(lam).values()))))
+        for lam in _integer_partitions(r, r)
+    )
 
 
 def _check_type_n(n: int) -> None:

@@ -172,14 +172,7 @@ class ScaledBeta:
         # B(x, y) = Gamma(y) Gamma(x) / Gamma(x + y) = (1)_{y-1} / (x)_y
         return _log_rising_ratio([(1, self.y - 1)], [(self.x, self.y)], [self.c])
 
-    def __mul__(self, s: Scalar) -> "ScaledBeta":
-        return ScaledBeta(self.c * s, self.x, self.y)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> Scalar:
-        if not isinstance(other, ScaledBeta):
-            return ScaledBeta(exact_div(self.c, other), self.x, self.y)
+    def __truediv__(self, other: "ScaledBeta") -> Scalar:
         if other.c == 0:
             raise ZeroDivisionError("division by a zero ScaledBeta")
         if self.c == 0:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -335,9 +336,7 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n-max", "3"),
         ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400 + "/3", "--n-max", "3"),
         ("verify", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n", "3"),
-        # exact parameters, or an atom weight, past the float range: phi values print as floats
-        ("phi", "--alpha", "1/3", "--theta", "1" + "0" * 400, "--n-max", "3"),
-        ("phi", "--alpha", "1/3", "--theta", "1" + "0" * 400, "--n-max", "3", "--format", "json"),
+        # an atom weight past the float range: phi values print as floats
         ("phi", "--atoms", "1/2:1" + "0" * 400, "--n-max", "3"),
         ("phi", "--atoms", "1/2:1" + "0" * 400, "--n-max", "3", "--format", "json"),
         # the leem suite never reads --n, so only the up-front size check rejects it
@@ -353,6 +352,21 @@ def test_domain_errors_exit_2(capsys, args):
     rc, out, err = run(capsys, *args)
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_phi_runs_with_an_exact_theta_past_the_float_range(capsys, form):
+    # phi(1) = B(2/3, 1 + theta) = Gamma(2/3) theta^(-2/3) (1 + O(1/theta)),
+    # theta = 10^400; the phi(n, m) with m >= 2 underflow to 0.0
+    rc, out, err = run(capsys, "phi", "--alpha", "1/3", "--theta", "1" + "0" * 400, "--n-max", "3",
+                       "--format", form)
+    assert rc == 0 and not err
+    if form == "json":
+        phi = [row["phi_n"] for row in json.loads(out)["phi"]]
+    else:
+        phi = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert phi[0] == pytest.approx(2.91735866309473e-267, rel=1e-12)
+    assert all(math.isfinite(v) for v in phi)
 
 
 @pytest.mark.parametrize("command", ["eppf", "decrement", "phi", "verify"])

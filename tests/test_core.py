@@ -27,7 +27,6 @@ from partition_lab.core import (
     exact_div,
     parse_scalar,
     partition_from_assignment,
-    rank,
     rising_ratio,
     scalar_from_json,
     scalar_to_json,
@@ -251,15 +250,6 @@ def test_break_sticks_stopping_rules():
     # without eps a leftover that underflows to 0.0 does not end the loop
     lengths, leftover = break_sticks([1 - 2.0 ** -53] * 40 + [0.5])
     assert len(lengths) == 41 and leftover == 0.0
-
-
-def test_rank_pools_dust_and_residual():
-    fv = FrequencyVector(
-        (Fraction(1, 6), Fraction(1, 2)), dust=Fraction(1, 12), residual=Fraction(1, 4)
-    )
-    rk = rank(fv)
-    assert rk.entries == (Fraction(1, 2), Fraction(1, 6))
-    assert rk.deficit == Fraction(1, 3)
 
 
 def test_frequency_vector_mass_check():

@@ -61,27 +61,44 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _bound(func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
+    """The names a function binds in its own scope: its arguments and the names it stores."""
+    names = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _definitions_and_reads(sources: dict[str, str]) -> tuple[list[tuple[str, str, bool]], set[str]]:
     """Definitions as (module, name, is function or class), and every name read.
 
     The definitions are the module-level names and the private methods of
     module-level classes, named Class._method.  A read is a name or
     attribute access; one inside the name's own definition (a recursive
-    call) does not count.
+    call) does not count, nor does a name read in a function that binds
+    it itself (an argument or a store), as that reads the local.
     """
     defined = []
     reads = set()
 
-    def read(tree: ast.AST, own: set[str]) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            if name not in own:
-                reads.add(name)
+    def read(node: ast.AST, own: set[str], local: frozenset[str] = frozenset()) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _bound(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in own | local:
+                reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            read(child, own, local)
 
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
@@ -144,9 +161,18 @@ def test_library_private_names_are_read():
 
 
 def test_uncalled_public_names_are_found():
-    sources = {"a": "LIMIT = 1\ndef walk(n):\n    return walk(n - 1) if n else helper()\ndef helper(): pass\nclass Spare: pass\n"}
-    assert uncalled_public_names(sources, {}) == ["a.walk", "a.Spare"]
-    assert uncalled_public_names(sources, {"bench": "import a\na.walk(3)\n"}) == ["a.Spare"]
+    sources = {
+        "a": "LIMIT = 1\ndef walk(n):\n    return walk(n - 1) if n else helper()\ndef helper(): pass\nclass Spare: pass\n",
+        # a function's own argument or local is no read of the same-named
+        # function, and a nested function's argument does not hide a read
+        # in the function around it
+        "b": ("def rank(x): pass\ndef order(): pass\n"
+              "def cover(xs, order):\n    rank = len(xs)\n    sort = lambda rank: rank\n    return sort(rank), order\n"
+              "def tally(xs):\n    def inner(order): return order\n    return inner(xs), order()\n"),
+    }
+    assert uncalled_public_names(sources, {}) == ["a.walk", "a.Spare", "b.rank", "b.cover", "b.tally"]
+    assert uncalled_public_names(sources, {"bench": "import a\na.walk(3)\n"}) == [
+        "a.Spare", "b.rank", "b.cover", "b.tally"]
 
 
 # Public names that no library module or perfbench script reads, kept on purpose
