@@ -413,6 +413,21 @@ def test_type_table_counts_the_set_partitions():
     assert _type_table(20) is _type_table(20)
 
 
+@pytest.mark.parametrize("check", [eppf_total, deletion_law_check, tau_regen_check])
+def test_type_table_is_built_only_within_the_bound(check, monkeypatch):
+    # _type_table keeps every table it builds, so each caller checks n
+    # against MAX_TYPE_N before it asks for one
+    calls = []
+    real = oracle._type_table
+    monkeypatch.setattr(oracle, "_type_table", lambda r: calls.append(r) or real(r))
+    for n in (0, oracle.MAX_TYPE_N + 1, 10**6):
+        with pytest.raises(ParameterError):
+            check(_HALF, n)
+    assert calls == []
+    check(_HALF, oracle.MAX_TYPE_N)
+    assert calls and max(calls) <= oracle.MAX_TYPE_N
+
+
 @pytest.mark.parametrize("params", _VERIFY_GRID + _FLOAT_POINTS, ids=str)
 def test_eppf_total_is_the_exact_law_total(params):
     for n in range(1, 9):
