@@ -6,9 +6,9 @@ exact in, exact out, unless a routine is documented as float-only
 (numerical series, gamma-function evaluations).  Mixing an exact scalar
 with a float falls through to float, matching Python semantics.
 
-Ratios of rising factorials go through rising_ratio: one integer
-quotient, reduced once, when every operand is exact; otherwise the plain
-product, and log-gamma only when a float product leaves its range.
+Ratios of rising factorials go through rising_ratio: the plain product
+in the mode of its operands, and log-gamma only when a float product
+leaves its range.
 Exact eppf, the (alpha, theta) decrement recurrences and
 eppf.stick_b_shape take their exact/float split from _integer_scale
 instead: in its integers A, T, L the powers of L cancel, so exact eppf
@@ -61,8 +61,6 @@ class ResidualPickError(RuntimeError):
 
 # Exact types, not isinstance: Fraction is an ABC, so isinstance against
 # it is slow, and every float value on an exact/float split would pay it.
-# Bools and subclasses are not exact; rising_ratio gives them the plain
-# product, which gives the same Fraction.
 _EXACT = {int, Fraction}
 
 
@@ -82,18 +80,6 @@ def exact_div(num: Scalar, den: Scalar) -> Scalar:
     return num / den
 
 
-def _rising_parts(x: Scalar, n: int) -> tuple[int, int]:
-    """(x)_n of an int or Fraction x as an integer numerator and denominator.
-
-    With x = p/q, (x)_n = p (p + q) ... (p + (n-1) q) / q^n; the pair is
-    not reduced, so callers multiply pairs and normalize once.
-    """
-    if not (isinstance(n, int) and n >= 0):
-        raise ParameterError(f"rising factorial needs integer n >= 0, got {n}")
-    p, q = x.numerator, x.denominator
-    return math.prod(range(p, p + n * q, q)), q ** n
-
-
 def rising_factorial(x: Scalar, n: int) -> Scalar:
     """(x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1.
 
@@ -101,10 +87,11 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
     products p (p + q) ... (p + (n-1) q) and q^n, reduced by a single gcd.
     Other bases multiply the factors in turn.
     """
-    if type(x) is Fraction and n:  # not isinstance, see _EXACT
-        return Fraction(*_rising_parts(x, n))
     if not (isinstance(n, int) and n >= 0):
         raise ParameterError(f"rising factorial needs integer n >= 0, got {n}")
+    if type(x) is Fraction and n:  # not isinstance, see _EXACT
+        p, q = x.numerator, x.denominator
+        return Fraction(math.prod(range(p, p + n * q, q)), q ** n)
     out: Scalar = 1
     for i in range(n):
         out = out * (x + i)
@@ -114,17 +101,13 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
 def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence = ()) -> Scalar:
     """prod(factors) * prod (x)_n over (x, n) in num / prod (y)_m over (y, m) in den.
 
-    When every factor and base is an int or a Fraction, the integer
-    numerators and denominators of all terms are multiplied and the
-    result is one Fraction, reduced once; a zero denominator raises
-    ZeroDivisionError.  Otherwise the plain product goes factors,
-    / denominator, * numerator terms, and a float base makes the result a
-    float even when its length is 0.  A float denominator or result out of
-    range (inf, nan, 0) sends the ratio to log-gamma, which needs x, y > 0
-    and nonzero factors.
+    The plain product goes factors, / denominator, * numerator terms:
+    exact operands give an exact result, and a zero denominator raises
+    ZeroDivisionError; a float base makes the result a float even when
+    its length is 0.  A float denominator or result out of range (inf,
+    nan, 0) sends the ratio to log-gamma, which needs x, y > 0 and
+    nonzero factors.
     """
-    if _exact_operands(num, den, factors):
-        return _exact_ratio(num, den, factors)
     try:
         out: Scalar = 1
         for f in factors:
@@ -148,39 +131,6 @@ def rising_ratio(num: Sequence[tuple], den: Sequence[tuple], factors: Sequence =
     if isinstance(out, float) and not 0.0 < abs(out) < math.inf:
         return _log_rising_ratio(num, den, factors)
     return out
-
-
-def _exact_operands(num, den, factors) -> bool:
-    """True when every factor and base is exactly an int or a Fraction."""
-    for f in factors:
-        if type(f) not in _EXACT:
-            return False
-    for terms in (den, num):
-        for (b, _) in terms:
-            if type(b) not in _EXACT:
-                return False
-    return True
-
-
-def _exact_ratio(num, den, factors) -> Fraction:
-    """rising_ratio of exact operands as one integer quotient."""
-    top = bottom = 1
-    for f in factors:
-        top *= f.numerator
-        bottom *= f.denominator
-    for (y, m) in den:
-        if m:
-            p, q = _rising_parts(y, m)
-            top *= q
-            bottom *= p
-    if not bottom:  # before the numerator lengths are checked, as the plain product does
-        raise ZeroDivisionError("rising_ratio denominator is zero")
-    for (x, n) in num:
-        if n:
-            p, q = _rising_parts(x, n)
-            top *= p
-            bottom *= q
-    return Fraction(top, bottom)
 
 
 # A triangle(first, step, last, n_max, diagonal_lanes) returns the rows
@@ -357,18 +307,6 @@ def scalar_to_json(x: Scalar):
     return x
 
 
-def scalar_from_json(v) -> Scalar:
-    if isinstance(v, dict):
-        return Fraction(v["num"], v["den"])
-    if v == "inf":
-        return math.inf
-    if isinstance(v, bool):
-        raise ParameterError("boolean is not a scalar")
-    if isinstance(v, (int, float)):
-        return v
-    raise ParameterError(f"cannot decode scalar from {v!r}")
-
-
 def _mass_ok(total: Scalar, target: Scalar = 1) -> bool:
     if is_exact(total) and is_exact(target):
         return total == target
@@ -391,9 +329,8 @@ class JsonRecord:
 
     to_json writes every field that is not None under the field's name:
     tuples become lists, bools and strings stay as they are, and every
-    other value goes through scalar_to_json.  Decoding stays with each
-    type's from_json, which knows the field types and goes through the
-    validating constructor.
+    other value goes through scalar_to_json.  The encoding is write-only:
+    the CLI prints records and nothing reads them back.
     """
 
     def to_json(self) -> dict:
@@ -505,17 +442,6 @@ class ExtParams(JsonRecord):
             return self
         return ExtParams(self.kind, float(self.alpha), float(self.theta), self.m)
 
-    @classmethod
-    def from_json(cls, d: dict) -> "ExtParams":
-        kind = d["kind"]
-        if kind == TWO_PARAM:
-            return cls.two_param(scalar_from_json(d["alpha"]), scalar_from_json(d["theta"]))
-        if kind == NEG_ALPHA:
-            return cls.neg_alpha(scalar_from_json(d["alpha"]), d["m"])
-        if kind == COUPON:
-            return cls.coupon(d["m"])
-        raise ParameterError(f"unknown parameter kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # compositions and set partitions
@@ -551,10 +477,6 @@ class Composition(JsonRecord):
         for p in reversed(self.parts):
             out.append(out[-1] + p)
         return tuple(reversed(out))
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Composition":
-        return cls(tuple(d["parts"]))
 
 
 @dataclass(frozen=True)
@@ -610,10 +532,6 @@ class SetPartition(JsonRecord):
             for e in b:
                 word[e - 1] = j
         return tuple(word)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SetPartition":
-        return canonicalize([tuple(b) for b in d["blocks"]], n=d["n"])
 
 
 def canonicalize(blocks: Iterable[Iterable[int]], n: int | None = None) -> SetPartition:
@@ -690,10 +608,6 @@ class ResidualFractions(JsonRecord):
                 return cls(tuple(kept), terminated=True)
         return cls(tuple(kept), terminated=False)
 
-    @classmethod
-    def from_json(cls, d: dict) -> "ResidualFractions":
-        return cls(tuple(scalar_from_json(w) for w in d["fractions"]), d["terminated"])
-
 
 @dataclass(frozen=True)
 class FrequencyVector(JsonRecord):
@@ -723,38 +637,6 @@ class FrequencyVector(JsonRecord):
     @property
     def k(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "FrequencyVector":
-        return cls(
-            tuple(scalar_from_json(p) for p in d["entries"]),
-            scalar_from_json(d["dust"]),
-            scalar_from_json(d["residual"]),
-        )
-
-
-@dataclass(frozen=True)
-class RankedFrequencies(JsonRecord):
-    """Frequencies sorted nonincreasing; the deficit from 1 is dust."""
-
-    entries: tuple[Scalar, ...]
-    deficit: Scalar = 0
-
-    def __post_init__(self):
-        prev = 1
-        for p in self.entries:
-            if not (0 <= p <= 1):
-                raise ParameterError(f"frequency {p} outside [0, 1]")
-            if p > prev:
-                raise ParameterError("entries must be nonincreasing")
-            prev = p
-        total = sum(self.entries) + self.deficit
-        if not (0 <= self.deficit <= 1) or not _mass_ok(total):
-            raise ParameterError("entries and deficit must account for mass 1")
-
-    @classmethod
-    def from_json(cls, d: dict) -> "RankedFrequencies":
-        return cls(tuple(scalar_from_json(p) for p in d["entries"]), scalar_from_json(d["deficit"]))
 
 
 def check_eps(eps: float) -> None:
@@ -861,10 +743,3 @@ class IntervalSet(JsonRecord):
         if i >= 0 and self.intervals[i][0] < u < self.intervals[i][1]:
             return i
         return None
-
-    @classmethod
-    def from_json(cls, d: dict) -> "IntervalSet":
-        return cls(
-            tuple((scalar_from_json(l), scalar_from_json(r)) for l, r in d["intervals"]),
-            scalar_from_json(d["residual"]),
-        )

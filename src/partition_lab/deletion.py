@@ -60,7 +60,6 @@ from .core import (
     exact_div,
     rising_ratio,
     UnsupportedKernelError,
-    scalar_from_json,
 )
 from .samplers import RngHandle, _pick
 import math
@@ -120,10 +119,6 @@ class DecrementMatrix(JsonRecord):
 
     def row_sums(self) -> tuple[Scalar, ...]:
         return tuple(sum(r) for r in self.rows)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "DecrementMatrix":
-        return cls(d["n_max"], tuple(tuple(scalar_from_json(v) for v in r) for r in d["rows"]))
 
 
 def decrement_entry(params: ExtParams, n: int, m: int) -> Scalar:

@@ -66,9 +66,6 @@ class BetaParams:
         """E[W^i (1-W)^j] = (a)_i (b)_j / (a+b)_{i+j} for W ~ beta(a, b)."""
         return rising_ratio(((self.a, i), (self.b, j)), ((self.a + self.b, i + j),))
 
-    def mean(self) -> Scalar:
-        return exact_div(self.a, self.a + self.b)
-
 
 def stick_fraction_law(params: ExtParams, i: int) -> BetaParams | Scalar:
     """Law of the i-th stick-breaking fraction W_i.

@@ -50,7 +50,6 @@ from .core import (
     rising_ratio,
     _integer_scale,
     _log_rising_ratio,
-    scalar_from_json,
 )
 from .deletion import DecrementMatrix
 from .eppf import stick_b_shape, stick_float_laws
@@ -103,22 +102,6 @@ class LevyImageMeasure(JsonRecord):
                 raise ParameterError(f"atom weight {w} must be positive")
             check_finite("atom weight", w)
         return cls(FINITE_ATOMS, atoms=atoms)
-
-    def scaled(self, c: Scalar) -> "LevyImageMeasure":
-        """The measure multiplied by c > 0 (atomic variant only)."""
-        if self.kind != FINITE_ATOMS:
-            raise ParameterError("scaling is supported for finite_atoms only")
-        if not (c > 0):
-            raise ParameterError(f"scale must be positive, got {c}")
-        return LevyImageMeasure.finite_atoms(tuple((u, c * w) for (u, w) in self.atoms))
-
-    @classmethod
-    def from_json(cls, d: dict) -> "LevyImageMeasure":
-        if d["kind"] == ALPHA_THETA:
-            return cls.alpha_theta(scalar_from_json(d["alpha"]), scalar_from_json(d["theta"]))
-        return cls.finite_atoms(
-            tuple((scalar_from_json(u), scalar_from_json(w)) for u, w in d["atoms"])
-        )
 
 
 def _log_beta_large_y(x: float, y: Scalar) -> float:

@@ -53,7 +53,6 @@ from .core import (
     FrequencyVector,
     IntervalSet,
     ParameterError,
-    RankedFrequencies,
     ResidualFractions,
     Scalar,
     SetPartition,
@@ -63,6 +62,7 @@ from .core import (
     check_size,
     exact_div,
     canonicalize,
+    float_param,
     rising_factorial,
 )
 from .eppf import stick_float_laws
@@ -386,7 +386,7 @@ def stick_fraction_matrix(params: ExtParams, k: int, count: int, rng: RngHandle)
 
 
 def paintbox_sample(
-    freqs: FrequencyVector | RankedFrequencies | IntervalSet,
+    freqs: FrequencyVector | IntervalSet,
     n: int,
     rng: RngHandle,
 ) -> SetPartition:
@@ -400,10 +400,6 @@ def paintbox_sample(
         iv = IntervalSet.from_lengths(
             [float(p) for p in freqs.entries],
             residual=float(freqs.dust) + float(freqs.residual),
-        )
-    elif isinstance(freqs, RankedFrequencies):
-        iv = IntervalSet.from_lengths(
-            [float(p) for p in freqs.entries], residual=float(freqs.deficit)
         )
     else:
         iv = freqs
@@ -441,6 +437,7 @@ def tau_pick_law(x: Sequence[Scalar], tau: Scalar) -> list[Scalar]:
     Index j is chosen with probability proportional to
     (1 - tau) x_j + tau (s - x_j), s = sum(x): tau = 0 is the
     size-biased pick, tau = 1/2 uniform, tau = 1 co-size-biased.
+    A float total past the float range is a ParameterError.
     """
     _check_weights(x)
     if any(v == 0 for v in x):
@@ -450,9 +447,14 @@ def tau_pick_law(x: Sequence[Scalar], tau: Scalar) -> list[Scalar]:
     k = len(x)
     if k == 1:
         return [1 if all_exact(tau, *x) else 1.0]
-    s = sum(x)
+    try:
+        s = sum(x)
+        total = s * (1 - tau + tau * (k - 1))  # >= s, so inf when s is
+        if isinstance(total, float) and not total < math.inf:
+            raise OverflowError
+    except OverflowError:  # also an exact weight past the float range meeting a float
+        raise ParameterError("tau-biased pick weights sum past the float range") from None
     weights = [(1 - tau) * v + tau * (s - v) for v in x]
-    total = s * (1 - tau + tau * (k - 1))
     return [exact_div(w, total) for w in weights]
 
 
@@ -566,13 +568,20 @@ def xi_arrangements(k: int, xi: Scalar, count: int, rng: RngHandle) -> np.ndarra
 
 
 def size_biased_perms(x: Sequence[float], count: int, rng: RngHandle) -> np.ndarray:
-    """Vectorized size-biased permutations of indices 1..k under weights x."""
+    """Vectorized size-biased permutations of indices 1..k under weights x.
+
+    The weights as floats, and their sum, must lie in the float range.
+    """
     check_size("count", count, 0)
     _check_weights(x)
     k = len(x)
-    w0 = np.asarray([float(v) for v in x])
+    w0 = np.asarray([float_param("weight", v) for v in x])
     if (w0 <= 0).any():
         raise ParameterError("need strictly positive weights")
+    # the running sum _pick_rows takes, left to right; every row's total is at most this
+    with np.errstate(over="ignore"):
+        if not w0.cumsum()[-1] < math.inf:
+            raise ParameterError("size-biased weights sum past the float range")
     alive = np.ones((count, k), dtype=bool)
     out = np.empty((count, k), dtype=np.int64)
     rows = np.arange(count)

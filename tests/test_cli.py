@@ -336,6 +336,10 @@ def test_verify_empty_selection_is_usage_error(capsys):
         ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n-max", "3"),
         ("phi", "--alpha", "0.3", "--theta", "1" + "0" * 400 + "/3", "--n-max", "3"),
         ("verify", "--alpha", "0.3", "--theta", "1" + "0" * 400, "--n", "3"),
+        # tau-biased pick weights whose float sum is past the float range:
+        # printed {"perm":[2,1]} every time before, though the law is uniform
+        ("order", "--x", "1e308,1e308", "--tau", "0", "--count", "4", "--seed", "1"),
+        ("order", "--x", "1" + "0" * 400 + ",1", "--tau", "0.5", "--count", "1", "--seed", "1"),
         # an atom weight past the float range: phi values print as floats
         ("phi", "--atoms", "1/2:1" + "0" * 400, "--n-max", "3"),
         ("phi", "--atoms", "1/2:1" + "0" * 400, "--n-max", "3", "--format", "json"),

@@ -143,16 +143,6 @@ def test_decrement_rejects_bounded_ranges():
         decrement_matrix(ExtParams.neg_alpha(-1, 3), 3)
 
 
-def test_decrement_json_round_trip():
-    import json
-
-    from partition_lab.deletion import DecrementMatrix
-
-    dm = decrement_matrix(ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)), 5)
-    again = DecrementMatrix.from_json(json.loads(dumps(dm.to_json())))
-    assert again == dm
-
-
 def _both_routes(params, n_max):
     measure = LevyImageMeasure.alpha_theta(params.alpha, params.theta)
     return decrement_matrix(params, n_max), decrement_from_phi(measure, n_max)

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_deletion import ulps
 
+from partition_lab import core
 from partition_lab.cli import _VERIFY_GRID
 from partition_lab.core import COUPON, ConvergenceError, ExtParams, ParameterError, rising_ratio
 from partition_lab.deletion import _compositions
@@ -51,7 +53,7 @@ def test_rising_factorial():
 
 def test_beta_moments_exact():
     w = BetaParams(Fraction(1, 2), Fraction(1, 2))
-    assert w.mean() == Fraction(1, 2)
+    assert w.moment(1, 0) == Fraction(1, 2)
     assert w.moment(2, 0) == Fraction(3, 8)
     assert w.moment(1, 1) == Fraction(1, 8)
     assert w.moment(0, 0) == 1
@@ -155,6 +157,62 @@ def test_float_eppf_stays_finite_past_171(alpha, theta, parts):
     want = float(eppf(ExtParams.two_param(alpha, theta), parts))
     got = eppf(ExtParams.two_param(float(alpha), float(theta)), parts)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# Float eppf and BetaParams.moment against their exact twins at the floats'
+# own values (tests/test_deletion.py::ulps).  Each grid runs on both routes
+# of rising_ratio: the plain product, and log-gamma once that leaves the
+# float range, which happens at smaller n for larger theta + 1 or a + b.
+# Each bound is twice the worst error measured when this gate was added:
+#   eppf (1/3, 1/7): plain 63.5 ulp at (100, 40, 20, 10, 1), log 43,749.5 at (3002,);
+#   eppf (0.3, 0.7): plain 12.9 ulp at (50, 30, 20), log 6,196.7 at (1000, 2);
+#   moment (0.5, 1.5): plain 2.5 ulp at (80, 80), log 45,724.2 at (2999, 1);
+#   moment (2.5, 0.1): plain 33.0 ulp at (80, 80), log 12,389.1 at (2999, 1).
+# On the log route the error grows with n, to about 15 n ulp.
+_EPPF_CASES = ((3, 1, 2), (50, 30, 20), (100, 40, 20, 10, 1), (150,), (171,), (172,), (300,),
+               (100, 100, 100), (1000, 2), (3002,))
+_MOMENT_CASES = ((2, 3), (60, 100), (80, 80), (85, 85), (86, 86), (200, 100), (400, 400), (1000, 30),
+                 (2999, 1))
+
+
+def _worst_by_route(monkeypatch, f, cases):
+    """{took log-gamma: worst ulps of f(float, case) against f(Fraction, case)} over the cases."""
+    log_calls = []
+    log_route = core._log_rising_ratio
+    monkeypatch.setattr(core, "_log_rising_ratio", lambda *a: log_calls.append(a) or log_route(*a))
+    worst = {}
+    for case in cases:
+        exact = f(Fraction, case)
+        del log_calls[:]
+        error = ulps(f(float, case), exact)
+        worst[bool(log_calls)] = max(worst.get(bool(log_calls), 0.0), error)
+    return worst
+
+
+@pytest.mark.parametrize(("alpha", "theta", "plain_bound", "log_bound"), [
+    (1 / 3, 1 / 7, 2 * 63.5, 2 * 43749.5),
+    (0.3, 0.7, 2 * 12.9, 2 * 6196.7),
+])
+def test_float_eppf_against_its_exact_twin(monkeypatch, alpha, theta, plain_bound, log_bound):
+    def f(kind, parts):
+        return eppf(ExtParams.two_param(kind(alpha), kind(theta)), parts)
+
+    worst = _worst_by_route(monkeypatch, f, _EPPF_CASES)
+    assert worst.keys() == {False, True}
+    assert worst[False] <= plain_bound and worst[True] <= log_bound
+
+
+@pytest.mark.parametrize(("a", "b", "plain_bound", "log_bound"), [
+    (0.5, 1.5, 2 * 2.5, 2 * 45724.2),
+    (2.5, 0.1, 2 * 33.0, 2 * 12389.1),
+])
+def test_float_beta_moment_against_its_exact_twin(monkeypatch, a, b, plain_bound, log_bound):
+    def f(kind, ij):
+        return BetaParams(kind(a), kind(b)).moment(*ij)
+
+    worst = _worst_by_route(monkeypatch, f, _MOMENT_CASES)
+    assert worst.keys() == {False, True}
+    assert worst[False] <= plain_bound and worst[True] <= log_bound
 
 
 @given(

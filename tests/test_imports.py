@@ -5,7 +5,8 @@ marked ``# noqa: F401`` is skipped.  Every module-level private name
 (one leading underscore, not a dunder), and every private method of a
 module-level class, is read by the library outside its own definition;
 tests and perfbench do not count as readers.  Every module-level public
-function or class is read by the library or by the perfbench scripts,
+function or class, and every public method or property of a
+module-level class, is read by the library or by the perfbench scripts,
 save a short allow-list of references and criteria, and every name in
 ``__all__`` resolves on the package.  Also: importing
 the library and running an exact CLI command leave scipy unloaded.
@@ -80,11 +81,13 @@ def _bound(func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str
 def _definitions_and_reads(sources: dict[str, str]) -> tuple[list[tuple[str, str, bool]], set[str]]:
     """Definitions as (module, name, is function or class), and every name read.
 
-    The definitions are the module-level names and the private methods of
-    module-level classes, named Class._method.  A read is a name or
-    attribute access; one inside the name's own definition (a recursive
-    call) does not count, nor does a name read in a function that binds
-    it itself (an argument or a store), as that reads the local.
+    The definitions are the module-level names and the methods of
+    module-level classes other than dunders, named Class.method.  A read
+    is a name or attribute access; one inside the name's own definition
+    (a recursive call) does not count, nor does a name read in a function
+    that binds it itself (an argument or a store), as that reads the
+    local.  Reads go by name alone, so a method counts as read wherever
+    an attribute of its name is read.
     """
     defined = []
     reads = set()
@@ -115,7 +118,7 @@ def _definitions_and_reads(sources: dict[str, str]) -> tuple[list[tuple[str, str
                 read(stmt, names)
                 continue
             for part in (*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body):
-                method = isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(part.name)
+                method = isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)) and not part.name.startswith("__")
                 if method:
                     defined.append((module, f"{stmt.name}.{part.name}", True))
                 read(part, names | {part.name} if method else names)
@@ -133,12 +136,13 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
 
 
 def uncalled_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """Module-level public functions and classes of sources that neither sources nor readers read."""
+    """Public functions, classes and methods of sources that neither sources nor readers read."""
     defined, reads = _definitions_and_reads({**sources, **readers})
     return [
         f"{module}.{name}"
         for module, name, is_def in defined
-        if module in sources and is_def and not name.startswith("_") and "." not in name and name not in reads
+        if module in sources and is_def and not (short := name.rsplit(".", 1)[-1]).startswith("_")
+        and short not in reads
     ]
 
 
@@ -170,8 +174,14 @@ def test_uncalled_public_names_are_found():
               "def cover(xs, order):\n    rank = len(xs)\n    sort = lambda rank: rank\n    return sort(rank), order\n"
               "def tally(xs):\n    def inner(order): return order\n    return inner(xs), order()\n"),
     }
-    assert uncalled_public_names(sources, {}) == ["a.walk", "a.Spare", "b.rank", "b.cover", "b.tally"]
-    assert uncalled_public_names(sources, {"bench": "import a\na.walk(3)\n"}) == [
+    # a method's own recursive call and a dunder method are no reads and
+    # no definitions; another method's call is a read
+    sources["c"] = ("class Box:\n    def __len__(self): return self.size()\n"
+                    "    def size(self): return 0\n"
+                    "    def spare(self, n): return self.spare(n - 1) if n else 0\n")
+    assert uncalled_public_names(sources, {}) == [
+        "a.walk", "a.Spare", "b.rank", "b.cover", "b.tally", "c.Box", "c.Box.spare"]
+    assert uncalled_public_names(sources, {"bench": "import a, c\na.walk(3)\nc.Box().spare(1)\n"}) == [
         "a.Spare", "b.rank", "b.cover", "b.tally"]
 
 
@@ -181,6 +191,7 @@ KEPT_WITHOUT_CALLER = {
     "eppf.eppf_from_moments": "the stick-moment route that tests check eppf against",
     "eppf.first_color_count_law": "acceptance criterion 11",
     "eppf.residual_moment_family": "the moments behind eppf_from_moments",
+    "oracle.ExactLaw.perturbed": "criterion 03's perturbed-law control",
     "oracle.record_independence_residual": "the closed-form check of tau_perm_law(x, 0), golden-pinned",
 }
 

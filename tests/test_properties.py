@@ -1,12 +1,11 @@
-"""Property tests: JSON round trips, partition invariants, the float stick laws
-and rising factorials against their plain product.
+"""Property tests: partition invariants, the float stick laws and rising
+factorials against their plain product.
 
 Hypothesis runs with the derandomized profile of conftest.py, so each run
 draws the same examples.
 """
 
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
@@ -14,51 +13,22 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from partition_lab.core import (
-    Composition,
     ExtParams,
-    FrequencyVector,
-    IntervalSet,
     ParameterError,
-    RankedFrequencies,
-    ResidualFractions,
     SetPartition,
     canonicalize,
     delete_block,
-    dumps,
     parse_scalar,
     partition_from_assignment,
     rising_factorial,
     rising_ratio,
 )
-from partition_lab.deletion import decrement_matrix
 from partition_lab.eppf import BetaParams, stick_b_shape, stick_float_laws, stick_fraction_law
-from partition_lab.regen import LevyImageMeasure
-
-_weights = st.lists(st.integers(1, 1000), min_size=1, max_size=8)
-_alpha = st.fractions(0, 1, max_denominator=12).filter(lambda a: a < 1)
-_theta = st.fractions(0, 5, max_denominator=12)
 
 
 def _maybe_float(draw, values):
     """The values as they are (exact) or all turned to floats."""
     return [float(v) for v in values] if draw(st.booleans()) else list(values)
-
-
-def _shares(weights):
-    total = sum(weights)
-    return [Fraction(w, total) for w in weights]
-
-
-@st.composite
-def ext_params(draw):
-    kind = draw(st.sampled_from(["two_param", "neg_alpha", "coupon"]))
-    if kind == "coupon":
-        return ExtParams.coupon(draw(st.integers(1, 20)))
-    if kind == "neg_alpha":
-        alpha = -draw(st.fractions(0, 5, max_denominator=12).filter(lambda a: a > 0))
-        return ExtParams.neg_alpha(*_maybe_float(draw, [alpha]), draw(st.integers(1, 20)))
-    alpha, theta = draw(_alpha), draw(_theta)
-    return ExtParams.two_param(*_maybe_float(draw, [alpha, theta + 1]))
 
 
 @st.composite
@@ -68,88 +38,6 @@ def set_partitions(draw):
     for e, lab in enumerate(labels, start=1):
         blocks.setdefault(lab, []).append(e)
     return canonicalize(blocks.values(), n=len(labels))
-
-
-@st.composite
-def frequency_vectors(draw):
-    weights = draw(_weights) + [draw(st.integers(0, 1000)), draw(st.integers(0, 1000))]
-    *entries, dust, residual = _maybe_float(draw, _shares(weights))
-    return FrequencyVector(tuple(entries), dust, residual)
-
-
-@st.composite
-def ranked_frequencies(draw):
-    weights = draw(_weights) + [draw(st.integers(0, 1000))]
-    *entries, deficit = _maybe_float(draw, _shares(weights))
-    return RankedFrequencies(tuple(sorted(entries, reverse=True)), deficit)
-
-
-@st.composite
-def interval_sets(draw):
-    """Intervals laid out from 0 with gaps between them; the gap mass is the residual."""
-    weights = draw(_weights)
-    gaps = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
-    intervals, x, residual = [], Fraction(0), Fraction(0)
-    for w, gap in zip(_shares(weights), gaps):
-        if gap:
-            residual += w
-        else:
-            intervals.append((x, x + w))
-        x += w
-    if draw(st.booleans()):
-        intervals = [(float(l), float(r)) for (l, r) in intervals]
-        residual = float(residual)
-    return IntervalSet(tuple(intervals), residual)
-
-
-@st.composite
-def residual_fractions(draw):
-    ws = draw(st.lists(st.fractions(0, 1, max_denominator=50).filter(lambda w: w < 1),
-                       max_size=8))
-    if draw(st.booleans()):
-        ws.append(Fraction(1))
-    return ResidualFractions.from_raw(_maybe_float(draw, ws))
-
-
-@st.composite
-def levy_measures(draw):
-    if draw(st.booleans()):
-        alpha, theta = draw(_alpha), draw(_theta)
-        return LevyImageMeasure.alpha_theta(*_maybe_float(draw, [alpha, theta + 1]))
-    locs = draw(st.lists(st.fractions(0, 1, max_denominator=50).filter(lambda u: u > 0),
-                         min_size=1, max_size=5))
-    weights = _maybe_float(draw, [Fraction(w, 7) for w in draw(
-        st.lists(st.integers(1, 100), min_size=len(locs), max_size=len(locs)))])
-    return LevyImageMeasure.finite_atoms(tuple(zip(locs, weights)))
-
-
-@st.composite
-def decrement_matrices(draw):
-    alpha, theta = draw(_alpha), draw(_theta)
-    params = ExtParams.two_param(*_maybe_float(draw, [alpha, theta + 1]))
-    return decrement_matrix(params, draw(st.integers(1, 6)))
-
-
-@pytest.mark.parametrize("values", [
-    ext_params(),
-    st.lists(st.integers(1, 50), max_size=8).map(lambda p: Composition(tuple(p))),
-    set_partitions(),
-    frequency_vectors(),
-    ranked_frequencies(),
-    interval_sets(),
-    residual_fractions(),
-    levy_measures(),
-    decrement_matrices(),
-], ids=["ExtParams", "Composition", "SetPartition", "FrequencyVector", "RankedFrequencies",
-        "IntervalSet", "ResidualFractions", "LevyImageMeasure", "DecrementMatrix"])
-@given(data=st.data())
-def test_json_round_trip(values, data):
-    value = data.draw(values)
-    text = dumps(value.to_json())
-    again = type(value).from_json(json.loads(text))
-    assert again == value
-    # equal JSON text also pins each scalar's type (int, Fraction or float)
-    assert dumps(again.to_json()) == text
 
 
 @given(set_partitions(), st.randoms(use_true_random=False))

@@ -53,26 +53,13 @@ def test_measure_validation():
         LevyImageMeasure.finite_atoms([(0, 1)])
     with pytest.raises(ParameterError):
         LevyImageMeasure.finite_atoms([(Fraction(1, 2), 0)])
-    with pytest.raises(ParameterError):
-        LevyImageMeasure.alpha_theta(0, 1).scaled(2)
     for bad in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             LevyImageMeasure.alpha_theta(0.5, bad)
         with pytest.raises(ParameterError):
             LevyImageMeasure.finite_atoms([(Fraction(1, 2), 1), (1, bad)])
-    with pytest.raises(ParameterError):
-        LevyImageMeasure.finite_atoms([(1, 1)]).scaled(math.inf)
     huge = Fraction(10 ** 400, 3)
     assert LevyImageMeasure.alpha_theta(0, huge).theta == huge
-
-
-def test_measure_json_round_trip():
-    for m in (
-        LevyImageMeasure.alpha_theta(Fraction(1, 2), Fraction(1, 2)),
-        LevyImageMeasure.finite_atoms([(Fraction(1, 2), 3), (1, Fraction(2, 7))]),
-    ):
-        again = LevyImageMeasure.from_json(json.loads(dumps(m.to_json())))
-        assert again == m
 
 
 def test_scaled_beta_arithmetic():
@@ -115,6 +102,27 @@ def test_scaled_beta_float_matches_mpmath(x):
                 continue
             rel = abs(mpmath.mpf(got) / want - 1)
         assert rel <= (1e-12 if _series_route(x, y) else _LGAMMA_ROUTE_REL), y
+
+
+# At integer y, B(x, y) = (y - 1)! / (x)_y is an exact Fraction, a reference
+# CI can run without mpmath.  The grid is the quarter decades from 10 to
+# 5623 and three points at the route switch y = 1024 max(x, 2): 60 below,
+# 1 below and on it.  The bounds are twice the worst errors measured when
+# this gate was added: 6.55e-12 on the lgamma route, at x = 5/2, y = 2559
+# (2.35e-12 at x = 3/10, y = 1988), above _LGAMMA_ROUTE_REL, which the
+# mpmath grid's quarter decades never reach there; 2.93e-15 on the series
+# route, at x = 5/2, y = 2560.
+@pytest.mark.parametrize("x", _BETA_XS, ids=str)
+def test_scaled_beta_float_matches_the_exact_beta_at_integer_y(x):
+    switch = int(1024 * max(x, 2))  # an integer on this grid
+    ys = sorted({round(10 ** (k / 4)) for k in range(4, 16)} | {switch - 60, switch - 1, switch})
+    routes = set()
+    for y in ys:
+        exact = math.factorial(y - 1) / core.rising_factorial(Fraction(x), y)
+        rel = abs(Fraction(float(ScaledBeta(1, x, y))) / exact - 1)
+        routes.add(_series_route(x, y))
+        assert rel <= (2 * 2.93e-15 if _series_route(x, y) else 2 * 6.55e-12), y
+    assert routes == {False, True}
 
 
 def test_scaled_beta_float_keeps_the_shift_identity():
@@ -245,7 +253,8 @@ def test_decrement_from_phi_atomic_rows():
 
 def test_decrement_from_phi_scale_invariant():
     atoms = LevyImageMeasure.finite_atoms([(Fraction(1, 3), 2), (Fraction(3, 4), 1)])
-    assert decrement_from_phi(atoms.scaled(Fraction(7, 2)), 8) == decrement_from_phi(atoms, 8)
+    scaled = LevyImageMeasure.finite_atoms([(Fraction(1, 3), 7), (Fraction(3, 4), Fraction(7, 2))])
+    assert decrement_from_phi(scaled, 8) == decrement_from_phi(atoms, 8)
 
 
 # ---------------------------------------------------------------------------

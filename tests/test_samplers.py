@@ -456,6 +456,37 @@ def test_tau_pick_law_rejects():
         tau_pick_law((1, 2), 2)
 
 
+@pytest.mark.parametrize(("x", "tau"), [
+    # the float total is inf: the law read [nan, nan] and every pick fell to the last index
+    ((1e308, 1e308), 0),
+    ((1e308, 1e308, 1e308), Fraction(1, 2)),
+    ((1.7e308, 1e308), 1),
+    # a finite sum whose total s (1 - tau + tau (k - 1)) is inf: the law read zeros
+    ((1e308, 1e307, 1e307), 1),
+    # an exact weight past the float range meeting a float: OverflowError before
+    ((10 ** 400, 1), 0.5),
+    ((10 ** 400, 1.0), Fraction(1, 2)),
+])
+def test_tau_pick_rejects_a_total_past_the_float_range(x, tau):
+    with pytest.raises(ParameterError):
+        tau_pick_law(x, tau)
+    with pytest.raises(ParameterError):
+        tau_biased_perm(x, tau, RngHandle(1))
+
+
+def test_tau_pick_law_keeps_exact_weights_past_the_float_range():
+    assert tau_pick_law((10 ** 400, 10 ** 400), 0) == [Fraction(1, 2), Fraction(1, 2)]
+    # and float weights whose total stays in range
+    assert tau_pick_law((1e307, 1e307), 0) == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("x", [[1e308] * 3, [1.7e308, 1e308], [10 ** 400, 1]])
+def test_size_biased_perms_reject_weights_past_the_float_range(x):
+    # [1e308] * 3 warned of an overflow in _pick_rows and raised IndexError before
+    with pytest.raises(ParameterError):
+        size_biased_perms(x, 4, RngHandle(1))
+
+
 def test_tau_perm_probability_frozen_and_normalized():
     assert tau_perm_probability((1, 2), Fraction(1, 4), (1, 2)) == Fraction(5, 12)
     x = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
