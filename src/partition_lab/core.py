@@ -15,7 +15,9 @@ instead: in its integers A, T, L the powers of L cancel, so exact eppf
 is one integer quotient with no Fraction per factor.
 _log_rising_ratio is the one route past the float range: float eppf,
 decrement_entry, ScaledBeta and first_color_tail take it, so
-decrement_entry and ScaledBeta ratios stay finite past n = 1020.
+decrement_entry and ScaledBeta ratios stay finite past n = 1020.  A
+rising term (x)_n with x >= 1024 max(n, 2) takes log B(n, x) from an
+asymptotic series, where lgamma(x + n) - lgamma(x) would cancel.
 """
 
 from __future__ import annotations
@@ -260,6 +262,35 @@ def _integer_scale(
     return A, T, L, _exact_triangle
 
 
+def _log_beta_large_y(x: float, y: Scalar) -> float:
+    """log B(x, y) for y >= 1024 max(x, 2); y may be exact and past the float range.
+
+    log B(x, y) = lgamma(x) - x log y - sum over k >= 1 of
+    (-1)^(k+1) (B_{k+1}(x) - B_{k+1}(0)) / (k (k + 1) y^k), with B_j the
+    Bernoulli polynomials: the asymptotic series of
+    log Gamma(y + x) - log Gamma(y), here to k = 4.  With p = x (x - 1) and
+    q = 2x - 1 the numerators are p, p q / 2, p^2 and p q (3p - 1) / 6.
+    For x / y <= 1/1024 the remainder, about x (x / y)^5 / 30, is below
+    3e-17 x, under the rounding of lgamma(x).
+    """
+    p, q = x * (x - 1.0), 2.0 * x - 1.0
+    r = float(1 / y)
+    tail = r * (p / 2 + r * (-p * q / 12 + r * (p * p / 12 - r * p * q * (3 * p - 1) / 120)))
+    log_y = math.log(y.numerator) - math.log(y.denominator) if isinstance(y, Fraction) else math.log(y)
+    return math.lgamma(x) - x * log_y - tail
+
+
+def _log_rising(x, n) -> float:
+    """log (x)_n for x, x + n > 0.
+
+    lgamma(x + n) - lgamma(x) cancels when x is much larger than n, so a
+    base x >= 1024 max(n, 2) takes lgamma(n) - log B(n, x) from the series.
+    """
+    if x >= 1024 * max(n, 2):
+        return math.lgamma(n) - _log_beta_large_y(n, x)
+    return math.lgamma(x + n) - math.lgamma(x)
+
+
 def _log_rising_ratio(num, den, factors) -> float:
     """rising_ratio by log-gamma, for real n, m with x, y, x + n, y + m > 0."""
     sign, log_abs = 1.0, 0.0
@@ -271,10 +302,10 @@ def _log_rising_ratio(num, den, factors) -> float:
             log_abs += math.log(abs(f))
     for (x, n) in num:
         if n:
-            log_abs += math.lgamma(x + n) - math.lgamma(x)
+            log_abs += _log_rising(x, n)
     for (y, m) in den:
         if m:
-            log_abs -= math.lgamma(y + m) - math.lgamma(y)
+            log_abs -= _log_rising(y, m)
     return sign * math.exp(log_abs)  # OverflowError beyond the float range
 
 
@@ -406,14 +437,6 @@ class ExtParams(JsonRecord):
     def max_blocks(self) -> int | None:
         """Upper bound on the number of blocks, None when unbounded."""
         return self.m
-
-    def tau(self) -> Scalar:
-        """Deletion bias tau = alpha / (alpha + theta); needs alpha, theta >= 0."""
-        if self.kind != TWO_PARAM:
-            raise ParameterError("tau is defined on the two_param range only")
-        if self.alpha == 0 and self.theta == 0:
-            raise ParameterError("tau undefined at alpha = theta = 0")
-        return exact_div(self.alpha, self.alpha + self.theta)
 
     def xi(self) -> Scalar:
         """Order-bias parameter xi = theta / alpha, +inf when alpha = 0."""

@@ -4,30 +4,26 @@ Everything here recomputes laws by a second, slower route (enumerating
 set partitions, integer partitions, permutations, or rank sequences) so
 the closed-form modules can be checked against it.  Deviations are
 returned as numbers, 0 in exact arithmetic when a claimed identity
-holds; the perturbation hooks confirm that the checks actually reject
-wrong laws.
+holds; the deletion checks take the law under test as an EPPF, so a
+perturbed one confirms that they reject wrong laws.
 
 The partition law of an exchangeable family gives a set partition of
 [n] a probability p(lambda) that depends only on its block sizes
-lambda.  So the family's own checks (`deletion_law_check`,
-`tau_regen_check` and `eppf_total`) sum over the integer partitions
+lambda.  So the deletion checks (`deletion_law_check` and
+`tau_regen_check`) and `eppf_total` sum over the integer partitions
 lambda of n, each weighted by N(lambda), the number of set partitions
 of [n] with those block sizes: 627 types at n = 20, where [10] alone
 has 115,975 set partitions.  `_type_table` lists the types of each
 n <= MAX_TYPE_N once per process, and `_type_walk` runs both deletion
-rules over them.
+rules over them, for the family's EPPF or one passed in.
 
-A law passed in as an `ExactLaw` (a perturbed law, which need not be
-exchangeable) is checked set partition by set partition, on the word
-walk `_deletion_walk`, the plain reference the type walk is tested
-against for n <= 8: each remainder word's mass, divided by the mass of
-its deleted size, is compared with its target.  A set partition of [n]
-is enumerated as its restricted-growth assignment word: `exact_law`
-keys its law by word and builds `SetPartition` objects only when the
-public `ExactLaw.probs` mapping is read.  The words of [n] and their
-block sizes are enumerated once per n <= 10, by `_word_table`, and kept
-for the process.  scipy is imported inside `chi_square` and
-`ks_two_sample`, so importing the library does not load it.
+`exact_law` enumerates a set partition of [n] as its restricted-growth
+assignment word: it keys its law by word and builds `SetPartition`
+objects only when the public `ExactLaw.probs` mapping is read.  The
+words of [n] and their block sizes are enumerated once per n, by
+`_word_table`, and kept for the process.  scipy is imported inside
+`chi_square` and `ks_two_sample`, so importing the library does not
+load it.
 """
 
 from __future__ import annotations
@@ -105,23 +101,16 @@ def _block_sizes(word: bytes) -> tuple[int, ...]:
     return tuple(map(word.count, range(1, max(word, default=0) + 1)))
 
 
-_WORD_TABLES: dict[int, tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]] = {}
-
-
+@functools.cache
 def _word_table(n: int) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]:
     """The words of [n] in `_words` order and the block sizes of each.
 
-    Built once per n <= MAX_EXACT_N and kept for the process, so exact
-    laws and remainder comparisons do not enumerate [n] again; a larger
-    n is built afresh on each call and never kept.
+    Built once per n and kept for the process, so exact laws do not
+    enumerate [n] again; its one caller, `exact_law`, has checked
+    n <= MAX_EXACT_N.
     """
-    table = _WORD_TABLES.get(n)
-    if table is None:
-        words = tuple(_words(n))
-        table = words, tuple(map(_block_sizes, words))
-        if n <= MAX_EXACT_N:
-            _WORD_TABLES[n] = table
-    return table
+    words = tuple(_words(n))
+    return words, tuple(map(_block_sizes, words))
 
 
 @dataclass
@@ -151,18 +140,6 @@ class ExactLaw:
             return sum(self.values)
         return math.fsum(self.values)
 
-    def perturbed(self, pi: SetPartition, amount: Scalar) -> "ExactLaw":
-        """Add mass to one partition and renormalize; breaks exactness claims."""
-        word = bytes(pi.assignment_word())
-        try:
-            i = self.words.index(word)
-        except ValueError:
-            raise ParameterError("perturbation target is not a partition of [n]") from None
-        new = list(self.values)
-        new[i] = new[i] + amount
-        scale = 1 + amount
-        return ExactLaw(self.n, self.words, [exact_div(v, scale) for v in new])
-
 
 def exact_law(params: ExtParams, n: int) -> ExactLaw:
     """Exact partition law on [n] by direct enumeration, n <= 10.
@@ -185,20 +162,6 @@ def exact_law(params: ExtParams, n: int) -> ExactLaw:
     return ExactLaw(n, words, values)
 
 
-# _LOWER[j] maps each label c to c - (c > j); _LABEL[j] is label j alone
-_LOWER = [bytes(range(j + 1)) + bytes(range(j, 255)) for j in range(MAX_ENUM_N + 1)]
-_LABEL = [bytes((j,)) for j in range(MAX_ENUM_N + 1)]
-
-
-def _remainder_word(word: bytes, j: int) -> bytes:
-    """Assignment word of delete_block(pi, j), from the word of pi.
-
-    Dropping block j's entries and lowering the labels above j keeps
-    the labels in order of appearance, so the result is canonical.
-    """
-    return word.translate(_LOWER[j], _LABEL[j])
-
-
 def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[Scalar], int | None]:
     """Integer numerators of exact values over their least common denominator.
 
@@ -211,69 +174,6 @@ def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[Scalar], in
         return list(values), None
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _deletion_walk(law: ExactLaw, n: int, row: Callable[[tuple[int, ...]], list[Scalar]],
-                   deleted_sizes: range, size_target: Callable[[int], Scalar],
-                   remainder_params: Callable[[], ExtParams]) -> Scalar:
-    """Worst deviation of a block deletion from its targets, word by word.
-
-    A partition with block sizes b loses block j with chance row(b)[j - 1]
-    (blocks past the row's end stay).  For m in deleted_sizes, the mass of
-    deleting size m must be size_target(m), and given m < n with mass, each
-    relabeled remainder word of [n - m] must have the conditional mass
-    eppf(remainder_params(), sizes); that is called only then, as some
-    parameters cannot shift.  Rows are built once per size vector, p read
-    per word (a passed-in law need not be a function of the sizes).  The
-    walk reads the law's words and values and keys remainders by
-    assignment word, so it builds no `SetPartition`.  The masses are
-    collected per key and added once: exact ones as integer numerators
-    over the law's denominator times the rows', float ones by math.fsum,
-    so their sums do not drift with Bell(n).
-    """
-    if law.n != n:
-        raise ParameterError(f"law is on [{law.n}], check needs [{n}]")
-    keys = list(map(_block_sizes, law.words))
-    rows = {key: row(key) for key in dict.fromkeys(keys)}
-    probs = law.values
-    law_num, law_den = _over_common_denominator(probs)
-    row_num, row_den = _over_common_denominator([d for r in rows.values() for d in r])
-    den = None
-    if law_den is not None and row_den is not None:
-        den = law_den * row_den
-        probs, it = law_num, iter(row_num)
-        rows = {key: [next(it) for _ in r] for key, r in rows.items()}
-    # (block, size, chance) per size vector, zipped once, not per partition
-    picks = {key: list(zip(itertools.count(1), key, r)) for key, r in rows.items()}
-    size_terms: dict[int, list[Scalar]] = {}
-    joint_terms: dict[bytes, list[Scalar]] = {}
-    for word, key, p in zip(law.words, keys, probs):
-        for j, m, d in picks[key]:
-            w = p * d
-            size_terms.setdefault(m, []).append(w)
-            joint_terms.setdefault(_remainder_word(word, j), []).append(w)
-    add = math.fsum if den is None else lambda terms: Fraction(sum(terms), den)
-    size_mass = {m: add(t) for m, t in size_terms.items()}
-    joint = {rem: add(t) for rem, t in joint_terms.items()}
-    worst: Scalar = 0
-    target = None
-    memo: dict[tuple[int, ...], Scalar] = {}
-    for m in deleted_sizes:
-        mass = size_mass.get(m, 0)
-        dev = abs(mass - size_target(m))
-        worst = dev if dev > worst else worst
-        if m == n or mass == 0:
-            continue
-        if target is None:
-            target = remainder_params()
-        for word, sizes in zip(*_word_table(n - m)):
-            t = memo.get(sizes)
-            if t is None:
-                t = memo[sizes] = eppf(target, sizes)
-            v = joint.get(word)
-            dev = abs((0 if v is None else exact_div(v, mass)) - t)
-            worst = dev if dev > worst else worst
-    return worst
 
 
 def _integer_partitions(r: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -338,8 +238,7 @@ def _type_walk(p: Callable[[tuple[int, ...]], Scalar], n: int,
     size_target(m); given m < n with mass, each remainder word must have
     the conditional mass eppf(remainder_params(), mu), and that is called
     only then, as some parameters cannot shift.  p is read once per
-    integer partition of n, in descending order.  These are the
-    deviations that `_deletion_walk` finds on the law's words.
+    integer partition of n, in descending order.
     """
     worst: Scalar = 0
     target = None
@@ -372,7 +271,8 @@ def _type_walk(p: Callable[[tuple[int, ...]], Scalar], n: int,
     return worst
 
 
-def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> Scalar:
+def deletion_law_check(params: ExtParams, n: int,
+                       p: Callable[[tuple[int, ...]], Scalar] | None = None) -> Scalar:
     """Worst deviation in the delete-first-block characterization.
 
     Under the partition law on [n], condition on the block containing 1
@@ -380,31 +280,30 @@ def deletion_law_check(params: ExtParams, n: int, law: ExactLaw | None = None) -
     the shifted parameters (alpha, theta + alpha) on [n - m], and the
     size itself the law C(n-1, m-1) q(n : m).  Returns the largest
     absolute deviation across both claims (0 for the family; pass a
-    perturbed law to see the check fail).
+    perturbed EPPF to see the check fail).
 
     Per composition this is the factorization of p: the pair (size m,
     remainder rho) has mass C(n-1, m-1) p(m, rho), so the two claims
     together say p(lambda) = q(n : lambda_1) p'(lambda_2, ...) for every
     composition lambda of n, with p' the EPPF at the shifted parameters.
 
-    Without a law, the family's own law is checked over the integer
-    partitions of n <= MAX_TYPE_N, where every remainder word of sizes mu
-    has mass C(n-1, m-1) p(m, mu).  A passed-in law is checked word by
-    word, with the deletion row [1] on block 1, empty when that block is
-    all of [n].
+    The law under test is the EPPF p on descending block sizes, the
+    family's own by default; the targets are always the family's.  It is
+    checked over the integer partitions of n <= MAX_TYPE_N, where every
+    remainder word of sizes mu has mass C(n-1, m-1) p(m, mu).
     """
     def size_target(m):
         return math.comb(n - 1, m - 1) * q_first_block(params, n, m)
 
-    if law is not None:
-        return _deletion_walk(law, n, lambda sizes: [1] if len(sizes) > 1 else [], range(1, n),
-                              size_target, params.shifted)
     _check_type_n(n)
-    return _type_walk(functools.partial(eppf, params), n, lambda sizes: math.comb(n - 1, sizes[0] - 1),
-                      range(1, n), size_target, params.shifted)
+    if p is None:
+        p = functools.partial(eppf, params)
+    return _type_walk(p, n, lambda sizes: math.comb(n - 1, sizes[0] - 1), range(1, n), size_target,
+                      params.shifted)
 
 
-def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> Scalar:
+def tau_regen_check(params: ExtParams, n: int,
+                    p: Callable[[tuple[int, ...]], Scalar] | None = None) -> Scalar:
     """Worst deviation in the invariant-deletion characterization.
 
     Delete a block by the kernel at tau = alpha/(alpha + theta).  The
@@ -417,21 +316,17 @@ def tau_regen_check(params: ExtParams, n: int, law: ExactLaw | None = None) -> S
     with d the kernel's chance of deleting the block of size m, and both
     claims together say that it equals q(n, m) p(rho).
 
-    Without a law, the family's own law is checked over the integer
-    partitions of n <= MAX_TYPE_N: d depends only on m, n and the number
-    of blocks, so every remainder word of sizes mu has that mass.  A
-    passed-in law is checked word by word, each block deleted with its
-    kernel chance.
+    The law under test is the EPPF p on descending block sizes, the
+    family's own by default; the targets are always the family's.  It is
+    checked over the integer partitions of n <= MAX_TYPE_N: d depends
+    only on m, n and the number of blocks, so every remainder word of
+    sizes mu has that mass.
     """
-    size_target = functools.partial(decrement_entry, params, n)
-    if law is not None:
-        return _deletion_walk(law, n, lambda sizes: [deletion_kernel(sizes, j, params=params)
-                                                     for j in range(1, len(sizes) + 1)],
-                              range(1, n + 1), size_target, lambda: params)
     _check_type_n(n)
-    return _type_walk(functools.partial(eppf, params), n,
-                      lambda sizes: math.comb(n, sizes[0]) * deletion_kernel(sizes, 1, params=params),
-                      range(1, n + 1), size_target, lambda: params)
+    if p is None:
+        p = functools.partial(eppf, params)
+    return _type_walk(p, n, lambda sizes: math.comb(n, sizes[0]) * deletion_kernel(sizes, 1, params=params),
+                      range(1, n + 1), functools.partial(decrement_entry, params, n), lambda: params)
 
 
 def tau_perm_law(x: Sequence[Scalar], tau: Scalar) -> dict[tuple[int, ...], Scalar]:

@@ -49,6 +49,7 @@ from .core import (
     is_exact,
     rising_ratio,
     _integer_scale,
+    _log_beta_large_y,
     _log_rising_ratio,
 )
 from .deletion import DecrementMatrix
@@ -102,24 +103,6 @@ class LevyImageMeasure(JsonRecord):
                 raise ParameterError(f"atom weight {w} must be positive")
             check_finite("atom weight", w)
         return cls(FINITE_ATOMS, atoms=atoms)
-
-
-def _log_beta_large_y(x: float, y: Scalar) -> float:
-    """log B(x, y) for y >= 1024 max(x, 2); y may be exact and past the float range.
-
-    log B(x, y) = lgamma(x) - x log y - sum over k >= 1 of
-    (-1)^(k+1) (B_{k+1}(x) - B_{k+1}(0)) / (k (k + 1) y^k), with B_j the
-    Bernoulli polynomials: the asymptotic series of
-    log Gamma(y + x) - log Gamma(y), here to k = 4.  With p = x (x - 1) and
-    q = 2x - 1 the numerators are p, p q / 2, p^2 and p q (3p - 1) / 6.
-    For x / y <= 1/1024 the remainder, about x (x / y)^5 / 30, is below
-    3e-17 x, under the rounding of lgamma(x).
-    """
-    p, q = x * (x - 1.0), 2.0 * x - 1.0
-    r = float(1 / y)
-    tail = r * (p / 2 + r * (-p * q / 12 + r * (p * p / 12 - r * p * q * (3 * p - 1) / 120)))
-    log_y = math.log(y.numerator) - math.log(y.denominator) if isinstance(y, Fraction) else math.log(y)
-    return math.lgamma(x) - x * log_y - tail
 
 
 @dataclass(frozen=True)

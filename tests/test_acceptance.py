@@ -24,7 +24,6 @@ from partition_lab.eppf import (
 from partition_lab.oracle import (
     chi_square,
     deletion_law_check,
-    exact_law,
     iter_partitions,
     ks_two_sample,
     leem_check,
@@ -109,11 +108,14 @@ def test_criterion_03_deletion_characterization():
             ok = ok and deletion_law_check(params, n) == 0
     # bounded-colour range shifts down one colour
     ok = ok and ExtParams.coupon(4).shifted() == ExtParams.coupon(3)
-    # negative control: a perturbed law must be seen
+    # negative control: a perturbed law must be seen, here 1/1000 of mass
+    # moved onto the one-block partition of [5]
     params = ExtParams.two_param(0, 1)
-    law = exact_law(params, 5)
-    target = next(iter_partitions(5))
-    deviation = deletion_law_check(params, 5, law.perturbed(target, Fraction(1, 1000)))
+
+    def perturbed(sizes):
+        return (eppf(params, sizes) + (Fraction(1, 1000) if sizes == (5,) else 0)) / (1 + Fraction(1, 1000))
+
+    deviation = deletion_law_check(params, 5, perturbed)
     ok = ok and deviation > Fraction(1, 10_000)
     _verdict("03", ok, f"exact n<=8 grid, control deviation {float(deviation):.2e} > 1e-4")
 

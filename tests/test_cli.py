@@ -44,6 +44,19 @@ def test_float_eppf_text_is_finite_past_171(capsys):
     assert float(out) == pytest.approx(0.0016694490818030050, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(("args", "value"), [
+    (("--theta", "1e20", "--lambda", "40"), 0.0),
+    (("--theta", "1e20", "--lambda", "100,100"), 0.0),
+    (("--theta", "1e300", "--lambda", "2,1"), 5e-301),
+])
+def test_float_eppf_text_at_large_theta(capsys, args, value):
+    # the log route's lgamma(theta + n) - lgamma(theta) cancelled here: it
+    # printed 1.8e45 and 5.0e299 and raised OverflowError on 100,100
+    rc, out, err = run(capsys, "eppf", "--alpha", "0.5", *args)
+    assert rc == 0 and err == ""
+    assert float(out) == pytest.approx(value, rel=1e-12, abs=0)
+
+
 def test_eppf_json(capsys):
     rc, out, _ = run(capsys, "eppf", "--alpha", "0", "--theta", "1", "--lambda", "2,1", "--format", "json")
     assert rc == 0

@@ -135,16 +135,12 @@ def test_neg_alpha_and_coupon_validation():
         ExtParams.coupon(0)
 
 
-def test_tau_and_xi():
-    p = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
-    assert p.tau() == Fraction(1, 2)
-    assert p.xi() == 1
-    q = ExtParams.two_param(Fraction(1, 3), Fraction(2, 3))
-    assert q.tau() == Fraction(1, 3)
-    assert q.xi() == 2
+def test_xi():
+    assert ExtParams.two_param(Fraction(1, 2), Fraction(1, 2)).xi() == 1
+    assert ExtParams.two_param(Fraction(1, 3), Fraction(2, 3)).xi() == 2
     assert math.isinf(ExtParams.two_param(0, 1).xi())
     with pytest.raises(ParameterError):
-        ExtParams.coupon(3).tau()
+        ExtParams.coupon(3).xi()
     with pytest.raises(ParameterError):
         ExtParams.two_param(0, 0.0)  # theta > -alpha fails at 0, 0 only via float 0
 

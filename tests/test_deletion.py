@@ -308,6 +308,34 @@ def ulps(x: float, exact: Fraction) -> float:
     return float(abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact))))
 
 
+def worst_twin_ulps(f, cases) -> float:
+    """Worst ulps of f(float, case) against f(Fraction, case); a twin that underflows must give 0.0."""
+    worst = 0.0
+    for case in cases:
+        exact = f(Fraction, case)
+        got = f(float, case)
+        if float(exact) == 0:
+            assert got == 0.0, case
+        else:
+            worst = max(worst, ulps(got, exact))
+    return worst
+
+
+# At theta from 1e6 to 1e300 the base theta + n - m of q(n, m)'s rising
+# term is at least 1024 max(m, 2), so the log route takes log B from its
+# series; lgamma(x + m) - lgamma(x) cancelled there, 3.1e-9 relative off
+# at q(60, 52), theta = 1e6.  Each bound is twice the worst error
+# measured: 497.9 ulp at q(60, 52), theta = 1e6; 4.2 at q(30, 29), 1e10;
+# 1.2 at q(300, 2), 1e20; 73.6 at q(300, 2), 1e300.
+@pytest.mark.parametrize(("theta", "bound"), [(1e6, 2 * 497.9), (1e10, 2 * 4.2), (1e20, 2 * 1.2), (1e300, 2 * 73.6)],
+                         ids=str)
+def test_float_decrement_entry_at_large_theta_against_its_exact_twin(theta, bound):
+    def f(kind, nm):
+        return decrement_entry(ExtParams.two_param(kind(0.3), kind(theta)), *nm)
+
+    assert worst_twin_ulps(f, [(2, 1), (30, 1), (30, 29), (30, 30), (60, 52), (300, 2), (300, 300)]) <= bound
+
+
 # The exact route at Fraction(alpha), Fraction(theta), the floats' own
 # values, is the true value of every float entry.  Each bound is twice the
 # worst error the routes had when this gate was added: at (1/3, 1/7)
@@ -417,7 +445,7 @@ def test_tau_biased_pick_then_delete_block_matches_kernel_law():
     rng = RngHandle(3)
     counts = np.zeros(3, dtype=np.int64)
     for _ in range(3000):
-        j = tau_biased_pick(sizes.parts, params.tau(), rng)
+        j = tau_biased_pick(sizes.parts, params.alpha / (params.alpha + params.theta), rng)
         rest = delete_block(pi, j)
         assert rest.n == 6 - sizes.parts[j - 1]
         counts[j - 1] += 1

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_deletion import ulps
+from test_deletion import ulps, worst_twin_ulps
 
 from partition_lab import core
 from partition_lab.cli import _VERIFY_GRID
@@ -213,6 +213,51 @@ def test_float_beta_moment_against_its_exact_twin(monkeypatch, a, b, plain_bound
     worst = _worst_by_route(monkeypatch, f, _MOMENT_CASES)
     assert worst.keys() == {False, True}
     assert worst[False] <= plain_bound and worst[True] <= log_bound
+
+
+# Float eppf, BetaParams.moment and first_color_tail at theta (or b) from
+# 1e6 to 1e300 against their exact twins.  A rising term whose base is at
+# least 1024 max(n, 2) takes log B from its asymptotic series, where
+# lgamma(x + n) - lgamma(x) cancelled: eppf at theta = 1e12, lambda = (27,)
+# read 4.2e-3 relative off, at theta = 1e20, lambda = (40,) 1.8e45 for an
+# exact value that underflows, and moment(1, 20) of beta(2.5, 1e20) 2.5
+# for 2.5e-20.  Each bound is twice the worst error measured, in ulp:
+#   eppf (0.3, theta): 433.7 at 60 singletons, theta = 1e6; 184.5 at
+#     (2,) * 5 + (1,) * 50, 1e10; 8,191.9 and 163,840 at 60 singletons,
+#     1e20 and 1e300 (at 1e300 each factor theta + i alpha has a log near 690);
+#   moment beta(2.5, b): 3,089.3, 10,158.9 and 5,750.1 at (3, 200) for
+#     b = 1e6, 1e10, 1e20; 2,492.7 at (1, 20), 1e300;
+#   first_color_tail (0.3, theta): 221.6 at n = 10, m_cap = 10, theta = 1e6;
+#     483.3 and 187.8 at n = 3, m_cap = 10, 1e10 and 1e20; 0 at 1e300,
+#     where every case is 1 or underflows.
+_LARGE_EPPF_CASES = ((2, 1), (27,), (40,), (100, 100), (1,) * 20, (1,) * 60, (2,) * 5 + (1,) * 50)
+
+
+@pytest.mark.parametrize(("theta", "bound"), [(1e6, 2 * 433.7), (1e10, 2 * 184.5), (1e20, 2 * 8191.9),
+                                              (1e300, 2 * 163840)], ids=str)
+def test_float_eppf_at_large_theta_against_its_exact_twin(theta, bound):
+    def f(kind, parts):
+        return eppf(ExtParams.two_param(kind(0.3), kind(theta)), parts)
+
+    assert worst_twin_ulps(f, _LARGE_EPPF_CASES) <= bound
+
+
+@pytest.mark.parametrize(("b", "bound"), [(1e6, 2 * 3089.3), (1e10, 2 * 10158.9), (1e20, 2 * 5750.1),
+                                          (1e300, 2 * 2492.7)], ids=str)
+def test_float_beta_moment_at_large_b_against_its_exact_twin(b, bound):
+    def f(kind, ij):
+        return BetaParams(kind(2.5), kind(b)).moment(*ij)
+
+    assert worst_twin_ulps(f, [(1, 20), (20, 1), (1, 40), (2, 100), (3, 200)]) <= bound
+
+
+@pytest.mark.parametrize(("theta", "bound"), [(1e6, 2 * 221.6), (1e10, 2 * 483.3), (1e20, 2 * 187.8),
+                                              (1e300, 0)], ids=str)
+def test_float_first_color_tail_at_large_theta_against_its_exact_twin(theta, bound):
+    def f(kind, case):
+        return first_color_tail(ExtParams.two_param(kind(0.3), kind(theta)), *case)
+
+    assert worst_twin_ulps(f, [(n, m_cap) for n in (1, 3, 10) for m_cap in (0, 10, 100)]) <= bound
 
 
 @given(

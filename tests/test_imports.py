@@ -191,7 +191,6 @@ KEPT_WITHOUT_CALLER = {
     "eppf.eppf_from_moments": "the stick-moment route that tests check eppf against",
     "eppf.first_color_count_law": "acceptance criterion 11",
     "eppf.residual_moment_family": "the moments behind eppf_from_moments",
-    "oracle.ExactLaw.perturbed": "criterion 03's perturbed-law control",
     "oracle.record_independence_residual": "the closed-form check of tau_perm_law(x, 0), golden-pinned",
 }
 

@@ -1,5 +1,6 @@
 """Enumeration oracles, exact consistency checks, and sampling statistics."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -15,13 +16,13 @@ from partition_lab.core import (
     ParameterError,
     canonicalize,
     delete_block,
+    exact_div,
     partition_from_assignment,
 )
-from partition_lab.eppf import eppf
+from partition_lab.deletion import decrement_entry, deletion_kernel
+from partition_lab.eppf import eppf, q_first_block
 from partition_lab.samplers import tau_perm_probability
 from partition_lab.oracle import (
-    ExactLaw,
-    _remainder_word,
     _type_table,
     _word_table,
     _words,
@@ -70,15 +71,6 @@ def test_enumeration_bounds_and_order():
         enumerate_partitions(13)
 
 
-def test_remainder_word_is_the_deleted_partition():
-    # the checks key remainders by this word instead of calling delete_block
-    for n in range(1, 8):
-        for pi in iter_partitions(n):
-            word = bytes(pi.assignment_word())
-            for j in range(1, pi.k + 1):
-                assert tuple(_remainder_word(word, j)) == delete_block(pi, j).assignment_word()
-
-
 def test_word_table_is_the_enumeration():
     for n in range(9):
         words, keys = _word_table(n)
@@ -90,21 +82,23 @@ def test_word_table_is_the_enumeration():
         assert _word_table(n)[0] is words and _word_table(n)[1] is keys
 
 
-def test_word_table_keeps_no_n_past_exact_law(monkeypatch):
-    exact_law(ExtParams.two_param(0, 1), 5)
+def test_word_table_is_built_only_within_the_bound(monkeypatch):
     start = time.perf_counter()
     first = list(itertools.islice(iter_partitions(11), 3))
     # streamed: the first of Bell(11) = 678570 partitions without the rest
     assert time.perf_counter() - start < 0.5
     assert [pi.k for pi in first] == [1, 2, 2]
-    assert 5 in oracle._WORD_TABLES and max(oracle._WORD_TABLES) <= oracle.MAX_EXACT_N
-    # past the bound a table is built on each call and never kept
-    monkeypatch.setattr(oracle, "_WORD_TABLES", {})
-    monkeypatch.setattr(oracle, "MAX_EXACT_N", 3)
-    first, again = _word_table(4), _word_table(4)
-    assert first == again and first[0] is not again[0]
-    assert list(oracle._WORD_TABLES) == []
-    assert _word_table(3)[0] is _word_table(3)[0] and list(oracle._WORD_TABLES) == [3]
+    # _word_table keeps every table it builds, so exact_law checks n
+    # against MAX_EXACT_N before it asks for one
+    calls = []
+    real = oracle._word_table
+    monkeypatch.setattr(oracle, "_word_table", lambda n: calls.append(n) or real(n))
+    for n in (0, oracle.MAX_EXACT_N + 1, 10**6):
+        with pytest.raises(ParameterError):
+            exact_law(_HALF, n)
+    assert calls == []
+    exact_law(_HALF, 5)
+    assert calls == [5] and real(5) is real(5)
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)
@@ -114,15 +108,9 @@ def test_exact_law_is_a_probability(params):
     assert all(p >= 0 for p in law.probs.values())
 
 
-def test_exact_law_and_perturbation():
+def test_exact_law_value_and_bound():
     law = exact_law(ExtParams.two_param(0, 1), 3)
-    one_block = canonicalize([[1, 2, 3]])
-    assert law.probs[one_block] == Fraction(1, 3)
-    pert = law.perturbed(one_block, Fraction(1, 1000))
-    assert pert.total() == 1
-    assert pert.probs[one_block] > law.probs[one_block]
-    with pytest.raises(ParameterError):
-        law.perturbed(canonicalize([[1, 2]]), Fraction(1, 1000))
+    assert law.probs[canonicalize([[1, 2, 3]])] == Fraction(1, 3)
     with pytest.raises(ParameterError):
         exact_law(ExtParams.two_param(0, 1), 11)
 
@@ -195,34 +183,101 @@ _CRP = ExtParams.two_param(0, 1)
 _HALF = ExtParams.two_param(Fraction(1, 2), Fraction(1, 2))
 
 
-# the one-block rows move mass to [n] itself; {1, 3} {2, 4, ...} shares
-# its sizes with the unperturbed {1, 2} {3, 4, ...}, so a check that read
-# p once per size vector would miss it
-@pytest.mark.parametrize(("check", "params", "n", "blocks", "dev"), [
-    (deletion_law_check, _CRP, 3, [[1, 2, 3]], Fraction(1, 3003)),
-    (deletion_law_check, _CRP, 5, [[1, 3], [2, 4, 5]], Fraction(2, 603)),
-    (deletion_law_check, _CRP, 6, [[1, 3], [2, 4, 5, 6]], Fraction(9, 2012)),
-    (tau_regen_check, _HALF, 4, [[1, 2, 3, 4]], Fraction(6, 7007)),
-    (tau_regen_check, _HALF, 5, [[1, 3], [2, 4, 5]], Fraction(14, 4021)),
-    (tau_regen_check, _HALF, 6, [[1, 3], [2, 4, 5, 6]], Fraction(154, 30231)),
-])
-def test_checks_see_perturbation(check, params, n, blocks, dev):
-    law = exact_law(params, n).perturbed(canonicalize(blocks), Fraction(1, 1000))
-    assert check(params, n, law) == dev
+def _perturbed(params, lam, amount):
+    """The family's EPPF with `amount` of mass moved onto type lam, renormalized.
+
+    The N(lam) set partitions of type lam share the amount, so at
+    N(lam) = 1 it all goes to one set partition.
+    """
+    lam = tuple(sorted(lam, reverse=True))
+    share = exact_div(amount, dict(_type_table(sum(lam)))[lam])
+
+    def p(sizes):
+        value = eppf(params, sizes)
+        return exact_div(value + share if tuple(sorted(sizes, reverse=True)) == lam else value, 1 + amount)
+
+    return p
 
 
-# recorded from the SetPartition-keyed law at two more grid points, n = 7
-@pytest.mark.parametrize(("params", "blocks", "deletion_dev", "tau_dev"), [
-    (_VERIFY_GRID[3], [[1, 3], [2, 4, 5, 6, 7]], Fraction(289289, 53462187), Fraction(51, 11335)),
-    (_VERIFY_GRID[3], [[i] for i in range(1, 8)], Fraction(917609, 240102711), Fraction(365, 149974)),
-    (_VERIFY_GRID[4], [[1, 3], [2, 4, 5, 6, 7]], Fraction(45927, 6824114), Fraction(486, 49729)),
-    (_VERIFY_GRID[4], [[i] for i in range(1, 8)], Fraction(6698781, 3435550349),
-     Fraction(211, 162243)),
+@functools.cache
+def _deletions(n):
+    """Each set partition of [n]: its block sizes and (j, |B_j|, delete_block(pi, j)) per block."""
+    return tuple((pi.block_sizes().parts,
+                  tuple((j, len(block), delete_block(pi, j)) for j, block in enumerate(pi.blocks, start=1)))
+                 for pi in iter_partitions(n))
+
+
+def _brute_force(check, params, n, p):
+    """check(params, n, p) set partition by set partition: the type walk's reference.
+
+    Each set partition of [n] has mass p(its sizes, descending) and loses
+    block j with the rule's chance: block 1, unless it is all of [n], for
+    deletion_law_check, and the kernel's chance for tau_regen_check.  The
+    mass of each deleted size m, and given m < n with mass the conditional
+    mass of each set partition left on [n - m], are held to the check's
+    targets.
+    """
+    if check is deletion_law_check:
+        deleted_sizes, target = range(1, n), params.shifted
+
+        def size_target(m):
+            return math.comb(n - 1, m - 1) * q_first_block(params, n, m)
+
+        def chance(sizes, j):
+            return 1 if j == 1 and len(sizes) > 1 else 0
+    else:
+        deleted_sizes, target = range(1, n + 1), lambda: params
+        size_target = functools.partial(decrement_entry, params, n)
+
+        @functools.cache
+        def chance(sizes, j):
+            return deletion_kernel(sizes, j, params=params)
+    size_mass, joint = {}, {}
+    for sizes, blocks in _deletions(n):
+        mass = p(tuple(sorted(sizes, reverse=True)))
+        for j, m, rest in blocks:
+            w = mass * chance(sizes, j)
+            size_mass[m] = size_mass.get(m, 0) + w
+            joint[rest] = joint.get(rest, 0) + w
+    worst = 0
+    for m in deleted_sizes:
+        mass = size_mass.get(m, 0)
+        worst = max(worst, abs(mass - size_target(m)))
+        if m < n and mass != 0:
+            for rho in iter_partitions(n - m):
+                worst = max(worst, abs(exact_div(joint.get(rho, 0), mass) - eppf(target(), rho.block_sizes())))
+    return worst
+
+
+# 1/1000 of mass moved onto one type of [n]; the one-block type (n,) is a
+# single set partition, so there the mass moves onto one set partition.
+# The first line is criterion 03's control.
+@pytest.mark.parametrize(("check", "params", "n", "lam", "dev"), [
+    (deletion_law_check, _CRP, 5, (5,), Fraction(1, 5005)),
+    (deletion_law_check, _CRP, 3, (3,), Fraction(1, 3003)),
+    (deletion_law_check, _CRP, 5, (3, 2), Fraction(3, 2006)),
+    (deletion_law_check, _CRP, 6, (4, 2), Fraction(1, 502)),
+    (tau_regen_check, _HALF, 4, (4,), Fraction(6, 7007)),
+    (tau_regen_check, _HALF, 5, (3, 2), Fraction(14, 4021)),
+    (tau_regen_check, _HALF, 6, (4, 2), Fraction(154, 30231)),
 ])
-def test_checks_on_perturbed_grid_laws(params, blocks, deletion_dev, tau_dev):
-    law = exact_law(params, 7).perturbed(canonicalize(blocks), Fraction(1, 1000))
-    assert deletion_law_check(params, 7, law) == deletion_dev
-    assert tau_regen_check(params, 7, law) == tau_dev
+def test_checks_see_perturbation(check, params, n, lam, dev):
+    p = _perturbed(params, lam, Fraction(1, 1000))
+    assert check(params, n, p) == dev == _brute_force(check, params, n, p)
+
+
+# at n = 7; the all-singleton type, like the one-block type, is a single
+# set partition
+@pytest.mark.parametrize(("params", "lam", "deletion_dev", "tau_dev"), [
+    (_VERIFY_GRID[3], (5, 2), Fraction(34, 8151), Fraction(51, 11335)),
+    (_VERIFY_GRID[3], (1,) * 7, Fraction(917609, 240102711), Fraction(365, 149974)),
+    (_VERIFY_GRID[4], (5, 2), Fraction(8748, 1235935), Fraction(486, 49729)),
+    (_VERIFY_GRID[4], (1,) * 7, Fraction(6698781, 3435550349), Fraction(211, 162243)),
+])
+def test_checks_on_perturbed_grid_laws(params, lam, deletion_dev, tau_dev):
+    p = _perturbed(params, lam, Fraction(1, 1000))
+    assert deletion_law_check(params, 7, p) == deletion_dev == _brute_force(deletion_law_check, params, 7, p)
+    assert tau_regen_check(params, 7, p) == tau_dev == _brute_force(tau_regen_check, params, 7, p)
 
 
 def test_oracle_builds_no_partition_until_probs_is_read(monkeypatch, capsys):
@@ -234,40 +289,12 @@ def test_oracle_builds_no_partition_until_probs_is_read(monkeypatch, capsys):
     assert law.total() == 1
     assert deletion_law_check(_HALF, 8) == 0
     assert tau_regen_check(_HALF, 8) == 0
-    pert = law.perturbed(canonicalize([[1, 3], [2, 4, 5, 6, 7, 8]]), Fraction(1, 1000))
-    assert pert.total() == 1 and deletion_law_check(_HALF, 8, pert) > 0
     assert cli.main(["verify", "--suite", "deletion"]) == 0
     assert capsys.readouterr().out.endswith('{"checks":12,"failures":0}\n')
     monkeypatch.undo()
     # the mapping, built on first read, is keyed and ordered as enumeration is
     want = {pi: eppf(_HALF, pi.block_sizes()) for pi in iter_partitions(8)}
     assert list(law.probs.items()) == list(want.items())
-
-
-@pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
-def test_checks_reject_a_law_on_another_n(check):
-    for law_n in (4, 6):
-        with pytest.raises(ParameterError, match=r"law is on \[%d\]" % law_n):
-            check(_HALF, 5, exact_law(_HALF, law_n))
-
-
-@pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
-@pytest.mark.parametrize("perturb", [False, True])
-@pytest.mark.parametrize("params", [_HALF, ExtParams.two_param(0.3, 0.5)], ids=str)
-def test_checks_on_a_copied_word_list(check, perturb, params):
-    # a law whose words are not the table's must give the table-backed
-    # law's value, and type, exactly
-    n = 6
-    law = exact_law(params, n)
-    if perturb:
-        law = law.perturbed(canonicalize([[1, 3], [2, 4, 5, 6]]), Fraction(1, 1000))
-    assert law.words is _word_table(n)[0]
-    copy = ExactLaw(n, list(law.words), law.values)
-    want = check(params, n, law)
-    got = check(params, n, copy)
-    assert got == want and type(got) is type(want)
-    if params is _HALF:
-        assert (want > 0) is perturb
 
 
 @pytest.mark.parametrize("tau", [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])
@@ -317,8 +344,10 @@ _FLOAT_POINTS = (
 _LEEM_TAUS = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, 0.25, 0.0, 1.0)
 CHECK_GOLDEN = {
     "grid": "0d688d29dda52eb45492ecf4f30199ea492f03acca2ea51e5413bb13e1342388",
-    # the float lines carry the word walk's math.fsum masses
-    "perturbed": "56ad4cdeabcd8d1516aa32b13ffb411c73a9f4134bc754673708b3d929bcd2f5",
+    # re-recorded when the law under test became an EPPF: 1/1000 of mass
+    # moved onto a type, not a set partition; every exact line whose type
+    # is a single set partition reads as it did on the word walk
+    "perturbed": "8a6272ed119b862605a2762d00623cacede2185710afb462f51cfbb9420cada8",
     "leem": "65f1749ada36fab2f4ba1fba866f7181faccd861570898ab73232a368272855c",
     "record": "66056a8fe8154f3ad5c3cb93b92a63998e35a2c385f809c71c23d719465d2c54",
     "errors": "0384bcc6c9b9e5c8d4ed89c76424bde71007cb452c0500232218acfe054d2240",
@@ -347,11 +376,10 @@ def _golden_lines(family):
                                                  ExtParams.two_param(Fraction(2, 3), 0))]
         for check, params in cases:
             for n in (4, 6):
-                for blocks in ([list(range(1, n + 1))], [[1, 3], [2, *range(4, n + 1)]],
-                               [[i] for i in range(1, n + 1)]):
+                for lam in ((n,), (n - 2, 2), (1,) * n):
                     for amount in (Fraction(1, 1000), Fraction(-1, 1000), 0.001, -0.001):
-                        law = exact_law(params, n).perturbed(canonicalize(blocks), amount)
-                        yield f"{check.__name__} {params} {n} {blocks} {amount}", check, params, n, law
+                        p = _perturbed(params, lam, amount)
+                        yield f"{check.__name__} {params} {n} {lam} {amount}", check, params, n, p
     elif family == "leem":
         for k in range(1, 6):
             total = k * (k + 1) // 2
@@ -445,60 +473,61 @@ def test_eppf_total_is_the_exact_law_total(params):
 
 
 @pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
-@pytest.mark.parametrize("params", _VERIFY_GRID + _FLOAT_POINTS, ids=str)
-def test_type_walk_matches_the_word_walk(check, params):
-    # without a law the check sums over integer partitions; the word walk
-    # on the family's exact law is the reference: equal values of equal
-    # type (or the same error) at exact parameters.  In floats the type
-    # walk stays within an ulp of 1 of the true 0, and the word walk, which
-    # adds its masses by math.fsum, within 9.8e-17 of it (2.8e-17 at n = 8).
-    for n in range(1, 9):
-        got = _outcome(check, params, n)
-        want = _outcome(lambda: check(params, n, exact_law(params, n)))
-        if params.is_exact_mode:
-            assert got == want
-        else:
-            got, want = check(params, n), check(params, n, exact_law(params, n))
-            assert 0 <= got <= 2 ** -53
-            assert abs(got - want) <= (2e-16 if n <= 7 else 6e-17)
+@pytest.mark.parametrize("params", _VERIFY_GRID, ids=str)
+def test_type_walk_matches_the_brute_force(check, params):
+    # the family's law and two perturbed ones: equal values of equal type,
+    # or the same error, set partition by set partition
+    family = functools.partial(eppf, params)
+    for n in range(1, 7):
+        types = [(n,), (n - 1, 1)] if n > 1 else [(1,)]
+        for p in [None] + [_perturbed(params, lam, Fraction(1, 1000)) for lam in types]:
+            assert _outcome(check, params, n, p) == _outcome(_brute_force, check, params, n, p or family)
+    if params == _HALF:
+        assert _outcome(check, params, 7) == _outcome(_brute_force, check, params, 7, family)
+
+
+@pytest.mark.parametrize("check", [deletion_law_check, tau_regen_check])
+@pytest.mark.parametrize("params", _FLOAT_POINTS, ids=str)
+def test_type_walk_in_floats(check, params):
+    # the type walk stays within an ulp of 1 of the true 0; the brute force
+    # adds its masses one set partition at a time and read up to 1.73e-15
+    # (tau_regen_check at (0.3, 0.5), n = 6), so the gap is held to twice that
+    for n in range(1, 7):
+        got = check(params, n)
+        assert 0 <= got <= 2 ** -53
+        assert abs(got - _brute_force(check, params, n, functools.partial(eppf, params))) <= 3.5e-15
 
 
 @pytest.mark.parametrize("move", ["two types", "one block"])
 @pytest.mark.parametrize("n", [7, 12])
 @pytest.mark.parametrize("params", [_HALF, _VERIFY_GRID[3], _VERIFY_GRID[4]], ids=str)
-def test_type_walk_sees_mass_moved_between_types(params, n, move, monkeypatch):
+def test_type_walk_sees_mass_moved_between_types(params, n, move):
     # 1e-4 of mass moves between types of [n], each holding more than that:
     # from (3, 1, ..., 1) to (2, 2, 1, ..., 1), which moves the deleted
     # sizes and the remainders; or from one block to every other type in
     # proportion, which moves only the deleted sizes, as the remainders'
-    # conditional laws keep their ratios.  Only p on [n] changes, so the
-    # remainder targets stay the family's and both deletion rules must see
-    # the move: at n = 7 with the word walk's values on the moved law,
-    # exactly; n = 12 lies past the word tables.
+    # conditional laws keep their ratios.  The remainder targets stay the
+    # family's, so both deletion rules must see the move: at n = 7 with the
+    # brute force's values, exactly.
     amount = Fraction(1, 10 ** 4)
     counts = dict(_type_table(n))
     source, dest = (3,) + (1,) * (n - 3), (2, 2) + (1,) * (n - 4)
     scale = 1 + amount / (1 - eppf(params, (n,)))
 
-    def p(params, sizes):
-        lam = tuple(sorted(sizes, reverse=True))
+    def p(lam):
         value = eppf(params, lam)
-        if sum(lam) != n:
-            return value
         if move == "one block":
             return value - amount if lam == (n,) else value * scale
         return value + {source: -amount / counts[source], dest: amount / counts[dest]}.get(lam, 0)
 
     assert deletion_law_check(params, n) == tau_regen_check(params, n) == 0
-    monkeypatch.setattr(oracle, "eppf", p)
-    assert sum(count * p(params, lam) for lam, count in counts.items()) == 1
-    assert min(p(params, lam) for lam in counts) >= 0
+    assert sum(count * p(lam) for lam, count in counts.items()) == 1
+    assert min(p(lam) for lam in counts) >= 0
     for check in (deletion_law_check, tau_regen_check):
-        got = check(params, n)
+        got = check(params, n, p)
         assert got > 0
-        if n <= oracle.MAX_EXACT_N:
-            words, keys = _word_table(n)
-            assert got == check(params, n, ExactLaw(n, words, [p(params, key) for key in keys]))
+        if n == 7:
+            assert got == _brute_force(check, params, n, p)
 
 
 def test_record_independence_residual_zero():
