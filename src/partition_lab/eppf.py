@@ -28,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,6 +137,42 @@ def _stick_moment(law: BetaParams | Scalar, i: int, j: int) -> Scalar:
     return law ** i * (1 - law) ** j
 
 
+def _eppf_integers(
+    params: ExtParams,
+) -> tuple[Callable[[Sequence[int]], int], Callable[[int], int]] | None:
+    """(top, bottom) with eppf(params, parts) = top(parts) / bottom(n), unreduced; None for float parameters.
+
+    bottom depends on n = sum(parts) alone, so the values of one n share
+    it.  Exact parameters take their split from core._integer_scale: with
+    alpha = A/L and theta = T/L,
+
+        top = prod_{i<k} (T + i A) prod_j prod_{i<n_j-1} (L - A + i L),
+        bottom = prod_{i<n-1} (T + L + i L),
+
+    since the k - 1 + (n - k) factors of L in top cancel the n - 1 in
+    bottom; coupon has top = m (m - 1) ... (m - k + 1) and bottom = m^n.
+    Past the bounded ranges' blocks top is 0.  A, T and L are computed
+    once, so a check that reads many values builds no Fraction per value.
+    """
+    if params.kind == COUPON:
+        m = params.m
+        return (lambda parts: math.perm(m, len(parts))), (lambda n: m ** n)
+    alpha, theta = params.alpha, params.theta
+    if not (is_exact(alpha) and is_exact(theta)):
+        return None
+    A, T, L, _ = _integer_scale(alpha, theta)
+
+    def top(parts: Sequence[int]) -> int:
+        k = len(parts)
+        out = math.prod(range(T + A, T + k * A, A)) if A else T ** (k - 1)
+        for p in parts:
+            if p > 1:
+                out *= math.prod(range(L - A, p * L - A, L))
+        return out
+
+    return top, lambda n: math.prod(range(T + L, T + n * L, L))
+
+
 def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
     """Probability of a fixed partition of [n] with the given block sizes.
 
@@ -144,15 +180,10 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
     in them.  Compositions with more blocks than the bounded ranges
     allow get probability 0.
 
-    Exact parameters take their split from core._integer_scale: with
-    alpha = A/L and theta = T/L the value is the one integer quotient
-
-        prod_{i<k} (T + i A) prod_j prod_{i<n_j-1} (L - A + i L)
-            / prod_{i<n-1} (T + L + i L),
-
-    since the k - 1 + (n - k) factors of L above cancel the n - 1 below;
-    Fraction reduces it once.  Float parameters go through rising_ratio:
-    the plain product, and log-gamma when it leaves the float range.
+    Exact parameters give the one Fraction top / bottom of
+    _eppf_integers, reduced once.  Float parameters go through
+    rising_ratio: the plain product, and log-gamma when it leaves the
+    float range.
     """
     lam = Composition.of(parts)
     n, k = lam.n, lam.k
@@ -160,16 +191,11 @@ def eppf(params: ExtParams, parts: Composition | Iterable[int]) -> Scalar:
         raise ParameterError("eppf needs at least one part")
     if params.max_blocks is not None and k > params.max_blocks:
         return 0
-    if params.kind == COUPON:
-        return Fraction(math.perm(params.m, k), params.m ** n)
+    integers = _eppf_integers(params)
+    if integers is not None:
+        top, bottom = integers
+        return Fraction(top(lam.parts), bottom(n))
     alpha, theta = params.alpha, params.theta
-    if is_exact(alpha) and is_exact(theta):
-        A, T, L, _ = _integer_scale(alpha, theta)
-        top = math.prod(range(T + A, T + k * A, A)) if A else T ** (k - 1)
-        for p in lam.parts:
-            if p > 1:
-                top *= math.prod(range(L - A, p * L - A, L))
-        return Fraction(top, math.prod(range(T + L, T + n * L, L)))
     shape = 1 - alpha
     return rising_ratio([(shape, p - 1) for p in lam.parts], ((theta + 1, n - 1),),
                         [theta + i * alpha for i in range(1, k)])
@@ -180,8 +206,24 @@ def addition_residual(params: ExtParams, parts: Composition | Iterable[int]) -> 
 
     Extending means growing one existing part by 1 or appending a new
     part of size 1; consistency of the family makes the residual 0.
+
+    Exact parameters sum the extensions' integer numerators over their
+    shared denominator bottom(n + 1) of _eppf_integers, which
+    bottom(n) divides, and build one Fraction.  Float parameters, and
+    compositions eppf gives no Fraction, add eppf values.
     """
     lam = Composition.of(parts)
+    integers = _eppf_integers(params)
+    if integers is not None and 0 < lam.k and (params.max_blocks is None or lam.k <= params.max_blocks):
+        top, bottom = integers
+        n, grown = lam.n, list(lam.parts)
+        total = top(lam.parts + (1,))
+        for j in range(lam.k):
+            grown[j] += 1
+            total += top(grown)
+            grown[j] -= 1
+        b_n, b_next = bottom(n), bottom(n + 1)
+        return Fraction(top(lam.parts) * (b_next // b_n) - total, b_next)
     total: Scalar = 0
     for j in range(lam.k):
         grown = list(lam.parts)

@@ -15,7 +15,11 @@ lambda of n, each weighted by N(lambda), the number of set partitions
 of [n] with those block sizes: 627 types at n = 20, where [10] alone
 has 115,975 set partitions.  `_type_table` lists the types of each
 n <= MAX_TYPE_N once per process, and `_type_walk` runs both deletion
-rules over them, for the family's EPPF or one passed in.
+rules over them, for the family's EPPF or one passed in.  At exact
+parameters these checks, like the pick-order checks, add integer
+numerators over one denominator (the family's from
+`eppf._eppf_integers`) and compare them with their targets by
+cross-multiplication, so they build a Fraction only for a nonzero gap.
 
 `exact_law` enumerates a set partition of [n] as its restricted-growth
 assignment word: it keys its law by word and builds `SetPartition`
@@ -48,7 +52,7 @@ from .core import (
     partition_from_assignment,
 )
 from .deletion import decrement_entry, deletion_kernel
-from .eppf import eppf, q_first_block
+from .eppf import _eppf_integers, eppf, q_first_block
 from .samplers import order_probability, tau_pick_law
 
 MAX_ENUM_N = 12
@@ -214,13 +218,49 @@ def eppf_total(params: ExtParams, n: int) -> Scalar:
     """Total mass sum_lambda N(lambda) p(lambda) of the partition law on [n], n <= 20.
 
     The value of `exact_law(params, n).total()`, summed over the integer
-    partitions of n instead of the Bell(n) set partitions.
+    partitions of n instead of the Bell(n) set partitions.  Exact
+    parameters sum the integer numerators of `eppf._eppf_integers` over
+    their shared denominator and build one Fraction.
     """
     _check_type_n(n)
-    return sum(count * eppf(params, lam) for lam, count in _type_table(n))
+    integers = _eppf_integers(params)
+    if integers is None:
+        return sum(count * eppf(params, lam) for lam, count in _type_table(n))
+    top, bottom = integers
+    return Fraction(sum(count * top(lam) for lam, count in _type_table(n)), bottom(n))
 
 
-def _type_walk(p: Callable[[tuple[int, ...]], Scalar], n: int,
+def _law_under_test(params: ExtParams, n: int, p: Callable[[tuple[int, ...]], Scalar] | None
+                    ) -> tuple[Callable[[tuple[int, ...]], Scalar], int | None]:
+    """The law under test on [n] for `_type_walk`: (values, den).
+
+    Every integer partition of n is read once.  With exact parameters
+    den is an int and the values integer numerators over it: the
+    family's from `eppf._eppf_integers`, or a passed p's put over
+    `_over_common_denominator`.  Float parameters, or a p with a float
+    value, give den None and p's own values (the family's EPPF by
+    default).
+    """
+    types = [lam for lam, _ in _type_table(n)]
+    if not params.is_exact_mode:
+        return dict(zip(types, map(p or functools.partial(eppf, params), types))).__getitem__, None
+    if p is None:
+        top, bottom = _eppf_integers(params)
+        nums, den = list(map(top, types)), bottom(n)
+    else:
+        nums, den = _over_common_denominator(list(map(p, types)))
+    return dict(zip(types, nums)).__getitem__, den
+
+
+def _wider(worst: Scalar, gap: int, den: int) -> Scalar:
+    """The larger of worst and the deviation |gap / den|; a Fraction is built only for a nonzero gap."""
+    if not gap:
+        return worst
+    dev = Fraction(abs(gap), abs(den))
+    return dev if dev > worst else worst
+
+
+def _type_walk(p: Callable[[tuple[int, ...]], Scalar], den: int | None, n: int,
                weight: Callable[[tuple[int, ...]], Scalar], deleted_sizes: range,
                size_target: Callable[[int], Scalar], remainder_params: Callable[[], ExtParams]) -> Scalar:
     """Worst deviation of a block deletion from its targets, over integer partitions.
@@ -237,37 +277,62 @@ def _type_walk(p: Callable[[tuple[int, ...]], Scalar], n: int,
     mass of deleting size m, the sum of those masses, must be
     size_target(m); given m < n with mass, each remainder word must have
     the conditional mass eppf(remainder_params(), mu), and that is called
-    only then, as some parameters cannot shift.  p is read once per
-    integer partition of n, in descending order.
+    only then, as some parameters cannot shift.  p takes an integer
+    partition of n, in descending order.
+
+    With den an int (exact parameters, from `_law_under_test`) p gives
+    integer numerators over den.  Each m's weights then go over
+    `_over_common_denominator`, so its joint masses and their sum are
+    integers over one denominator; the targets, the conditional ones
+    from `eppf._eppf_integers`, are compared by cross-multiplication,
+    and only a nonzero gap builds a Fraction.  With den None p gives the
+    masses themselves, summed as they are.
     """
     worst: Scalar = 0
     target = None
-    p_of: dict[tuple[int, ...], Scalar] = {}
-    weight_of: dict[tuple[int, int], Scalar] = {}
+    if den is None:
+        weight_of: dict[tuple[int, int], Scalar] = {}
+        for m in deleted_sizes:
+            table = _type_table(n - m)
+            joint = []
+            mass: Scalar = 0
+            for mu, count in table:
+                w = weight_of.get((m, len(mu)))
+                if w is None:
+                    w = weight_of[m, len(mu)] = weight((m, *mu))
+                v = w * p(tuple(sorted((m, *mu), reverse=True)))
+                joint.append(v)
+                mass = mass + count * v
+            dev = abs(mass - size_target(m))
+            worst = dev if dev > worst else worst
+            if m == n or mass == 0:
+                continue
+            if target is None:
+                target = remainder_params()
+            for (mu, _), v in zip(table, joint):
+                dev = abs(exact_div(v, mass) - eppf(target, mu))
+                worst = dev if dev > worst else worst
+        return worst
     for m in deleted_sizes:
         table = _type_table(n - m)
-        joint = []
-        mass: Scalar = 0
-        for mu, count in table:
-            lam = tuple(sorted((m, *mu), reverse=True))
-            pv = p_of.get(lam)
-            if pv is None:
-                pv = p_of[lam] = p(lam)
-            w = weight_of.get((m, len(mu)))
-            if w is None:
-                w = weight_of[m, len(mu)] = weight((m, *mu))
-            v = w * pv
-            joint.append(v)
-            mass = mass + count * v
-        dev = abs(mass - size_target(m))
-        worst = dev if dev > worst else worst
+        firsts: dict[int, tuple[int, ...]] = {}
+        for mu, _ in table:
+            firsts.setdefault(len(mu), mu)
+        w_nums, w_den = _over_common_denominator([weight((m, *mu)) for mu in firsts.values()])
+        w_of = dict(zip(firsts, w_nums))
+        joint = [w_of[len(mu)] * p(tuple(sorted((m, *mu), reverse=True))) for mu, _ in table]
+        mass = sum(count * v for (_, count), v in zip(table, joint))
+        mass_den = w_den * den
+        goal = size_target(m)
+        worst = _wider(worst, mass * goal.denominator - goal.numerator * mass_den, mass_den * goal.denominator)
         if m == n or mass == 0:
             continue
         if target is None:
-            target = remainder_params()
+            target = _eppf_integers(remainder_params())
+        top, bottom = target
+        t_den = bottom(n - m)
         for (mu, _), v in zip(table, joint):
-            dev = abs(exact_div(v, mass) - eppf(target, mu))
-            worst = dev if dev > worst else worst
+            worst = _wider(worst, v * t_den - top(mu) * mass, mass * t_den)
     return worst
 
 
@@ -296,10 +361,8 @@ def deletion_law_check(params: ExtParams, n: int,
         return math.comb(n - 1, m - 1) * q_first_block(params, n, m)
 
     _check_type_n(n)
-    if p is None:
-        p = functools.partial(eppf, params)
-    return _type_walk(p, n, lambda sizes: math.comb(n - 1, sizes[0] - 1), range(1, n), size_target,
-                      params.shifted)
+    return _type_walk(*_law_under_test(params, n, p), n, lambda sizes: math.comb(n - 1, sizes[0] - 1),
+                      range(1, n), size_target, params.shifted)
 
 
 def tau_regen_check(params: ExtParams, n: int,
@@ -323,9 +386,8 @@ def tau_regen_check(params: ExtParams, n: int,
     sizes mu has that mass.
     """
     _check_type_n(n)
-    if p is None:
-        p = functools.partial(eppf, params)
-    return _type_walk(p, n, lambda sizes: math.comb(n, sizes[0]) * deletion_kernel(sizes, 1, params=params),
+    return _type_walk(*_law_under_test(params, n, p), n,
+                      lambda sizes: math.comb(n, sizes[0]) * deletion_kernel(sizes, 1, params=params),
                       range(1, n + 1), functools.partial(decrement_entry, params, n), lambda: params)
 
 
@@ -374,7 +436,8 @@ def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
     and returns the largest absolute difference (0 expected).
 
     Each xi-order probability is computed once per relative word, and
-    exact sums run over integer numerators.
+    exact sums run over integer numerators, compared with the tau-biased
+    law by cross-multiplication: only a nonzero gap builds a Fraction.
     """
     k = len(x)
     if k == 0:
@@ -384,6 +447,7 @@ def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
     xi = math.inf if tau == 0 else exact_div(1 - tau, tau)
     sb_law = tau_perm_law(x, 0)
     lhs = tau_perm_law(x, tau).values()
+    worst: Scalar = 0
     if tau == 0:
         rhs = list(sb_law.values())
     else:
@@ -409,8 +473,10 @@ def leem_check(x: Sequence[Scalar], tau: Scalar) -> Scalar:
                 total = total + p * op_of[tuple(map(inv.__getitem__, pi))]
             rhs.append(total)
         if exact:
-            rhs = [Fraction(total, sb_den * op_den) for total in rhs]
-    worst: Scalar = 0
+            den = sb_den * op_den
+            for left, total in zip(lhs, rhs):
+                worst = _wider(worst, left.numerator * den - total * left.denominator, left.denominator * den)
+            return worst
     for left, right in zip(lhs, rhs):
         dev = abs(left - right)
         worst = dev if dev > worst else worst
@@ -489,10 +555,8 @@ def xi_order_enumeration_residual(k: int, xi: Scalar) -> Scalar:
         worst: Scalar = Fraction(gap, den) if k > 1 else gap
         for arr in itertools.permutations(range(1, k + 1)):
             target = order_probability(xi, arr)
-            gap = abs(sums.get(arr, 0) * target.denominator - target.numerator * den)
-            if gap:
-                dev = Fraction(gap, den * target.denominator)
-                worst = dev if dev > worst else worst
+            worst = _wider(worst, sums.get(arr, 0) * target.denominator - target.numerator * den,
+                           den * target.denominator)
         return worst
     accum: dict[tuple[int, ...], Scalar] = {}
     for ranks in itertools.product(*ranges):

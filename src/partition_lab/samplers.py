@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -63,6 +64,7 @@ from .core import (
     exact_div,
     canonicalize,
     float_param,
+    is_exact,
     rising_factorial,
 )
 from .eppf import stick_float_laws
@@ -608,7 +610,7 @@ def right_record_count(arrangement: Sequence[int]) -> int:
     for e in range(1, k + 1):
         if pos[e] > best:
             count += 1
-        best = max(best, pos[e])
+            best = pos[e]
     return count
 
 
@@ -617,7 +619,9 @@ def order_probability(xi: Scalar, arrangement: Sequence[int]) -> Scalar:
 
     Equals xi^r / (xi)_k where r = right_record_count(arrangement),
     with the degenerate conventions at xi = 0 (element 1 rightmost,
-    the rest uniform) and xi = inf (standard order only).
+    the rest uniform) and xi = inf (standard order only).  An exact
+    xi = p/q > 0 gives the one Fraction p^r q^(k - r) / prod_{i<k} (p + i q),
+    reduced once.
     """
     k = len(arrangement)
     r = right_record_count(arrangement)
@@ -625,6 +629,9 @@ def order_probability(xi: Scalar, arrangement: Sequence[int]) -> Scalar:
         return 1.0 if tuple(arrangement) == tuple(range(1, k + 1)) else 0.0
     if not (xi >= 0):
         raise ParameterError(f"need xi >= 0, got {xi}")
+    if is_exact(xi) and xi:
+        p, q = xi.numerator, xi.denominator
+        return Fraction(p ** r * q ** (k - r), math.prod(range(p, p + k * q, q)))
     if xi == 0:
         # element 1 rightmost (r = 1), the rest uniform; xi ** 0 is 1 in the mode of xi
         return exact_div(xi ** 0 if r == 1 else xi, math.factorial(k - 1))

@@ -145,6 +145,28 @@ def test_exact_eppf_is_the_rising_ratio_route():
         assert (type(got), got) == (type(want), want), (params, parts)
 
 
+def _product_eppf(params, parts):
+    """p(lambda) as a product of rising_factorial Fractions, one factor per term of the formula."""
+    n, k = sum(parts), len(parts)
+    if params.kind == COUPON:  # m (m - 1) ... (m - k + 1) / m^n; 0 past m blocks
+        return rising_factorial(Fraction(params.m - k + 1), k) / Fraction(params.m) ** n
+    alpha, theta = Fraction(params.alpha), Fraction(params.theta)
+    value = math.prod((theta + i * alpha for i in range(1, k)), start=Fraction(1))
+    for p in parts:
+        value *= rising_factorial(1 - alpha, p - 1)
+    return value / rising_factorial(theta + 1, n - 1)
+
+
+@pytest.mark.parametrize("params", _VERIFY_GRID, ids=str)
+def test_exact_eppf_is_the_rising_factorial_product(params):
+    # every composition of n <= 8; the bounded ranges give the int 0 past
+    # their blocks, every other value is a Fraction
+    for parts in (c for n in range(1, 9) for c in _compositions(n)):
+        got, want = eppf(params, parts), _product_eppf(params, parts)
+        past = params.max_blocks is not None and len(parts) > params.max_blocks
+        assert got == want and type(got) is (int if past else Fraction), (parts, got, want)
+
+
 def test_eppf_is_symmetric_in_parts():
     params = ExtParams.two_param(Fraction(1, 3), Fraction(2, 3))
     assert eppf(params, (3, 1, 2)) == eppf(params, (1, 2, 3))

@@ -20,7 +20,7 @@ from partition_lab.core import (
     partition_from_assignment,
 )
 from partition_lab.deletion import decrement_entry, deletion_kernel
-from partition_lab.eppf import eppf, q_first_block
+from partition_lab.eppf import addition_residual, eppf, q_first_block
 from partition_lab.samplers import tau_perm_probability
 from partition_lab.oracle import (
     _type_table,
@@ -320,6 +320,20 @@ def test_tau_perm_law_is_tau_perm_probability(tau):
                     assert type(p) is Fraction and p == want
 
 
+@pytest.mark.parametrize("tau", [Fraction(1, 2), Fraction(1, 3), 1], ids=repr)
+def test_leem_check_sees_mass_moved_between_relative_words(monkeypatch, tau):
+    # 1/1000 of the xi-order mass moves from the relative word (1, 2, 3) to
+    # (3, 2, 1); the order (1, 2, 3) then reads (sb(3, 2, 1) - sb(1, 2, 3))/1000
+    # = (1/3 - 1/15)/1000 off, the largest gap, seen through the
+    # cross-multiplied comparison
+    real = oracle.order_probability
+    moved = {(1, 2, 3): Fraction(-1, 1000), (3, 2, 1): Fraction(1, 1000)}
+    monkeypatch.setattr(oracle, "order_probability",
+                        lambda xi, arrangement: real(xi, arrangement) + moved.get(tuple(arrangement), 0))
+    got = leem_check((Fraction(1, 6), Fraction(2, 6), Fraction(3, 6)), tau)
+    assert got == Fraction(1, 3750) and type(got) is Fraction
+
+
 def test_leem_check_handles_ties_and_validates():
     # equal float weights exercise the tie branches
     assert leem_check((0.25, 0.25, 0.5), 0.5) == pytest.approx(0.0, abs=1e-12)
@@ -539,6 +553,41 @@ def test_record_independence_residual_zero():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_xi_order_enumeration_residual_zero(k, xi):
     assert xi_order_enumeration_residual(k, xi) == 0
+
+
+def test_xi_order_enumeration_sees_mass_moved_between_arrangements(monkeypatch):
+    # 1/1000 of the closed form's mass moves from the standard order (mass
+    # 1/945 at xi = 1/2, k = 5) to the reversed one; the total stays 1, so
+    # only the cross-multiplied gap per arrangement can see it
+    real = oracle.order_probability
+    moved = {(1, 2, 3, 4, 5): Fraction(-1, 1000), (5, 4, 3, 2, 1): Fraction(1, 1000)}
+    monkeypatch.setattr(oracle, "order_probability",
+                        lambda xi, arrangement: real(xi, arrangement) + moved.get(tuple(arrangement), 0))
+    got = xi_order_enumeration_residual(5, Fraction(1, 2))
+    assert got == Fraction(1, 1000) and type(got) is Fraction
+
+
+def test_exact_checks_keep_their_return_types():
+    # exact parameters give exact zeros, never floats: eppf past the bounded
+    # ranges' blocks is the int 0, and so is an addition residual whose
+    # terms all are; the type walk returns the int 0 it starts from
+    for params, parts in [(ExtParams.neg_alpha(-1, 3), (2, 1, 1, 1)), (ExtParams.coupon(3), (1, 1, 1, 1))]:
+        got = eppf(params, parts)
+        assert got == 0 and type(got) is int
+    for params in _VERIFY_GRID:
+        for parts in [(1,), (2, 1), (1, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1, 1)]:
+            got = addition_residual(params, parts)
+            past = params.max_blocks is not None and len(parts) > params.max_blocks
+            assert got == 0 and type(got) is (int if past else Fraction), (params, parts)
+        got = eppf_total(params, 5)
+        assert got == 1 and type(got) is Fraction
+        checks = [deletion_law_check] + [tau_regen_check] * (params.kind == "two_param")
+        for check in checks:
+            got = check(params, 5)
+            assert got == 0 and type(got) is int
+    for xi in (0, Fraction(1, 2), 1, 2):
+        got = [xi_order_enumeration_residual(k, xi) for k in (1, 2, 5)]
+        assert got == [0, 0, 0] and list(map(type, got)) == [int, Fraction, Fraction]
 
 
 def test_xi_order_enumeration_bounds():

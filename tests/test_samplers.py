@@ -1,6 +1,7 @@
 """Random sources, partition samplers, biased picks and orders."""
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from partition_lab.core import (
     IntervalSet,
     ParameterError,
     canonicalize,
+    rising_factorial,
 )
 from partition_lab.eppf import eppf
 from partition_lab.oracle import chi_square, enumerate_partitions, tau_perm_law
@@ -564,6 +566,18 @@ def test_order_probability_frozen(xi, arrangement, prob):
     assert order_probability(xi, arrangement) == prob
 
 
+@pytest.mark.parametrize("xi", [Fraction(1, 2), 1, 2, 3, Fraction(2, 7)], ids=repr)
+def test_order_probability_is_the_closed_form(xi):
+    # xi^r / (xi)_k in Fractions on every arrangement with k <= 6; an int
+    # xi gives a Fraction too
+    x = Fraction(xi)
+    for k in range(1, 7):
+        for arrangement in itertools.permutations(range(1, k + 1)):
+            got = order_probability(xi, arrangement)
+            want = x ** right_record_count(arrangement) / rising_factorial(x, k)
+            assert got == want and type(got) is Fraction, (arrangement, got, want)
+
+
 @pytest.mark.parametrize("xi", [Fraction(1, 2), 1, 2, 3])
 def test_order_probability_normalizes(xi):
     import itertools
@@ -609,6 +623,15 @@ def test_xi_arrangements_matches_object_path_law():
 )
 def test_right_record_count(arrangement, records):
     assert right_record_count(arrangement) == records
+
+
+def test_right_record_count_is_its_definition():
+    # every arrangement with k <= 6: the elements that sit right of every smaller one
+    for k in range(1, 7):
+        for arrangement in itertools.permutations(range(1, k + 1)):
+            pos = {e: i for i, e in enumerate(arrangement)}
+            want = sum(all(pos[d] < pos[e] for d in range(1, e)) for e in range(1, k + 1))
+            assert right_record_count(arrangement) == want, arrangement
 
 
 # sha256 of dumps(stick_fraction_matrix(params, k, 50, RngHandle(9)).tolist()),
